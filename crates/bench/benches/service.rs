@@ -59,9 +59,6 @@ fn bench_service_throughput(c: &mut Criterion) {
         }
     }
     group.finish();
-    // Scheduler spawns lower the process-global analytic thread budget;
-    // restore it so later groups in the same process are unaffected.
-    cfd_core::set_analytic_thread_budget(usize::MAX);
 }
 
 criterion_group!(benches, bench_service_throughput);

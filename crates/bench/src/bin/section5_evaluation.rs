@@ -204,8 +204,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // wideband scales, timed through telemetry spans (min of 3 so one
     // scheduler hiccup does not pollute the trajectory). Running them here
     // also fills the per-scale `dsp.scf.accumulate_ns.g511`/`.g1023`
-    // histograms and the `soc.analytic.threads` gauge in the snapshot the
-    // gate diffs.
+    // histograms in the snapshot the gate diffs.
     let mut kernel_timings: Vec<(String, f64)> = Vec::new();
     for (label, fft_len, max_offset) in [("511x511", 1024usize, 255usize), ("1023x1023", 2048, 511)]
     {
@@ -354,7 +353,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let pooled_seconds = time_path("scheduler_1024ch_4w", &mut || {
             run_scheduler(channels, &events, 4)
         });
-        cfd_core::set_analytic_thread_budget(usize::MAX);
         let service_speedup = naive_seconds / serial_seconds.max(f64::MIN_POSITIVE);
         let rate = |seconds: f64| decisions / seconds.max(f64::MIN_POSITIVE);
         println!(

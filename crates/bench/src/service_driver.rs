@@ -178,6 +178,5 @@ mod tests {
             .synthesize()
             .unwrap();
         assert_eq!(run_naive(8, &bursty), run_scheduler(8, &bursty, 3));
-        cfd_core::set_analytic_thread_budget(usize::MAX);
     }
 }

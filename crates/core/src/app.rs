@@ -117,12 +117,6 @@ pub struct Platform {
     pub tile: MontiumConfig,
     /// Simulation execution mode.
     pub mode: ExecutionMode,
-    /// Worker threads of the analytic fast path (`1` = serial reference,
-    /// `0` = one per available core); forwarded to
-    /// [`SocConfig::analytic_threads`] and further capped by the
-    /// process-wide analytic thread budget. Bit-identical results at every
-    /// value.
-    pub soc_threads: usize,
 }
 
 impl Platform {
@@ -139,7 +133,6 @@ impl Platform {
             cores: 4,
             tile: MontiumConfig::paper(),
             mode: ExecutionMode::Analytic,
-            soc_threads: 1,
         }
     }
 
@@ -158,20 +151,12 @@ impl Platform {
         self
     }
 
-    /// Sets the analytic fast path's worker-thread request (`0` = one per
-    /// available core; see [`Platform::soc_threads`]).
-    pub fn with_soc_threads(mut self, soc_threads: usize) -> Self {
-        self.soc_threads = soc_threads;
-        self
-    }
-
     /// The equivalent SoC configuration.
     pub fn soc_config(&self) -> SocConfig {
         SocConfig::paper()
             .with_tiles(self.cores)
             .with_tile_config(self.tile.clone())
             .with_mode(self.mode)
-            .with_analytic_threads(self.soc_threads)
     }
 }
 
@@ -209,9 +194,6 @@ mod tests {
         let p8 = Platform::with_cores(8).with_mode(ExecutionMode::Threaded);
         assert_eq!(p8.soc_config().num_tiles, 8);
         assert_eq!(p8.mode, ExecutionMode::Threaded);
-        assert_eq!(platform.soc_threads, 1);
-        let pt = Platform::paper().with_soc_threads(3);
-        assert_eq!(pt.soc_config().analytic_threads, 3);
     }
 
     #[test]

@@ -447,6 +447,21 @@ impl Decision {
         self
     }
 
+    /// Passes a decision with a finite statistic through and refuses a
+    /// NaN or infinite one with [`CfdError::NonFiniteStatistic`]: it
+    /// cannot be compared with a threshold, and `NaN > threshold` would
+    /// otherwise read as "vacant". One check per decision.
+    pub(crate) fn finite(self, backend: &'static str) -> Result<Self, CfdError> {
+        if self.statistic.is_finite() {
+            Ok(self)
+        } else {
+            Err(CfdError::NonFiniteStatistic {
+                backend,
+                statistic: self.statistic,
+            })
+        }
+    }
+
     /// Convenience: whether the band was declared occupied.
     pub fn is_signal(&self) -> bool {
         self.verdict.is_signal()
@@ -490,6 +505,9 @@ pub trait SensingBackend {
     /// # Errors
     ///
     /// Propagates detector and platform errors (e.g. too few samples).
+    /// The backends of this crate refuse a non-finite statistic (NaN or
+    /// infinite input) with [`CfdError::NonFiniteStatistic`] instead of
+    /// thresholding it.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError>;
 
     /// Takes one decision per observation, in order. The provided
@@ -543,7 +561,7 @@ impl SensingBackend for EnergyDetector {
     /// while telemetry is enabled.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.energy_ns");
-        Ok(Decision::from_outcome(self.detect(observation.samples())?))
+        Decision::from_outcome(self.detect(observation.samples())?).finite("energy")
     }
 }
 
@@ -565,7 +583,7 @@ impl SensingBackend for CyclostationaryDetector {
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.cfd_ns");
         let profile = observation.cyclic_profile_for(self.engine())?;
-        Ok(Decision::from_outcome(self.detect_from_profile(profile)))
+        Decision::from_outcome(self.detect_from_profile(profile)).finite("cfd")
     }
 }
 
@@ -780,6 +798,30 @@ mod tests {
         let cfd_decision = cfd.decide(&mut observation).unwrap();
         assert_eq!(cfd_decision.outcome(), cfd.detect(&samples).unwrap());
         assert_eq!(SensingBackend::label(&cfd), "cfd");
+    }
+
+    #[test]
+    fn software_backends_refuse_non_finite_statistics() {
+        // One NaN or infinite sample must never threshold to "vacant".
+        let params = ScfParams::new(32, 7, 16).unwrap();
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut samples = busy(&params, 3.0, 7);
+            samples[10] = Cplx::new(poison, 0.0);
+            let mut observation = Observation::from_samples(samples.clone());
+            let mut energy = EnergyDetector::new(1.0, 0.05, samples.len()).unwrap();
+            assert!(matches!(
+                energy.decide(&mut observation),
+                Err(CfdError::NonFiniteStatistic {
+                    backend: "energy",
+                    ..
+                })
+            ));
+            let mut cfd = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+            assert!(matches!(
+                cfd.decide(&mut observation),
+                Err(CfdError::NonFiniteStatistic { backend: "cfd", .. })
+            ));
+        }
     }
 
     #[test]

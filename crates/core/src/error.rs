@@ -26,6 +26,15 @@ pub enum CfdError {
         /// Description of the violated constraint.
         message: String,
     },
+    /// A backend computed a NaN or infinite test statistic (non-finite
+    /// input samples): it cannot be thresholded, so the decision is
+    /// refused rather than read as "vacant".
+    NonFiniteStatistic {
+        /// Label of the backend that computed it.
+        backend: &'static str,
+        /// The statistic.
+        statistic: f64,
+    },
 }
 
 impl fmt::Display for CfdError {
@@ -38,6 +47,12 @@ impl fmt::Display for CfdError {
             CfdError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
+            CfdError::NonFiniteStatistic { backend, statistic } => {
+                write!(
+                    f,
+                    "`{backend}` computed a non-finite statistic ({statistic})"
+                )
+            }
         }
     }
 }
@@ -49,7 +64,7 @@ impl Error for CfdError {
             CfdError::Mapping(e) => Some(e),
             CfdError::Montium(e) => Some(e),
             CfdError::Soc(e) => Some(e),
-            CfdError::InvalidParameter { .. } => None,
+            CfdError::InvalidParameter { .. } | CfdError::NonFiniteStatistic { .. } => None,
         }
     }
 }

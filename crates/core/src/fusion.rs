@@ -443,6 +443,14 @@ mod tests {
         CyclostationaryDetector::new(params(), threshold, 1).unwrap()
     }
 
+    /// Serialises the tests in this module that drive `FusionCenter::decide`:
+    /// the `fusion.*` counters are process-global, and
+    /// `fusion_counters_accumulate` asserts their exact deltas.
+    fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn busy(snr_db: f64, seed: u64) -> Vec<Cplx> {
         SignalBuilder::new(params().samples_needed())
             .modulation(SymbolModulation::Bpsk)
@@ -471,6 +479,7 @@ mod tests {
 
     #[test]
     fn hard_rules_count_votes() {
+        let _counters = counter_lock();
         // Mixed thresholds make the members disagree on a mid-SNR
         // observation: a permissive, a moderate and an impossible one.
         let fleet = |rule| {
@@ -494,6 +503,7 @@ mod tests {
 
     #[test]
     fn soft_combining_sums_member_statistics() {
+        let _counters = counter_lock();
         let mut solo = cfd(0.35);
         let mut observation = Observation::from_samples(busy(8.0, 4));
         let single = solo.decide(&mut observation).unwrap();
@@ -521,6 +531,7 @@ mod tests {
 
     #[test]
     fn impaired_members_see_deterministic_realisations() {
+        let _counters = counter_lock();
         // An overlay that adds seeded noise: the same observation must
         // meet the same realisation on every replica, so decisions agree
         // between a fusion center and its clone (the sweep-worker case).
@@ -550,6 +561,7 @@ mod tests {
 
     #[test]
     fn member_realisations_differ_across_members() {
+        let _counters = counter_lock();
         // Both members carry the same overlay closure, but their indices
         // salt the seed: a fragile (high-threshold) pair would otherwise
         // always vote identically. Statistics must differ.
@@ -581,6 +593,7 @@ mod tests {
         fn recipe_label<R: BackendRecipe>(recipe: &R) -> String {
             recipe.label()
         }
+        let _counters = counter_lock();
         let fleet = FusionCenter::new(FusionRule::Or)
             .with_member(cfd(0.35))
             .with_member(cfd(0.35));
@@ -592,6 +605,7 @@ mod tests {
 
     #[test]
     fn clean_members_share_the_observation_caches() {
+        let _counters = counter_lock();
         let mut fleet = FusionCenter::new(FusionRule::And)
             .with_member(cfd(0.2))
             .with_member(cfd(0.3))
@@ -604,7 +618,25 @@ mod tests {
     }
 
     #[test]
+    fn a_member_seeing_a_nan_fails_the_fused_decision() {
+        let _counters = counter_lock();
+        // One NaN sample makes a member's statistic NaN; the member
+        // refuses it and the fleet must surface that error, not a vote.
+        let mut fleet = FusionCenter::new(FusionRule::Or)
+            .with_member(cfd(0.35))
+            .with_member(cfd(0.35));
+        let mut samples = busy(10.0, 7);
+        samples[5] = Cplx::new(f64::NAN, 0.0);
+        let mut observation = Observation::from_samples(samples);
+        assert!(matches!(
+            fleet.decide(&mut observation),
+            Err(CfdError::NonFiniteStatistic { backend: "cfd", .. })
+        ));
+    }
+
+    #[test]
     fn fusion_counters_accumulate() {
+        let _counters = counter_lock();
         let decisions_before = cfd_telemetry::counter("fusion.decisions").value();
         let members_before = cfd_telemetry::counter("fusion.member_decisions").value();
         let mut fleet = FusionCenter::new(FusionRule::Or)

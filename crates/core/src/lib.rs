@@ -63,7 +63,6 @@ pub use service::{
     Backpressure, ChannelSubscription, DecisionSink, SensingScheduler, ServiceConfig, ServiceReport,
 };
 pub use stream::{StreamingConfig, StreamingSensor};
-pub use tiled_soc::soc::{analytic_thread_budget, set_analytic_thread_budget};
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {

@@ -17,6 +17,7 @@ use cfd_dsp::detector::{
 use cfd_dsp::scf::ScfMatrix;
 use serde::{Deserialize, Serialize};
 use tiled_soc::config::ExecutionMode;
+use tiled_soc::error::SocError;
 use tiled_soc::power::PlatformMetrics;
 use tiled_soc::soc::{SocRun, TiledSoc};
 use tiled_soc::tile::TileCycleBreakdown;
@@ -109,16 +110,16 @@ impl SpectrumSensor {
     }
 
     /// The DSCF engine of this sensor's detector — its parameters are
-    /// exactly the application's [`CfdApplication::scf_params`], so sweep
-    /// drivers use it to key shared block spectra that this sensor can
-    /// consume through [`SpectrumSensor::decide_from_spectra`].
+    /// exactly the application's [`CfdApplication::scf_params`], so the
+    /// sensor's [`SensingBackend`] decisions read the DSCF an
+    /// [`Observation`] caches for every backend at those parameters.
     pub fn engine(&self) -> &cfd_dsp::scf::ScfEngine {
         self.detector.engine()
     }
 
     /// Whether this sensor's platform produces the same decisions from
-    /// software-computed block spectra as from raw samples: true for the
-    /// analytic fast path (which `TiledSoc` only constructs for the
+    /// the software-computed spectra and DSCF as from raw samples: true
+    /// for the analytic fast path (which `TiledSoc` only constructs for the
     /// full-precision datapath — Analytic + Q15 is refused up front). The
     /// simulating modes compute their spectra on-tile by design, so they
     /// read raw samples. The Q15 check is defensive should that
@@ -192,20 +193,26 @@ impl SensingBackend for SpectrumSensor {
     }
 
     /// One decision through the unified surface: an analytic
-    /// full-precision platform consumes the observation's cached software
-    /// spectra (one FFT per trial for the whole roster), a simulating or
-    /// Q15 platform computes its own on-tile spectra from the raw samples.
-    /// Either way the decision is identical to [`SpectrumSensor::decide`]
-    /// on the raw samples.
+    /// full-precision platform thresholds the observation's cached
+    /// cyclic profile (one FFT and one DSCF per trial for the whole
+    /// roster; a cache hit when a software CFD at the same parameters
+    /// decided first), a simulating or Q15 platform computes its own
+    /// on-tile spectra from the raw samples. Either way the decision is
+    /// identical to [`SpectrumSensor::decide`] on the raw samples.
+    ///
+    /// # Errors
+    ///
+    /// Platform and observation errors, and
+    /// [`CfdError::NonFiniteStatistic`] for non-finite input.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
         let outcome = if self.shares_software_spectra() {
-            let spectra = observation.spectra_for(self.engine())?;
-            self.decide_from_spectra(spectra)?
+            let profile = observation.cyclic_profile_for(self.engine())?;
+            self.detector.detect_from_profile(profile)
         } else {
             SpectrumSensor::decide(self, observation.samples())?
         };
-        Ok(Decision::from_outcome(outcome))
+        Decision::from_outcome(outcome).finite("cfd-soc")
     }
 }
 
@@ -247,9 +254,11 @@ impl SessionBatch {
 #[derive(Debug)]
 pub struct SensingSession {
     sensor: SpectrumSensor,
-    /// Reused [`SocRun`] (DSCF matrix + per-tile breakdowns), so a
-    /// session's steady-state decisions allocate nothing per run.
-    scratch: SocRun,
+    /// Reused [`SocRun`] (DSCF matrix + per-tile breakdowns) of platform
+    /// runs, so a session's steady-state decisions allocate nothing per
+    /// run. Allocated by the first run: decisions taken from an
+    /// observation's shared DSCF never need one.
+    scratch: Option<SocRun>,
     decisions: u64,
     total_blocks: u64,
     total_critical_cycles: u64,
@@ -279,10 +288,9 @@ impl SensingSession {
     /// Wraps an existing sensor (its construction-time configuration counts
     /// as this session's one configuration).
     pub fn from_sensor(sensor: SpectrumSensor) -> Self {
-        let scratch = sensor.soc.empty_run();
         SensingSession {
             sensor,
-            scratch,
+            scratch: None,
             decisions: 0,
             total_blocks: 0,
             total_critical_cycles: 0,
@@ -323,31 +331,37 @@ impl SensingSession {
         self.sensor.shares_software_spectra()
     }
 
-    /// Books one processed decision into the session totals and thresholds
-    /// the gathered DSCF — shared tail of the raw-sample and spectra-fed
-    /// paths, which differ only in how `self.scratch` was filled.
-    fn account_scratch(&mut self) -> (DetectionOutcome, u64) {
-        let cycles = self.scratch.max_tile_cycles();
+    /// Books one processed decision of `blocks` integration steps and
+    /// `cycles` critical-path cycles into the session totals.
+    fn book(&mut self, blocks: usize, cycles: u64) {
         self.decisions += 1;
-        self.total_blocks += self.scratch.blocks as u64;
+        self.total_blocks += blocks as u64;
         self.total_critical_cycles += cycles;
-        (
-            self.sensor.detector.detect_from_scf(&self.scratch.scf),
-            cycles,
-        )
     }
 
-    /// One decision plus its session accounting — the single place where
-    /// counters are updated, shared by [`SensingSession::decide`] and
-    /// [`SensingSession::decide_batch`]. Returns the outcome and the
-    /// critical-path cycles of this decision.
+    /// One platform run into the reused scratch [`SocRun`], booked and
+    /// thresholded — shared by the raw-sample and spectra-fed paths, which
+    /// differ only in how `fill` runs the platform. Returns the outcome
+    /// and the critical-path cycles of this decision.
+    fn decide_run(
+        &mut self,
+        fill: impl FnOnce(&mut TiledSoc, &mut SocRun) -> Result<(), SocError>,
+    ) -> Result<(DetectionOutcome, u64), CfdError> {
+        let sensor = &mut self.sensor;
+        let scratch = self.scratch.get_or_insert_with(|| sensor.soc.empty_run());
+        sensor.soc.reset();
+        fill(&mut sensor.soc, scratch)?;
+        let (blocks, cycles) = (scratch.blocks, scratch.max_tile_cycles());
+        let outcome = sensor.detector.detect_from_scf(&scratch.scf);
+        self.book(blocks, cycles);
+        Ok((outcome, cycles))
+    }
+
+    /// One decision on raw samples plus its session accounting, shared by
+    /// [`SensingSession::decide`] and [`SensingSession::decide_batch`].
     fn decide_one(&mut self, samples: &[Cplx]) -> Result<(DetectionOutcome, u64), CfdError> {
         let num_blocks = self.sensor.application.num_blocks;
-        self.sensor.soc.reset();
-        self.sensor
-            .soc
-            .run_into(samples, num_blocks, &mut self.scratch)?;
-        Ok(self.account_scratch())
+        self.decide_run(|soc, run| soc.run_into(samples, num_blocks, run))
     }
 
     /// One decision from externally computed block spectra, streamed
@@ -362,11 +376,9 @@ impl SensingSession {
         &mut self,
         spectra: &[Vec<Cplx>],
     ) -> Result<DetectionOutcome, CfdError> {
-        self.sensor.soc.reset();
-        self.sensor
-            .soc
-            .run_from_spectra_into(spectra, &mut self.scratch)?;
-        Ok(self.account_scratch().0)
+        Ok(self
+            .decide_run(|soc, run| soc.run_from_spectra_into(spectra, run))?
+            .0)
     }
 
     /// Streams one batch of observations through the platform and returns
@@ -435,18 +447,30 @@ impl SensingBackend for SensingSession {
     /// One decision plus the usual session accounting (the decision counts
     /// toward [`SensingSession::decisions`] and the session totals). Like
     /// [`SpectrumSensor`]'s backend impl, an analytic full-precision
-    /// platform consumes the observation's cached software spectra; the
-    /// returned decision carries the session's accumulated
-    /// [`PlatformMetrics`].
+    /// platform thresholds the observation's cached cyclic profile and
+    /// books the closed-form platform cost
+    /// ([`TiledSoc::critical_cycles`]) — the same totals a platform run
+    /// would have booked. The returned decision carries the session's
+    /// accumulated [`PlatformMetrics`].
+    ///
+    /// # Errors
+    ///
+    /// Platform and observation errors, and
+    /// [`CfdError::NonFiniteStatistic`] for non-finite input.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
         let outcome = if self.shares_software_spectra() {
-            let spectra = observation.spectra_for(self.sensor.engine())?;
-            self.decide_from_spectra(spectra)?
+            let blocks = self.sensor.application.num_blocks;
+            let profile = observation.cyclic_profile_for(self.sensor.engine())?;
+            let outcome = self.sensor.detector.detect_from_profile(profile);
+            self.book(blocks, self.sensor.soc.critical_cycles(blocks));
+            outcome
         } else {
             SensingSession::decide(self, observation.samples())?
         };
-        Ok(Decision::from_outcome(outcome).with_metrics(self.session_metrics()))
+        Decision::from_outcome(outcome)
+            .with_metrics(self.session_metrics())
+            .finite("cfd-soc")
     }
 }
 
@@ -657,6 +681,86 @@ mod tests {
         );
         assert_eq!(fast_report.metrics, golden_report.metrics);
         assert_eq!(fast_report.scf.max_abs_difference(&golden_report.scf), 0.0);
+    }
+
+    #[test]
+    fn analytic_session_decides_from_the_observation_cache() {
+        let application = CfdApplication::paper_with_blocks(2);
+        let mut fast =
+            SensingSession::new(application.clone(), &Platform::paper(), 0.35, 2).unwrap();
+        let mut golden = SensingSession::new(
+            application,
+            &Platform::paper().with_mode(ExecutionMode::Lockstep),
+            0.35,
+            2,
+        )
+        .unwrap();
+        let n = fast.samples_per_decision();
+
+        // The session thresholds whatever profile the observation holds:
+        // a known installed profile decides exactly like the detector on
+        // it, and no matrix is requested.
+        let params = fast.engine().params().clone();
+        let installed: Vec<f64> = (0..params.grid_size())
+            .map(|i| 1.0 + (i % 7) as f64)
+            .collect();
+        let mut cached = Observation::from_samples(observation(true, 3.0, n, 20));
+        cached
+            .install_cyclic_profile(&params, |profile| {
+                profile.clone_from(&installed);
+                Ok::<_, CfdError>(())
+            })
+            .unwrap();
+        let decision = SensingBackend::decide(&mut fast, &mut cached).unwrap();
+        let detector = CyclostationaryDetector::new(params, 0.35, 2).unwrap();
+        assert_eq!(decision.outcome(), detector.detect_from_profile(&installed));
+        assert_eq!(cached.scf_requests(), 0);
+
+        // On real observations the cached path is bit-identical to the
+        // cycle-accurate session on raw samples, platform metrics included.
+        for trial in 0..3u64 {
+            let samples = observation(trial % 2 == 0, 3.0, n, 21 + trial);
+            let a =
+                SensingBackend::decide(&mut fast, &mut Observation::from_samples(samples.clone()))
+                    .unwrap();
+            let b = SensingBackend::decide(&mut golden, &mut Observation::from_samples(samples))
+                .unwrap();
+            assert_eq!(a, b);
+            let metrics = a.metrics.expect("platform-backed decisions carry metrics");
+            assert_eq!(
+                (metrics.time_per_block_us * golden.sensor().soc.config().tile.clock_mhz).round(),
+                13_996.0
+            );
+        }
+        assert_eq!(fast.decisions(), golden.decisions() + 1);
+        assert_eq!(fast.session_metrics(), golden.session_metrics());
+        assert_eq!(fast.configurations(), 1);
+    }
+
+    #[test]
+    fn non_finite_samples_are_refused_not_read_as_vacant() {
+        let application = CfdApplication::new(32, 7, 4).unwrap();
+        let lockstep = Platform::paper().with_mode(ExecutionMode::Lockstep);
+        let mut backends: Vec<Box<dyn SensingBackend>> = vec![
+            Box::new(sensor()),
+            Box::new(SensingSession::from_sensor(sensor())),
+            Box::new(SensingSession::new(application, &lockstep, 0.35, 1).unwrap()),
+        ];
+        for backend in &mut backends {
+            let mut samples = observation(false, 0.0, 32 * 64, 4);
+            samples[3] = Cplx::new(f64::NAN, 0.0);
+            let result = backend.decide(&mut Observation::from_samples(samples));
+            assert!(
+                matches!(
+                    result,
+                    Err(CfdError::NonFiniteStatistic {
+                        backend: "cfd-soc",
+                        ..
+                    })
+                ),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

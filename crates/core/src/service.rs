@@ -49,12 +49,6 @@
 //! either backpressure policy, as long as no hop was shed
 //! (`tests/service.rs` pins this property).
 //!
-//! The scheduler also registers its worker count with the process-wide
-//! analytic thread budget
-//! ([`set_analytic_thread_budget`](crate::set_analytic_thread_budget)),
-//! exactly like the sweep engine: `workers × SoC threads` never
-//! oversubscribes the machine when subscriptions run tiled-SoC backends.
-//!
 //! # Example
 //!
 //! ```
@@ -654,9 +648,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Validates the configuration, shards the subscriptions, registers
-    /// the worker count with the analytic thread budget and spawns the
-    /// workers (each builds its shard's backend replicas in-thread).
+    /// Validates the configuration, shards the subscriptions and spawns
+    /// the workers (each builds its shard's backend replicas in-thread).
     ///
     /// # Errors
     ///
@@ -704,12 +697,6 @@ impl ServiceBuilder {
             }
             sharded[shard].push(subscription);
         }
-        // Register the fleet with the process-wide analytic budget, like
-        // the sweep engine: a subscription backed by a tiled-SoC session
-        // fans out at most budget threads, so workers x SoC threads stays
-        // at the machine's parallelism.
-        let parallelism = thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        crate::set_analytic_thread_budget((parallelism / config.workers).max(1));
         instruments().workers.set(config.workers as f64);
         instruments().channels.set(shards.len() as f64);
         let shared = Arc::new(SharedCounters {

@@ -407,7 +407,7 @@ pub fn feature_statistic(scf: &ScfMatrix, guard_offsets: usize) -> f64 {
 
 /// [`feature_statistic`] on a precomputed cyclic-domain profile
 /// ([`ScfMatrix::cyclic_profile`] layout: `2M + 1` entries, offset `a` at
-/// index `a + M`).
+/// index `a + M`). A NaN anywhere in the profile gives a NaN statistic.
 ///
 /// # Panics
 ///
@@ -418,12 +418,19 @@ pub fn feature_statistic_from_profile(profile: &[f64], guard_offsets: usize) -> 
         "cyclic profile must have odd length (2M + 1)"
     );
     let m = (profile.len() / 2) as i32;
-    let ridge = profile[m as usize].max(f64::MIN_POSITIVE);
+    // NaN propagates (no `f64::max`, which drops it): a non-finite profile
+    // must give a non-finite statistic, never a small finite one.
+    let ridge = profile[m as usize];
+    let ridge = if ridge < f64::MIN_POSITIVE {
+        f64::MIN_POSITIVE
+    } else {
+        ridge
+    };
     let mut best = 0.0f64;
     for (i, &value) in profile.iter().enumerate() {
         let a = i as i32 - m;
-        if a.unsigned_abs() as usize > guard_offsets {
-            best = best.max(value);
+        if a.unsigned_abs() as usize > guard_offsets && (value > best || value.is_nan()) {
+            best = value;
         }
     }
     best / ridge
@@ -601,6 +608,27 @@ mod tests {
             );
             assert_eq!(d.detect_into(&busy, &mut scratch).unwrap(), from_samples);
         }
+    }
+
+    #[test]
+    fn non_finite_profiles_give_non_finite_statistics() {
+        let profile = [0.1, 0.2, 1.0, 0.3, 0.1];
+        assert!((feature_statistic_from_profile(&profile, 0) - 0.3).abs() < 1e-15);
+        // A NaN ridge is not floored, and a NaN feature is not max-ed
+        // away by a larger one after it.
+        let nan_ridge = [0.1, 0.2, f64::NAN, 0.3, 0.1];
+        assert!(feature_statistic_from_profile(&nan_ridge, 0).is_nan());
+        let nan_feature = [f64::NAN, 0.2, 1.0, 0.3, 0.9];
+        assert!(feature_statistic_from_profile(&nan_feature, 0).is_nan());
+        // The matrix scan keeps a NaN cell even when a larger one follows.
+        let mut scf = ScfMatrix::zeros(2);
+        scf.set(-2, 1, Cplx::new(f64::NAN, 0.0));
+        scf.set(2, 1, Cplx::new(5.0, 0.0));
+        scf.set(0, 0, Cplx::new(1.0, 0.0));
+        let profile = scf.cyclic_profile();
+        assert!(profile[3].is_nan());
+        assert_eq!(profile[2], 1.0);
+        assert!(feature_statistic(&scf, 0).is_nan());
     }
 
     #[test]

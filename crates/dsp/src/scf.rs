@@ -360,7 +360,8 @@ impl ScfMatrix {
     /// The scan maximises `|S|²` and takes one square root per column at
     /// the end; `sqrt` is monotone and correctly rounded, so the result is
     /// the square root of the largest squared magnitude — one rounding of
-    /// the true `|S|` rather than `hypot`'s, at a third of the cost.
+    /// the true `|S|` rather than `hypot`'s, at a third of the cost. A
+    /// column holding a NaN cell profiles to NaN.
     pub fn cyclic_profile_into(&self, profile: &mut Vec<f64>) {
         // One pass over the flat row-major buffer (rows = f, columns = a)
         // instead of P² bounds-checked `at()` lookups.
@@ -370,7 +371,8 @@ impl ScfMatrix {
         for row in self.values.chunks_exact(p) {
             for (best, value) in profile.iter_mut().zip(row) {
                 let magnitude = value.norm_sqr();
-                if magnitude > *best {
+                // A NaN cell sticks: later cells never compare above it.
+                if magnitude > *best || magnitude.is_nan() {
                     *best = magnitude;
                 }
             }
@@ -1043,14 +1045,11 @@ fn mac_segment_avx512(
     mac_segment_body(ar, ai, x_re, x_im, y_re, y_im, k, xs, ys, init);
 }
 
-/// Hidden crate-sharing hook: the tiled SoC's analytic fast path reuses
-/// the engine's unit-stride MAC kernel (and its runtime vector-tier
-/// dispatch) for its own per-tile segment decomposition. Not part of the
-/// public API surface — the layout contract (`k`-bin SoA planes, segment
-/// windows in bounds) is the caller's to uphold and panics on violation.
-#[doc(hidden)]
+/// The engine's unit-stride MAC kernel behind its runtime vector-tier
+/// dispatch. The layout contract (`k`-bin SoA planes, segment windows in
+/// bounds) is the caller's to uphold and panics on violation.
 #[allow(clippy::too_many_arguments)]
-pub fn mac_segment_blocks(
+fn mac_segment_blocks(
     ar: &mut [f64],
     ai: &mut [f64],
     x_re: &[f64],
@@ -1946,7 +1945,7 @@ impl ScfEngine {
                 let re = ar[a] * scale;
                 let im = ai[a] * scale;
                 let magnitude = re * re + im * im;
-                if magnitude > *best {
+                if magnitude > *best || magnitude.is_nan() {
                     *best = magnitude;
                 }
             }

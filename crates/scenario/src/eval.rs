@@ -488,12 +488,6 @@ fn sweep_over_recipes(
     // process.
     let total_cells = (points + 1) * sweep.trials.div_ceil(chunk);
     let workers = workers.min(total_cells);
-    // Replicas may themselves fan the analytic SoC accumulation over
-    // threads (`Platform::soc_threads`); cap that per-replica fan-out so
-    // `workers x soc_threads` never oversubscribes the host. The counts
-    // stay bit-identical at every budget.
-    let parallelism = default_workers();
-    cfd_core::set_analytic_thread_budget((parallelism / workers).max(1));
     let instruments = sweep_instruments();
     instruments.workers.set(workers as f64);
     let _run_span = instruments.run_ns.start_timer();
@@ -596,9 +590,6 @@ fn sweep_serial_over_recipes(
     recipes: &[&dyn BackendRecipe],
 ) -> Result<RocTable, ScenarioError> {
     let labels = recipe_labels(recipes);
-    // A serial sweep has no worker fan-out of its own, so an analytic SoC
-    // replica may use the host's full parallelism.
-    cfd_core::set_analytic_thread_budget(usize::MAX);
     let instruments = sweep_instruments();
     instruments.workers.set(1.0);
     let _run_span = instruments.run_ns.start_timer();

@@ -14,8 +14,8 @@ pub enum ExecutionMode {
     /// Each tile runs on its own thread; inter-tile streams are crossbeam
     /// channels. Produces identical results to lockstep mode.
     Threaded,
-    /// The fast path: no per-cycle simulation. Each tile's folded
-    /// accumulation runs through precomputed index tables and the cycle,
+    /// The fast path: no per-cycle simulation. The DSCF the folded tiles
+    /// compute comes from the shared `cfd-dsp` engine and the cycle,
     /// transfer and source counters come from the closed-form model derived
     /// from the task sets at configure time. For the full-precision
     /// datapath it produces the same `SocRun` — bit-identical DSCF, equal
@@ -35,15 +35,6 @@ pub struct SocConfig {
     pub tile: MontiumConfig,
     /// Execution mode of the simulation.
     pub mode: ExecutionMode,
-    /// Worker threads of the analytic fast path's per-tile fan-out: `1`
-    /// (the default) keeps the accumulation on the calling thread — the
-    /// bit-exact serial reference — and `0` asks for one worker per
-    /// available core. Whatever is requested here is further capped by the
-    /// process-wide [`crate::soc::analytic_thread_budget`] (sweep engines
-    /// lower it so `workers × soc threads` never oversubscribes the host)
-    /// and by the tile count; tiles are independent until the final gather,
-    /// so every thread count produces bit-identical results.
-    pub analytic_threads: usize,
 }
 
 impl Default for SocConfig {
@@ -52,7 +43,6 @@ impl Default for SocConfig {
             num_tiles: 4,
             tile: MontiumConfig::paper(),
             mode: ExecutionMode::Lockstep,
-            analytic_threads: 1,
         }
     }
 }
@@ -81,13 +71,6 @@ impl SocConfig {
         self
     }
 
-    /// Sets the analytic fast path's worker-thread request (`0` = one per
-    /// available core; see [`SocConfig::analytic_threads`]).
-    pub fn with_analytic_threads(mut self, analytic_threads: usize) -> Self {
-        self.analytic_threads = analytic_threads;
-        self
-    }
-
     /// Total silicon area of the platform in mm² (2 mm² per tile for the
     /// paper's constants).
     pub fn total_area_mm2(&self) -> f64 {
@@ -110,7 +93,6 @@ mod tests {
         let config = SocConfig::paper();
         assert_eq!(config.num_tiles, 4);
         assert_eq!(config.mode, ExecutionMode::Lockstep);
-        assert_eq!(config.analytic_threads, 1);
         assert!((config.total_area_mm2() - 8.0).abs() < 1e-12);
         assert!((config.total_power_mw() - 200.0).abs() < 1e-9);
     }
@@ -120,11 +102,9 @@ mod tests {
         let config = SocConfig::paper()
             .with_tiles(8)
             .with_mode(ExecutionMode::Threaded)
-            .with_tile_config(MontiumConfig::paper().with_clock_mhz(50.0))
-            .with_analytic_threads(2);
+            .with_tile_config(MontiumConfig::paper().with_clock_mhz(50.0));
         assert_eq!(config.num_tiles, 8);
         assert_eq!(config.mode, ExecutionMode::Threaded);
-        assert_eq!(config.analytic_threads, 2);
         assert!((config.total_power_mw() - 8.0 * 25.0).abs() < 1e-9);
         assert!((config.total_area_mm2() - 16.0).abs() < 1e-12);
     }

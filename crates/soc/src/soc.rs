@@ -14,25 +14,21 @@
 //! * **threaded** — one thread per tile, inter-tile streams carried by
 //!   crossbeam channels;
 //! * **analytic** — the fast path: no sequencer, ALU or register-file
-//!   machinery is stepped at all. Each tile's folded accumulation is
-//!   decomposed at configure time into the contiguous runs on which both
-//!   spectral operands advance at unit stride (they are consecutive modulo
-//!   `K`), and executed as slice passes through the `cfd-dsp` engine's
-//!   SIMD-dispatched MAC kernel over staged SoA spectrum planes; the
-//!   cycle/transfer/source counters come from the closed-form model
+//!   machinery is stepped at all. The folded tiles together compute
+//!   exactly the eq.-3 DSCF, so the matrix comes from the shared
+//!   [`ScfEngine`] (through an [`ScfAccumulator`] that persists across
+//!   runs, the same bits as the simulation) and the cycle, transfer and
+//!   source counters come from the closed-form model
 //!   ([`montium_sim::kernels::analytic_step_cycles`] plus the
 //!   deterministic per-block stream volumes) — every counter the
-//!   simulation would have produced, without the per-cycle walk. Tiles are
-//!   independent until the final gather, so the accumulation optionally
-//!   fans out over a scoped worker pool
-//!   ([`crate::config::SocConfig::analytic_threads`], capped by the
-//!   process-wide [`analytic_thread_budget`]) with bit-identical results
-//!   at every thread count. The DSCF is bit-identical to the simulating
-//!   modes and the counters equal (pinned by `tests/soc_fast_path.rs`).
-//!   [`TiledSoc::run_from_spectra`] additionally accepts externally
-//!   computed block spectra, so sweep engines that already share spectra
-//!   across detector replicas feed them straight into the correlator — one
-//!   FFT per trial for the whole roster.
+//!   simulation would have produced, without the per-cycle walk. The DSCF
+//!   is bit-identical to the simulating modes and the counters equal
+//!   (pinned by `tests/soc_fast_path.rs`). [`TiledSoc::run_from_spectra`]
+//!   additionally accepts externally computed block spectra, so callers
+//!   that already hold the spectra feed them straight into the correlator.
+//!   Sensing backends go one step further and take the decision from the
+//!   observation's cached DSCF, adding only the closed-form counters
+//!   ([`TiledSoc::critical_cycles`]).
 
 use crate::config::{ExecutionMode, SocConfig};
 use crate::error::SocError;
@@ -41,9 +37,10 @@ use crate::power::PlatformMetrics;
 use crate::tile::{Tile, TileCycleBreakdown};
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::error::DspError;
-use cfd_dsp::fft::cached_plan;
-use cfd_dsp::scf::{centred_bin, ScfMatrix};
+use cfd_dsp::scf::{ScfAccumulator, ScfEngine, ScfMatrix, ScfParams};
 use cfd_mapping::folding::Folding;
+use montium_sim::kernels::{analytic_step_cycles, IntegrationStepCycles, TileTaskSet};
+use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Cached handles to the SoC run instruments: stage histograms for the
@@ -59,7 +56,6 @@ struct SocInstruments {
     runs_spectra_fed: cfd_telemetry::Counter,
     critical_cycles: cfd_telemetry::Gauge,
     energy_per_block_uj: cfd_telemetry::Gauge,
-    analytic_threads: cfd_telemetry::Gauge,
 }
 
 fn instruments() -> &'static SocInstruments {
@@ -73,32 +69,8 @@ fn instruments() -> &'static SocInstruments {
         runs_spectra_fed: cfd_telemetry::counter("soc.runs.spectra_fed"),
         critical_cycles: cfd_telemetry::gauge("soc.run.critical_cycles"),
         energy_per_block_uj: cfd_telemetry::gauge("soc.run.energy_per_block_uj"),
-        analytic_threads: cfd_telemetry::gauge("soc.analytic.threads"),
     })
 }
-
-/// Process-wide cap on the analytic fast path's worker threads, shared by
-/// every [`TiledSoc`] in the process. Sweep engines that already fan
-/// trials over worker threads lower this before building their detector
-/// replicas so `sweep workers × SoC threads` never oversubscribes the
-/// host; the default (`usize::MAX`) leaves [`SocConfig::analytic_threads`]
-/// in sole control. Stored with a floor of 1 — a budget can throttle the
-/// fan-out to serial, never forbid the accumulation itself.
-static ANALYTIC_THREAD_BUDGET: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(usize::MAX);
-
-/// Sets the process-wide analytic worker-thread budget (clamped to ≥ 1).
-pub fn set_analytic_thread_budget(threads: usize) {
-    ANALYTIC_THREAD_BUDGET.store(threads.max(1), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide analytic worker-thread budget.
-pub fn analytic_thread_budget() -> usize {
-    ANALYTIC_THREAD_BUDGET.load(std::sync::atomic::Ordering::Relaxed)
-}
-use montium_sim::kernels::{analytic_step_cycles, IntegrationStepCycles, TileTaskSet};
-use montium_sim::MontiumConfig;
-use serde::{Deserialize, Serialize};
 
 /// The result of running one or more integration steps on the platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,148 +107,29 @@ impl SocRun {
     }
 }
 
-/// One contiguous run of a task row's folded accumulation: for
-/// `i ∈ 0..len`, accumulator `acc[j·F + out + i]` takes
-/// `X[plus + i] · conj(X[minus + i])` — both operands advance through the
-/// spectrum at unit stride.
-#[derive(Debug, Clone, Copy)]
-struct TileSegment {
-    /// First frequency step of the run within the task row.
-    out: u32,
-    /// Steps in the run.
-    len: u32,
-    /// Spectral bin of the direct operand at the first step.
-    plus: u32,
-    /// Spectral bin of the conjugated operand at the first step.
-    minus: u32,
-}
-
-/// The precomputed fast path of one tile, derived from its [`TileTaskSet`]
-/// when the platform is configured.
-///
-/// The folded multiply–accumulate of Fig. 11 touches, for local task `j`
-/// at frequency step `s`, the spectral bins `f + a` (direct flow) and
-/// `f − a` (conjugate flow) with `f = s − M`, `a = first_task + j − M` —
-/// pure geometry, and both index sequences are *consecutive modulo `K`*
-/// in `s`. Instead of tabulating every `centred_bin` lookup (the PR-5
-/// gather tables), each task row is decomposed once into the at most
-/// three maximal runs on which neither operand wraps, so an integration
-/// step becomes unit-stride slice passes through the shared
-/// [`cfd_dsp::scf::mac_segment_blocks`] kernel over split re/im planes —
-/// the engine's own SIMD-dispatched accumulation applied to the tile's
-/// task slice. The arithmetic per point is the exact split form of
-/// `X_{f+a} · conj(X_{f−a})` the tile ALU evaluates, blocks strictly
-/// ascending per accumulator, which is what keeps the fast path
-/// bit-identical to the simulation at any thread count.
+/// The analytic path's state, built on the first analytic run: the shared
+/// DSCF engine, its half-grid accumulator (persistent across runs until a
+/// [`TiledSoc::reset`]) and the block spectra of the raw-sample front-end.
 #[derive(Debug)]
-struct AnalyticTile {
-    /// First task of this tile in the initial array (the DSCF column base).
-    first_task: usize,
-    /// Tasks that compute on this tile (0 for an idle tile of an uneven
-    /// folding — no segments, nothing to accumulate).
-    active_tasks: usize,
-    /// Frequency steps per block, `F = 2M + 1`.
-    f_count: usize,
-    /// The wrap-cut runs of all task rows, row-major.
-    segments: Vec<TileSegment>,
-    /// `row_bounds[j]..row_bounds[j + 1]` indexes row `j`'s segments.
-    row_bounds: Vec<u32>,
-    /// Unnormalised accumulators `acc[j·F + s]` (real parts), mirroring
-    /// M01–M08.
-    acc_re: Vec<f64>,
-    /// Imaginary parts of the accumulators.
-    acc_im: Vec<f64>,
-    /// Lazy reset: instead of streaming zeros through the (megabytes at
-    /// wideband scales) accumulator slab, [`TiledSoc::reset`] raises this
-    /// flag and the next accumulation's first pass *writes* through the
-    /// init chain — bitwise identical to accumulating onto zeroed memory.
-    needs_clear: bool,
-    /// The closed-form per-block cycle breakdown of this tile.
-    step: IntegrationStepCycles,
+struct AnalyticPath {
+    engine: ScfEngine,
+    acc: ScfAccumulator,
+    spectra: Vec<Vec<Cplx>>,
 }
 
-impl AnalyticTile {
-    fn new(config: &MontiumConfig, task_set: &TileTaskSet) -> Self {
-        let f_count = task_set.num_frequencies();
-        let t = task_set.active_tasks;
-        let k = task_set.fft_len;
-        let mut segments = Vec::with_capacity(3 * t);
-        let mut row_bounds = Vec::with_capacity(t + 1);
-        row_bounds.push(0u32);
-        for j in 0..t {
-            // Cut the row wherever either operand's bin sequence wraps
-            // past K: within a run both are consecutive, so only the
-            // first step of each run needs a `centred_bin`.
-            let mut s = 0usize;
-            while s < f_count {
-                let plus = centred_bin(task_set.direct_index(j, s), k);
-                let minus = centred_bin(task_set.conjugate_index(j, s), k);
-                let len = (k - plus).min(k - minus).min(f_count - s);
-                segments.push(TileSegment {
-                    out: s as u32,
-                    len: len as u32,
-                    plus: plus as u32,
-                    minus: minus as u32,
-                });
-                s += len;
+impl AnalyticPath {
+    /// Adds `blocks` to the accumulation, or restarts it from them when
+    /// `fresh`. A fresh run takes the engine's fused window pass (every
+    /// accumulator cell loaded once for all blocks); either way the bits
+    /// equal adding the blocks one at a time in order.
+    fn accumulate(engine: &ScfEngine, acc: &mut ScfAccumulator, blocks: &[Vec<Cplx>], fresh: bool) {
+        if fresh {
+            let blocks: Vec<&[Cplx]> = blocks.iter().map(Vec::as_slice).collect();
+            engine.accumulate_window(&blocks, acc);
+        } else {
+            for block in blocks {
+                engine.accumulate_block(block, acc);
             }
-            row_bounds.push(segments.len() as u32);
-        }
-        AnalyticTile {
-            first_task: task_set.first_task,
-            active_tasks: t,
-            f_count,
-            segments,
-            row_bounds,
-            acc_re: vec![0.0; t * f_count],
-            acc_im: vec![0.0; t * f_count],
-            needs_clear: false,
-            step: analytic_step_cycles(config, task_set),
-        }
-    }
-
-    /// Accumulates every staged block (SoA spectrum planes of
-    /// `spec_re.len() / k` blocks) into this tile's task slice. After a
-    /// lazy reset the first pass writes instead of accumulating (same
-    /// bits, no clearing traffic); with zero staged blocks nothing runs
-    /// and a pending clear stays pending.
-    fn accumulate_blocks(&mut self, spec_re: &[f64], spec_im: &[f64], k: usize) {
-        if spec_re.len() < k {
-            return;
-        }
-        let init = self.needs_clear;
-        self.needs_clear = false;
-        for j in 0..self.active_tasks {
-            let base = j * self.f_count;
-            let bounds = self.row_bounds[j] as usize..self.row_bounds[j + 1] as usize;
-            for seg in &self.segments[bounds] {
-                let ar = &mut self.acc_re[base + seg.out as usize..][..seg.len as usize];
-                let ai = &mut self.acc_im[base + seg.out as usize..][..seg.len as usize];
-                cfd_dsp::scf::mac_segment_blocks(
-                    ar,
-                    ai,
-                    spec_re,
-                    spec_im,
-                    spec_re,
-                    spec_im,
-                    k,
-                    seg.plus as usize,
-                    seg.minus as usize,
-                    init,
-                );
-            }
-        }
-    }
-
-    /// The Table-1-shaped breakdown after `blocks` integration steps.
-    fn cycle_breakdown(&self, tile: usize, blocks: u64) -> TileCycleBreakdown {
-        TileCycleBreakdown {
-            tile,
-            multiply_accumulate: blocks * self.step.multiply_accumulate,
-            read_data: blocks * self.step.read_data,
-            fft: blocks * self.step.fft,
-            reshuffling: blocks * self.step.reshuffling,
-            initialisation: blocks * self.step.initialisation,
         }
     }
 }
@@ -289,22 +142,17 @@ pub struct TiledSoc {
     fft_len: usize,
     folding: Folding,
     tiles: Vec<Tile>,
-    /// The fast path, one entry per tile (built whatever the mode — it is
-    /// also the backing of [`TiledSoc::run_from_spectra`]).
-    analytic: Vec<AnalyticTile>,
+    /// The closed-form per-block cycle breakdown of every tile.
+    steps: Vec<IntegrationStepCycles>,
+    /// The analytic accumulation, built on first use so platforms that
+    /// never run it (simulating modes, sensing sessions deciding from a
+    /// shared DSCF) pay nothing for it.
+    analytic: Option<Box<AnalyticPath>>,
     /// Blocks accumulated through the cycle-accurate tiles since the last
     /// reset.
     blocks_simulated: usize,
     /// Blocks accumulated through the fast path since the last reset.
     blocks_analytic: usize,
-    /// Reusable FFT buffer of the analytic `run` front-end.
-    fft_scratch: Vec<Cplx>,
-    /// Staged real parts of the current run's block spectra (SoA planes of
-    /// `blocks × fft_len`, reused across runs) — the unit-stride operands
-    /// of the analytic accumulation.
-    spec_re: Vec<f64>,
-    /// Staged imaginary parts of the block spectra.
-    spec_im: Vec<f64>,
     inter_tile_transfers: u64,
     source_inputs: u64,
     configurations: u64,
@@ -338,11 +186,11 @@ impl TiledSoc {
         let p = 2 * max_offset + 1;
         let folding = Folding::new(p, config.num_tiles)?;
         let mut tiles = Vec::with_capacity(config.num_tiles);
-        let mut analytic = Vec::with_capacity(config.num_tiles);
+        let mut steps = Vec::with_capacity(config.num_tiles);
         for q in 0..config.num_tiles {
             let task_set = TileTaskSet::new(&folding, q, max_offset, fft_len)
                 .map_err(|e| crate::error::tile_error(q, e))?;
-            analytic.push(AnalyticTile::new(&config.tile, &task_set));
+            steps.push(analytic_step_cycles(&config.tile, &task_set));
             tiles.push(Tile::new(q, config.tile.clone(), task_set)?);
         }
         Ok(TiledSoc {
@@ -351,12 +199,10 @@ impl TiledSoc {
             fft_len,
             folding,
             tiles,
-            analytic,
+            steps,
+            analytic: None,
             blocks_simulated: 0,
             blocks_analytic: 0,
-            fft_scratch: Vec::with_capacity(fft_len),
-            spec_re: Vec::new(),
-            spec_im: Vec::new(),
             inter_tile_transfers: 0,
             source_inputs: 0,
             configurations: 1,
@@ -411,10 +257,10 @@ impl TiledSoc {
     /// non-overlapping blocks of `fft_len` samples) and returns the
     /// accumulated DSCF plus the platform statistics.
     ///
-    /// In [`ExecutionMode::Analytic`] the block spectra come from the
-    /// shared per-thread [`cached_plan`] FFT and the correlation runs
-    /// through the precomputed fast path; the result is the same `SocRun`
-    /// the simulating modes produce.
+    /// In [`ExecutionMode::Analytic`] each block spectrum is accumulated
+    /// through the shared [`ScfEngine`] and the counters come from the
+    /// closed forms; the result is the same `SocRun` the simulating modes
+    /// produce.
     ///
     /// # Errors
     ///
@@ -442,7 +288,8 @@ impl TiledSoc {
         num_blocks: usize,
         out: &mut SocRun,
     ) -> Result<(), SocError> {
-        let needed = num_blocks * self.fft_len;
+        let k = self.fft_len;
+        let needed = num_blocks * k;
         if signal.len() < needed {
             return Err(SocError::Dsp(DspError::InsufficientSamples {
                 needed,
@@ -458,16 +305,18 @@ impl TiledSoc {
             ExecutionMode::Analytic => instruments.runs_analytic.increment(),
         }
         if self.config.mode == ExecutionMode::Analytic {
-            // The fast path stages every block spectrum first (shared-plan
-            // FFTs, split into SoA planes), then fans the per-tile
-            // accumulation over the worker pool in one go — the same
-            // result block-by-block accumulation would produce, since each
-            // tile still consumes the blocks in ascending order.
-            self.stage_signal_spectra(signal, num_blocks)?;
-            self.accumulate_staged(num_blocks);
+            let fresh = self.blocks_analytic == 0;
+            let path = self.analytic_path()?;
+            path.spectra.resize_with(num_blocks, Vec::new);
+            for (block, spectrum) in path.spectra.iter_mut().enumerate() {
+                path.engine
+                    .block_spectrum_into(signal, block * k, spectrum)?;
+            }
+            AnalyticPath::accumulate(&path.engine, &mut path.acc, &path.spectra, fresh);
+            self.count_analytic_blocks(num_blocks);
         } else {
             for block in 0..num_blocks {
-                let samples = &signal[block * self.fft_len..(block + 1) * self.fft_len];
+                let samples = &signal[block * k..(block + 1) * k];
                 match self.config.mode {
                     ExecutionMode::Lockstep => self.run_block_lockstep(samples)?,
                     ExecutionMode::Threaded => self.run_block_threaded(samples)?,
@@ -487,10 +336,9 @@ impl TiledSoc {
 
     /// The spectra-fed fast path: accumulates one integration step per
     /// externally computed block spectrum (eq.-2 spectra of consecutive
-    /// non-overlapping blocks, e.g. the cached spectra an `Observation`
-    /// already computed for the software CFD replicas) and returns the same
-    /// `SocRun` — analytic cycle breakdowns, transfer and source counters —
-    /// the simulated run would have produced for the equivalent signal.
+    /// non-overlapping blocks) and returns the same `SocRun` — analytic
+    /// cycle breakdowns, transfer and source counters — the simulated run
+    /// would have produced for the equivalent signal.
     ///
     /// This is the entry point that isolates the correlator cost in
     /// platform studies: no FFT runs here at all.
@@ -538,8 +386,10 @@ impl TiledSoc {
                 }));
             }
         }
-        self.stage_spectra(spectra);
-        self.accumulate_staged(spectra.len());
+        let fresh = self.blocks_analytic == 0;
+        let path = self.analytic_path()?;
+        AnalyticPath::accumulate(&path.engine, &mut path.acc, spectra, fresh);
+        self.count_analytic_blocks(spectra.len());
         self.fill_run(spectra.len(), out)
     }
 
@@ -555,6 +405,35 @@ impl TiledSoc {
         }
     }
 
+    /// The closed-form Table-1 breakdown of every tile after `blocks`
+    /// integration steps: the `per_tile_cycles` of a full-precision run
+    /// over `blocks` blocks in any execution mode.
+    fn cycle_breakdowns(&self, blocks: usize) -> impl Iterator<Item = TileCycleBreakdown> + '_ {
+        let n = blocks as u64;
+        self.steps
+            .iter()
+            .enumerate()
+            .map(move |(tile, step)| TileCycleBreakdown {
+                tile,
+                multiply_accumulate: n * step.multiply_accumulate,
+                read_data: n * step.read_data,
+                fft: n * step.fft,
+                reshuffling: n * step.reshuffling,
+                initialisation: n * step.initialisation,
+            })
+    }
+
+    /// The critical-path cycles of a run over `blocks` integration steps
+    /// ([`SocRun::max_tile_cycles`]), without running it: the platform
+    /// cost a sensing session books when it decides from a DSCF that was
+    /// already computed for the observation.
+    pub fn critical_cycles(&self, blocks: usize) -> u64 {
+        self.cycle_breakdowns(blocks)
+            .map(|t| t.total())
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Platform metrics (area, power, bandwidth) given the critical-path
     /// cycles of a previous run.
     pub fn metrics(&self, run: &SocRun) -> PlatformMetrics {
@@ -565,9 +444,6 @@ impl TiledSoc {
     pub fn reset(&mut self) {
         for tile in &mut self.tiles {
             tile.reset();
-        }
-        for fast in &mut self.analytic {
-            fast.needs_clear = true;
         }
         self.blocks_simulated = 0;
         self.blocks_analytic = 0;
@@ -594,105 +470,27 @@ impl TiledSoc {
         Ok(())
     }
 
-    /// Stages the spectra of `num_blocks` consecutive signal blocks into
-    /// the SoA operand planes: the shared-plan FFT front-end of the
-    /// analytic path. (A Q15 platform cannot reach this path —
-    /// construction refuses the combination.)
-    fn stage_signal_spectra(&mut self, signal: &[Cplx], num_blocks: usize) -> Result<(), SocError> {
-        let k = self.fft_len;
-        let plan = cached_plan(k).map_err(SocError::Dsp)?;
-        for plane in [&mut self.spec_re, &mut self.spec_im] {
-            plane.clear();
-            plane.resize(num_blocks * k, 0.0);
+    /// The analytic accumulation, built on first use. (A Q15 platform
+    /// never reaches it: construction refuses the combination.)
+    fn analytic_path(&mut self) -> Result<&mut AnalyticPath, SocError> {
+        if self.analytic.is_none() {
+            let engine = ScfEngine::new(ScfParams::new(self.fft_len, self.max_offset, 1)?)?;
+            self.analytic = Some(Box::new(AnalyticPath {
+                acc: engine.accumulator(),
+                spectra: Vec::new(),
+                engine,
+            }));
         }
-        for block in 0..num_blocks {
-            self.fft_scratch.clear();
-            self.fft_scratch
-                .extend_from_slice(&signal[block * k..(block + 1) * k]);
-            plan.forward_in_place(&mut self.fft_scratch)
-                .map_err(SocError::Dsp)?;
-            let base = block * k;
-            for (t, value) in self.fft_scratch.iter().enumerate() {
-                self.spec_re[base + t] = value.re;
-                self.spec_im[base + t] = value.im;
-            }
-        }
-        Ok(())
+        Ok(self.analytic.as_deref_mut().expect("built above"))
     }
 
-    /// Stages externally computed block spectra into the SoA operand
-    /// planes (lengths already validated by the caller).
-    fn stage_spectra(&mut self, spectra: &[Vec<Cplx>]) {
-        let k = self.fft_len;
-        for plane in [&mut self.spec_re, &mut self.spec_im] {
-            plane.clear();
-            plane.resize(spectra.len() * k, 0.0);
-        }
-        for (block, spectrum) in spectra.iter().enumerate() {
-            let base = block * k;
-            for (t, value) in spectrum.iter().enumerate() {
-                self.spec_re[base + t] = value.re;
-                self.spec_im[base + t] = value.im;
-            }
-        }
-    }
-
-    /// The worker count the next analytic accumulation will actually use:
-    /// the configured request (`0` = one per available core), capped by
-    /// the process-wide [`analytic_thread_budget`] and the tile count.
-    fn effective_analytic_threads(&self) -> usize {
-        let requested = match self.config.analytic_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
-        requested
-            .min(analytic_thread_budget())
-            .min(self.analytic.len())
-            .max(1)
-    }
-
-    /// Accumulates every staged block into every tile's fast path and
-    /// advances the deterministic platform counters: per block, each of the
-    /// `Q − 1` internal boundaries carries one word per flow per frequency
-    /// step except the last (`2·(Q−1)·(F−1)` transfers), and the FFT source
-    /// feeds both array ends once per shift (`2·(F−1)` inputs) — the same
-    /// volumes the links and source taps of the simulation count.
-    ///
-    /// With more than one effective worker the tiles fan out over a scoped
-    /// thread pool; tiles own disjoint accumulator slabs and each consumes
-    /// the blocks in the same ascending order as the serial path, so every
-    /// thread count produces bit-identical results.
-    fn accumulate_staged(&mut self, blocks: usize) {
-        let threads = self.effective_analytic_threads();
-        instruments().analytic_threads.set(threads as f64);
-        let k = self.fft_len;
-        {
-            let TiledSoc {
-                analytic,
-                spec_re,
-                spec_im,
-                ..
-            } = self;
-            let (spec_re, spec_im) = (&spec_re[..], &spec_im[..]);
-            if threads <= 1 {
-                for tile in analytic.iter_mut() {
-                    tile.accumulate_blocks(spec_re, spec_im, k);
-                }
-            } else {
-                let chunk = analytic.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for tiles in analytic.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for tile in tiles {
-                                tile.accumulate_blocks(spec_re, spec_im, k);
-                            }
-                        });
-                    }
-                });
-            }
-        }
+    /// Advances the deterministic platform counters by `blocks` analytic
+    /// integration steps: per block, each of the `Q − 1` internal
+    /// boundaries carries one word per flow per frequency step except the
+    /// last (`2·(Q−1)·(F−1)` transfers), and the FFT source feeds both
+    /// array ends once per shift (`2·(F−1)` inputs) — the same volumes the
+    /// links and source taps of the simulation count.
+    fn count_analytic_blocks(&mut self, blocks: usize) {
         let f_count = (2 * self.max_offset + 1) as u64;
         let boundaries = (self.tiles.len() as u64).saturating_sub(1);
         self.inter_tile_transfers += blocks as u64 * 2 * boundaries * (f_count - 1);
@@ -703,20 +501,21 @@ impl TiledSoc {
     /// Assembles the [`SocRun`] of the path that accumulated since the last
     /// reset into `out`, reusing its allocations.
     fn fill_run(&mut self, blocks: usize, out: &mut SocRun) -> Result<(), SocError> {
-        self.gather_scf_into(&mut out.scf)?;
         out.blocks = blocks;
         out.per_tile_cycles.clear();
         if self.blocks_analytic > 0 {
-            let n = self.blocks_analytic as u64;
-            out.per_tile_cycles.extend(
-                self.analytic
-                    .iter()
-                    .enumerate()
-                    .map(|(q, fast)| fast.cycle_breakdown(q, n)),
-            );
-        } else {
+            let path = self
+                .analytic
+                .as_deref()
+                .expect("analytic blocks were accumulated");
+            path.engine
+                .finalize_accumulator(&path.acc, self.blocks_analytic, &mut out.scf);
             out.per_tile_cycles
-                .extend(self.tiles.iter().map(|t| t.cycle_breakdown()));
+                .extend(self.cycle_breakdowns(self.blocks_analytic));
+        } else {
+            self.gather_scf_into(&mut out.scf)?;
+            out.per_tile_cycles
+                .extend(self.tiles.iter().map(Tile::cycle_breakdown));
         }
         out.inter_tile_transfers = self.inter_tile_transfers;
         out.source_inputs = self.source_inputs;
@@ -893,9 +692,9 @@ impl TiledSoc {
         Ok(())
     }
 
-    /// Gathers the accumulated DSCF into `matrix` (resized only if its grid
-    /// differs), reading each tile's slice through its reusable flat gather
-    /// buffer — no per-task or per-row allocation on either path.
+    /// Gathers the simulated tiles' DSCF into `matrix` (resized only if
+    /// its grid differs), reading each tile's slice through its reusable
+    /// flat gather buffer — no per-task or per-row allocation.
     ///
     /// Tile `q` holds the columns (offsets `a`) of its task slice for every
     /// row (frequency `f`); a task's row of `F` values lands strided at
@@ -904,35 +703,19 @@ impl TiledSoc {
         let p = 2 * self.max_offset + 1;
         if matrix.max_offset() != self.max_offset {
             *matrix = ScfMatrix::zeros(self.max_offset);
-        } else if self.blocks_analytic == 0 {
-            // The analytic gather writes every cell exactly once (the
-            // tiles' task slices tile the `P` columns and each holds every
-            // row), so pre-clearing the matrix would only stream an extra
-            // `P²` complex zeros through memory. The simulated path keeps
-            // the clear: an errored tile readback must not leave stale
-            // values behind.
+        } else {
+            // An errored tile readback must not leave stale values behind.
             matrix.as_mut_slice().fill(Cplx::ZERO);
         }
         let values = matrix.as_mut_slice();
-        if self.blocks_analytic > 0 {
-            let norm = 1.0 / self.blocks_analytic as f64;
-            for fast in &self.analytic {
-                // Non-temporal stores were measured here and regressed
-                // ~1.7× on this class of host: the transposing scatter
-                // keeps 8+ store streams live and write-combining buffers
-                // drain partial lines. Plain blocked stores win.
-                scatter_tile_blocked(values, fast, p, norm);
-            }
-        } else {
-            for tile in &mut self.tiles {
-                let first_task = tile.task_set().first_task;
-                // The cores normalise at readback, so the values land as-is.
-                let flat = tile.results_flat()?;
-                for (j, row) in flat.chunks_exact(p).enumerate() {
-                    let col = first_task + j;
-                    for (s, &value) in row.iter().enumerate() {
-                        values[s * p + col] = value;
-                    }
+        for tile in &mut self.tiles {
+            let first_task = tile.task_set().first_task;
+            // The cores normalise at readback, so the values land as-is.
+            let flat = tile.results_flat()?;
+            for (j, row) in flat.chunks_exact(p).enumerate() {
+                let col = first_task + j;
+                for (s, &value) in row.iter().enumerate() {
+                    values[s * p + col] = value;
                 }
             }
         }
@@ -940,33 +723,9 @@ impl TiledSoc {
     }
 }
 
-/// Scatters one tile's normalised accumulators into the output matrix
-/// through a cache-blocked transpose: a task row is contiguous in the tile
-/// slab but lands strided by `P` in the output, so at wideband scales a
-/// straight per-task sweep would touch a new output cache line on every
-/// write. Processing a window of output rows at a time keeps the strided
-/// side resident while the slab reads stay unit-stride.
-fn scatter_tile_blocked(values: &mut [Cplx], fast: &AnalyticTile, p: usize, norm: f64) {
-    let f = fast.f_count;
-    let mut s0 = 0usize;
-    while s0 < f {
-        let s1 = (s0 + 64).min(f);
-        for j in 0..fast.active_tasks {
-            let col = fast.first_task + j;
-            let re = &fast.acc_re[j * f..][..f];
-            let im = &fast.acc_im[j * f..][..f];
-            for s in s0..s1 {
-                values[s * p + col] = Cplx::new(re[s] * norm, im[s] * norm);
-            }
-        }
-        s0 = s1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_dsp::prelude::*;
     use cfd_dsp::scf::dscf_reference;
     use cfd_dsp::signal::{awgn, modulated_signal, ModulatedSignalSpec};
 
@@ -1085,6 +844,29 @@ mod tests {
         assert_eq!(run_a.inter_tile_transfers, run_b.inter_tile_transfers);
         assert_eq!(run_a.source_inputs, run_b.source_inputs);
         assert_eq!(run_a.blocks, run_b.blocks);
+        // The closed forms a sensing session books without running.
+        assert_eq!(
+            analytic.cycle_breakdowns(3).collect::<Vec<_>>(),
+            run_a.per_tile_cycles
+        );
+        assert_eq!(analytic.critical_cycles(3), run_a.max_tile_cycles());
+    }
+
+    #[test]
+    fn analytic_accumulates_across_runs_like_lockstep() {
+        // Without a reset, a second run keeps integrating: blocks 0-1 then
+        // block 2 normalise over all three, on both paths, bit for bit.
+        let (signal, _) = test_signal(3);
+        let mut lockstep = small_soc(ExecutionMode::Lockstep, 4);
+        let mut analytic = small_soc(ExecutionMode::Analytic, 4);
+        for soc in [&mut lockstep, &mut analytic] {
+            soc.run(&signal, 2).unwrap();
+        }
+        let run_a = lockstep.run(&signal[64..], 1).unwrap();
+        let run_b = analytic.run(&signal[64..], 1).unwrap();
+        assert_eq!(run_a.scf.as_slice(), run_b.scf.as_slice());
+        assert_eq!(run_a.per_tile_cycles, run_b.per_tile_cycles);
+        assert_eq!(run_a.inter_tile_transfers, run_b.inter_tile_transfers);
     }
 
     #[test]

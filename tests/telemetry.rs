@@ -6,7 +6,8 @@
 //!   tests like `shared_spectra.rs` work without enabling telemetry);
 //! * **enabled mode** — with timing enabled, one sweep over the SoC-backed
 //!   roster fills every per-stage histogram of the pipeline (FFT, DSCF
-//!   spectra + accumulate, SoC correlate, decide, sweep cells);
+//!   spectra + accumulate, decide, sweep cells), while the SoC correlator
+//!   stays idle: the SoC session decides from the roster's shared DSCF;
 //! * **snapshot determinism** — the throughput counters advance by the
 //!   same amount whether the sweep runs serially or with three workers:
 //!   worker count is an execution detail, not a metric.
@@ -33,11 +34,10 @@ fn hcount(snapshot: &MetricsSnapshot, name: &str) -> u64 {
 }
 
 /// Every per-stage latency histogram the pipeline feeds on any sweep path.
-const STAGES: [&str; 6] = [
+const STAGES: [&str; 5] = [
     "dsp.fft.forward_ns",
     "dsp.scf.spectra_ns",
     "dsp.scf.accumulate_ns",
-    "soc.correlate_ns",
     "core.decide.cfd_ns",
     "core.decide.cfd_soc_ns",
 ];
@@ -150,48 +150,45 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         "enabled telemetry records the per-scale accumulate histogram"
     );
 
-    // --- 5. Threaded vs serial analytic SoC: identical counter deltas ---
-    // The fan-out is an execution detail; every counter must advance by
-    // the same amount whichever thread count ran, and only the
-    // `soc.analytic.threads` gauge tells them apart.
-    // The parallel sweep above lowered the process-wide analytic budget
-    // (workers x soc_threads capping); lift it so the requested fan-out
-    // is what actually runs.
-    cfd_core::set_analytic_thread_budget(usize::MAX);
-    let signal = cfd_dsp::signal::awgn(64 * 3, 1.0, 11);
-    let soc_deltas = |threads: usize| {
+    // --- 5. The SoC correlator: the sweeps above decided the SoC session
+    // from the observation's shared DSCF, so they never ran it; a direct
+    // spectra-fed run times it and counts one run -----------------------
+    assert_eq!(
+        hcount(&after, "soc.correlate_ns"),
+        hcount(&before, "soc.correlate_ns"),
+        "a CFD + SoC roster computes the DSCF once, outside the SoC"
+    );
+    let soc_params = ScfParams::new(64, 15, 3).unwrap();
+    let signal = cfd_dsp::signal::awgn(soc_params.samples_needed(), 1.0, 11);
+    let spectra = cfd_dsp::scf::ScfEngine::new(soc_params)
+        .unwrap()
+        .compute_spectra(&signal)
+        .unwrap();
+    let analytic_soc = || {
         use tiled_soc::config::{ExecutionMode, SocConfig};
         let config = SocConfig::paper()
             .with_tiles(4)
-            .with_mode(ExecutionMode::Analytic)
-            .with_analytic_threads(threads);
-        let mut soc = tiled_soc::soc::TiledSoc::new(config, 15, 64).unwrap();
-        let before = cfd_telemetry::registry().snapshot();
-        let run = soc.run(&signal, 3).unwrap();
-        let after = cfd_telemetry::registry().snapshot();
-        let deltas: Vec<(String, u64)> = after
-            .counters
-            .iter()
-            .map(|(name, value)| (name.clone(), value - before.counter(name).unwrap_or(0)))
-            .collect();
-        (run, deltas)
+            .with_mode(ExecutionMode::Analytic);
+        tiled_soc::soc::TiledSoc::new(config, 15, 64).unwrap()
     };
-    let (serial_run, serial_deltas) = soc_deltas(1);
-    let (threaded_run, threaded_deltas) = soc_deltas(3);
+    let soc_counter = |s: &MetricsSnapshot, name: &str| s.counter(name).unwrap_or(0);
+    let soc_before = cfd_telemetry::registry().snapshot();
+    let fed = analytic_soc().run_from_spectra(&spectra).unwrap();
+    let from_samples = analytic_soc().run(&signal, 3).unwrap();
+    let soc_after = cfd_telemetry::registry().snapshot();
     assert_eq!(
-        serial_deltas, threaded_deltas,
-        "thread count must not change any counter delta"
+        hcount(&soc_after, "soc.correlate_ns") - hcount(&soc_before, "soc.correlate_ns"),
+        1,
+        "a spectra-fed run is timed as the SoC correlator"
     );
-    assert!(serial_deltas
-        .iter()
-        .any(|(name, delta)| name == "soc.runs.analytic" && *delta == 1));
-    assert_eq!(serial_run.scf.as_slice(), threaded_run.scf.as_slice());
-    let final_snapshot = cfd_telemetry::registry().snapshot();
-    assert_eq!(
-        final_snapshot.gauge("soc.analytic.threads"),
-        Some(3.0),
-        "the gauge reports the fan-out of the most recent analytic run"
-    );
+    for runs in ["soc.runs.spectra_fed", "soc.runs.analytic"] {
+        assert_eq!(
+            soc_counter(&soc_after, runs) - soc_counter(&soc_before, runs),
+            1,
+            "{runs} counts one run"
+        );
+    }
+    assert_eq!(fed, from_samples);
 
     // --- 6. The snapshot JSON document is schema-versioned --------------
     let json = after.to_json();
@@ -363,7 +360,30 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         service_counter(&after, "decisions") - service_counter(&mid, "decisions"),
         9
     );
-    // Scheduler spawns lowered the process-wide analytic budget; restore
-    // it so this test leaves the global where it found it.
-    cfd_core::set_analytic_thread_budget(usize::MAX);
+
+    // --- 9. Fusion instruments (PR 10): one fused decision of a
+    // two-member fleet counts one fused and two member decisions ---------
+    let fusion_counter =
+        |s: &MetricsSnapshot, name: &str| s.counter(&format!("fusion.{name}")).unwrap_or(0);
+    let mut fleet = cfd_core::FusionCenter::new(cfd_core::FusionRule::Or)
+        .with_member(CyclostationaryDetector::new(params(), 0.35, 1).unwrap())
+        .with_member(CyclostationaryDetector::new(params(), 0.35, 1).unwrap());
+    let samples = scenario
+        .at_snr(10.0)
+        .observe(Hypothesis::Occupied, 0)
+        .unwrap()
+        .samples;
+    let before = cfd_telemetry::registry().snapshot();
+    fleet
+        .decide(&mut cfd_core::Observation::from_samples(samples))
+        .unwrap();
+    let after = cfd_telemetry::registry().snapshot();
+    assert_eq!(
+        fusion_counter(&after, "decisions") - fusion_counter(&before, "decisions"),
+        1
+    );
+    assert_eq!(
+        fusion_counter(&after, "member_decisions") - fusion_counter(&before, "member_decisions"),
+        2
+    );
 }

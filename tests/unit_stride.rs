@@ -5,10 +5,11 @@
 //!   blocks × stride` geometries — including offsets at the validity
 //!   boundary (`2M = K/2 - 1`-adjacent), where the `f±a` runs wrap the
 //!   mod-K seam and every row splits into multiple segments;
-//! * the thread-parallel analytic SoC must equal its serial reference
-//!   **bitwise** (DSCF and every platform counter) for 1–4 worker threads,
-//!   including platforms with more tiles than DSCF columns (entirely idle
-//!   tiles);
+//! * the analytic SoC, which accumulates through the same engine, must
+//!   equal [`dscf_reference`] **bitwise** on 1–17 tiles, including
+//!   platforms with more tiles than DSCF columns (entirely idle tiles) and
+//!   wrap-heavy offsets, and so must the thread-per-tile and lockstep
+//!   simulators, counter for counter;
 //! * parameter errors are structured values, not panics: the overflowing
 //!   and too-wide `max_offset` cases for both `ScfParams` and
 //!   `CfdApplication`.
@@ -16,7 +17,6 @@
 use cfd_core::app::CfdApplication;
 use cfd_core::error::CfdError;
 use cfd_dsp::complex::Cplx;
-use cfd_dsp::detector::CyclostationaryDetector;
 use cfd_dsp::error::DspError;
 use cfd_dsp::scf::{dscf_reference, ScfEngine, ScfMatrix, ScfParams};
 use cfd_dsp::signal::{modulated_signal, ModulatedSignalSpec};
@@ -32,11 +32,8 @@ fn signal_for(samples: usize, seed: u64) -> Vec<Cplx> {
     modulated_signal(samples, &spec, seed).unwrap()
 }
 
-fn analytic_soc(tiles: usize, threads: usize, max_offset: usize, fft_len: usize) -> TiledSoc {
-    let config = SocConfig::paper()
-        .with_tiles(tiles)
-        .with_mode(ExecutionMode::Analytic)
-        .with_analytic_threads(threads);
+fn soc(mode: ExecutionMode, tiles: usize, max_offset: usize, fft_len: usize) -> TiledSoc {
+    let config = SocConfig::paper().with_tiles(tiles).with_mode(mode);
     TiledSoc::new(config, max_offset, fft_len).unwrap()
 }
 
@@ -87,101 +84,77 @@ proptest! {
         prop_assert_eq!(fast.as_slice(), golden.as_slice());
     }
 
-    /// The threaded analytic SoC vs the serial reference (and vs
-    /// `dscf_reference`): bit-identical DSCF and equal platform counters
-    /// at every worker count 1–4, including platforms with more tiles
-    /// than grid columns, where trailing tiles hold no active task.
+    /// The thread-per-tile simulator (`ExecutionMode::Threaded`) and the
+    /// analytic SoC vs the serial lockstep simulator and `dscf_reference`:
+    /// bit-identical DSCF and equal platform counters on 1–17 tiles,
+    /// including platforms with more tiles than grid columns, where
+    /// trailing tiles hold no active task. Half of the cases sit at the
+    /// wrap-heavy offset limit (`2M = K - 2`, every row wrapping the mod-K
+    /// seam).
     #[test]
     fn threaded_analytic_soc_matches_serial_and_reference(
         seed in 0u64..1000,
         tiles in 1usize..18,
         fft_pow in 4u32..7,
         offset_raw in 1usize..1000,
+        shape in 0usize..2,
         blocks in 1usize..4,
-        threads in 1usize..5,
     ) {
         let fft_len = 1usize << fft_pow;
-        let max_offset = 1 + offset_raw % (fft_len / 2 - 1);
+        let max_offset = if shape == 1 {
+            fft_len / 2 - 1
+        } else {
+            1 + offset_raw % (fft_len / 2 - 1)
+        };
         let signal = signal_for(fft_len * blocks, seed);
-        let mut serial = analytic_soc(tiles, 1, max_offset, fft_len);
-        let mut threaded = analytic_soc(tiles, threads, max_offset, fft_len);
-        let golden = serial.run(&signal, blocks).unwrap();
-        let fast = threaded.run(&signal, blocks).unwrap();
-        prop_assert_eq!(fast.scf.as_slice(), golden.scf.as_slice());
-        prop_assert_eq!(&fast.per_tile_cycles, &golden.per_tile_cycles);
-        prop_assert_eq!(fast.inter_tile_transfers, golden.inter_tile_transfers);
-        prop_assert_eq!(fast.source_inputs, golden.source_inputs);
-        prop_assert_eq!(fast.blocks, golden.blocks);
+        let golden = soc(ExecutionMode::Lockstep, tiles, max_offset, fft_len)
+            .run(&signal, blocks)
+            .unwrap();
         let params = ScfParams::new(fft_len, max_offset, blocks).unwrap();
         let reference = dscf_reference(&signal, &params).unwrap();
-        prop_assert_eq!(fast.scf.as_slice(), reference.as_slice());
+        prop_assert_eq!(golden.scf.as_slice(), reference.as_slice());
+        for mode in [ExecutionMode::Threaded, ExecutionMode::Analytic] {
+            let run = soc(mode, tiles, max_offset, fft_len)
+                .run(&signal, blocks)
+                .unwrap();
+            prop_assert_eq!(run.scf.as_slice(), golden.scf.as_slice());
+            prop_assert_eq!(&run.per_tile_cycles, &golden.per_tile_cycles);
+            prop_assert_eq!(run.inter_tile_transfers, golden.inter_tile_transfers);
+            prop_assert_eq!(run.source_inputs, golden.source_inputs);
+            prop_assert_eq!(run.blocks, golden.blocks);
+        }
     }
 }
 
-/// A 16-tile platform over a 15-column grid leaves at least one tile with
-/// no active task; threaded runs must stay exact (and not panic on the
-/// empty accumulator slabs).
+/// 16–20 tiles over a 15-column grid leave one to five tiles with no
+/// active task. The thread-per-tile simulator runs one thread per tile, so
+/// every tile count is also a thread count: each must stay exact against
+/// the serial lockstep run (and not stall on the idle tiles' links), and
+/// so must the analytic SoC.
 #[test]
 fn idle_tiles_survive_every_thread_count() {
     let (fft_len, max_offset, blocks) = (32usize, 7usize, 3usize);
     let signal = signal_for(fft_len * blocks, 99);
-    let golden = analytic_soc(16, 1, max_offset, fft_len)
-        .run(&signal, blocks)
-        .unwrap();
-    for threads in 1..=4 {
-        let fast = analytic_soc(16, threads, max_offset, fft_len)
+    for tiles in 16..=20 {
+        let golden = soc(ExecutionMode::Lockstep, tiles, max_offset, fft_len)
             .run(&signal, blocks)
             .unwrap();
-        assert_eq!(fast.scf.as_slice(), golden.scf.as_slice());
-        assert_eq!(fast.per_tile_cycles, golden.per_tile_cycles);
-        assert_eq!(fast.inter_tile_transfers, golden.inter_tile_transfers);
+        assert!(golden
+            .per_tile_cycles
+            .iter()
+            .any(|t| t.multiply_accumulate == 0));
+        for mode in [ExecutionMode::Threaded, ExecutionMode::Analytic] {
+            let run = soc(mode, tiles, max_offset, fft_len)
+                .run(&signal, blocks)
+                .unwrap();
+            assert_eq!(run.scf.as_slice(), golden.scf.as_slice(), "{tiles} tiles");
+            assert_eq!(run.per_tile_cycles, golden.per_tile_cycles, "{tiles} tiles");
+            assert_eq!(
+                run.inter_tile_transfers, golden.inter_tile_transfers,
+                "{tiles} tiles"
+            );
+        }
     }
-}
-
-/// `analytic_threads: 0` ("one worker per core") and a lowered process
-/// budget both resolve to valid thread counts and stay exact; pool
-/// spawners (here: the sensing-service scheduler) register their worker
-/// count through the same budget so workers × SoC threads never
-/// oversubscribes. One sequential test: the budget is process-global, so
-/// splitting these cases across parallel libtest threads would race.
-#[test]
-fn thread_budget_caps_the_fan_out_without_changing_results() {
-    let (fft_len, max_offset, blocks) = (64usize, 15usize, 2usize);
-    let signal = signal_for(fft_len * blocks, 7);
-    let golden = analytic_soc(4, 1, max_offset, fft_len)
-        .run(&signal, blocks)
-        .unwrap();
-    cfd_core::set_analytic_thread_budget(2);
-    let capped = analytic_soc(4, 0, max_offset, fft_len)
-        .run(&signal, blocks)
-        .unwrap();
-    cfd_core::set_analytic_thread_budget(usize::MAX);
-    assert!(cfd_core::analytic_thread_budget() >= 4);
-    assert_eq!(capped.scf.as_slice(), golden.scf.as_slice());
-    assert_eq!(capped.per_tile_cycles, golden.per_tile_cycles);
-
-    // Spawning a SensingScheduler with k workers divides the budget by k,
-    // exactly like the sweep engine's worker pool.
-    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    for workers in [1usize, 3] {
-        let params = ScfParams::new(32, 7, 4).unwrap();
-        let scheduler = cfd_core::SensingScheduler::builder(cfd_core::ServiceConfig::new(workers))
-            .subscribe(cfd_core::ChannelSubscription::new(
-                0,
-                cfd_core::StreamingConfig::new(params.clone()),
-                CyclostationaryDetector::new(params, 0.35, 1).unwrap(),
-                cfd_core::service::DecisionLog::new(),
-            ))
-            .spawn()
-            .unwrap();
-        assert_eq!(
-            cfd_core::analytic_thread_budget(),
-            (parallelism / workers).max(1),
-            "{workers} scheduler workers must share the machine budget"
-        );
-        scheduler.join().unwrap();
-    }
-    cfd_core::set_analytic_thread_budget(usize::MAX);
 }
 
 /// Parameter errors are structured `InvalidParameter` values — for the
