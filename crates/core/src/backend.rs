@@ -73,16 +73,20 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use tiled_soc::power::PlatformMetrics;
 
-/// Cached handles to the [`Observation`] cache instruments, registered in
-/// the global [`cfd_telemetry::registry`]. The counters are always live
-/// (relaxed atomics), which is what lets the once-per-trial spectra
-/// contract be pinned by counter deltas without enabling telemetry.
+/// Cached handles to the [`Observation`] cache instruments and the software
+/// backends' decide histograms, registered in the global
+/// [`cfd_telemetry::registry`] once. The counters are always live (relaxed
+/// atomics), which is what lets the once-per-trial spectra contract be
+/// pinned by counter deltas without enabling telemetry; the histograms
+/// record only while timing is enabled.
 struct ObservationInstruments {
     spectra_computations: cfd_telemetry::Counter,
     spectra_cache_hits: cfd_telemetry::Counter,
     spectra_cache_misses: cfd_telemetry::Counter,
     scf_cache_hits: cfd_telemetry::Counter,
     scf_cache_misses: cfd_telemetry::Counter,
+    decide_energy_ns: cfd_telemetry::Histogram,
+    decide_cfd_ns: cfd_telemetry::Histogram,
 }
 
 fn instruments() -> &'static ObservationInstruments {
@@ -93,6 +97,8 @@ fn instruments() -> &'static ObservationInstruments {
         spectra_cache_misses: cfd_telemetry::counter("core.observation.spectra_cache_misses"),
         scf_cache_hits: cfd_telemetry::counter("core.observation.scf_cache_hits"),
         scf_cache_misses: cfd_telemetry::counter("core.observation.scf_cache_misses"),
+        decide_energy_ns: cfd_telemetry::histogram("core.decide.energy_ns"),
+        decide_cfd_ns: cfd_telemetry::histogram("core.decide.cfd_ns"),
     })
 }
 
@@ -109,6 +115,13 @@ struct CachedSpectra {
     scf_valid: bool,
     profile: Vec<f64>,
     profile_valid: bool,
+    /// A matrix was requested from this slot during the current
+    /// observation.
+    scf_requested: bool,
+    /// A matrix was requested during the previous observation, so a
+    /// profile miss materialises the matrix alongside the profile (one
+    /// accumulation serves both the profile reader and the matrix reader).
+    materialize: bool,
 }
 
 /// One observation: the raw samples plus lazily computed, cached block
@@ -201,6 +214,8 @@ impl Observation {
             entry.spectra_valid = false;
             entry.scf_valid = false;
             entry.profile_valid = false;
+            entry.materialize = entry.scf_requested;
+            entry.scf_requested = false;
         }
     }
 
@@ -222,6 +237,8 @@ impl Observation {
                     scf_valid: false,
                     profile: Vec::new(),
                     profile_valid: false,
+                    scf_requested: false,
+                    materialize: false,
                 });
                 self.entries.len() - 1
             }
@@ -260,7 +277,8 @@ impl Observation {
     /// The integrated DSCF matrix (eq. 3) for `engine`'s parameters,
     /// computed (from the cached spectra, into the cached matrix) at most
     /// once per observation and shared by every backend at the same
-    /// parameters.
+    /// parameters. Computing the matrix also fills the slot's cyclic
+    /// profile from the same bands.
     ///
     /// # Errors
     ///
@@ -272,39 +290,81 @@ impl Observation {
         // not a prerequisite for serving it.
         self.scf_requests += 1;
         let index = self.slot_index(engine.params());
+        self.entries[index].scf_requested = true;
         if self.entries[index].scf_valid {
             instruments().scf_cache_hits.increment();
             return Ok(&self.entries[index].scf);
         }
+        self.materialize(engine)?;
+        Ok(&self.entries[index].scf)
+    }
+
+    /// Computes the slot's matrix from its spectra — and, from the same
+    /// bands, its profile if that is not valid yet — counting one matrix
+    /// miss.
+    fn materialize(&mut self, engine: &ScfEngine) -> Result<(), CfdError> {
         let index = self.entry_index(engine)?;
-        let entry = &mut self.entries[index];
+        let CachedSpectra {
+            spectra,
+            scf,
+            scf_valid,
+            profile,
+            profile_valid,
+            ..
+        } = &mut self.entries[index];
         instruments().scf_cache_misses.increment();
-        engine.dscf_from_spectra_into(&entry.spectra, &mut entry.scf);
-        entry.scf_valid = true;
-        Ok(&entry.scf)
+        if *profile_valid {
+            engine.dscf_from_spectra_into(spectra, scf);
+        } else {
+            engine.dscf_and_profile_from_spectra_into(spectra, scf, profile);
+            *profile_valid = true;
+        }
+        *scf_valid = true;
+        Ok(())
     }
 
     /// The cyclic-domain profile ([`ScfMatrix::cyclic_profile`]) of the
     /// DSCF for `engine`'s parameters, computed (and cached) at most once
-    /// per observation. A profile installed by a streaming producer via
-    /// [`Observation::install_cyclic_profile`] is served as-is; otherwise
-    /// the matrix is obtained through [`Observation::scf_for`] (cached or
-    /// computed) and scanned once.
+    /// per observation, from the cheapest source available:
+    ///
+    /// 1. a profile already in the slot — installed by a streaming
+    ///    producer via [`Observation::install_cyclic_profile`], or filled
+    ///    alongside the matrix by [`Observation::scf_for`] — is served
+    ///    as-is;
+    /// 2. a valid matrix is scanned once;
+    /// 3. otherwise the profile is folded straight out of the DSCF bands
+    ///    computed from the cached spectra
+    ///    ([`ScfEngine::cyclic_profile_from_spectra_into`]); no matrix is
+    ///    written, so this counts no matrix hit or miss and leaves
+    ///    [`Observation::scf_requests`] alone.
+    ///
+    /// If the previous observation served a matrix from this slot, step 3
+    /// materialises the matrix alongside the profile instead, so a roster
+    /// mixing profile readers and matrix readers accumulates the DSCF once
+    /// per observation.
+    ///
+    /// All three sources give the same bits.
     ///
     /// # Errors
     ///
     /// Propagates spectra computation errors (e.g. too few samples).
     pub fn cyclic_profile_for(&mut self, engine: &ScfEngine) -> Result<&[f64], CfdError> {
         let index = self.slot_index(engine.params());
-        if self.entries[index].profile_valid {
-            return Ok(&self.entries[index].profile);
-        }
-        self.scf_for(engine)?;
         let entry = &mut self.entries[index];
-        let CachedSpectra { scf, profile, .. } = &mut *entry;
-        scf.cyclic_profile_into(profile);
-        entry.profile_valid = true;
-        Ok(&entry.profile)
+        if !entry.profile_valid {
+            if entry.scf_valid {
+                entry.scf.cyclic_profile_into(&mut entry.profile);
+                entry.profile_valid = true;
+            } else if entry.materialize {
+                self.materialize(engine)?;
+            } else {
+                let index = self.entry_index(engine)?;
+                let entry = &mut self.entries[index];
+                engine.cyclic_profile_from_spectra_into(&entry.spectra, &mut entry.profile);
+                entry.profile_valid = true;
+            }
+        }
+        Ok(&self.entries[index].profile)
     }
 
     /// Installs an externally integrated DSCF for `params` into the cached
@@ -560,7 +620,7 @@ impl SensingBackend for EnergyDetector {
     /// The decision is timed into the `core.decide.energy_ns` histogram
     /// while telemetry is enabled.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
-        let _span = cfd_telemetry::span("core.decide.energy_ns");
+        let _span = instruments().decide_energy_ns.start_timer();
         Decision::from_outcome(self.detect(observation.samples())?).finite("energy")
     }
 }
@@ -581,7 +641,7 @@ impl SensingBackend for CyclostationaryDetector {
     /// The decision is timed into the `core.decide.cfd_ns` histogram while
     /// telemetry is enabled.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
-        let _span = cfd_telemetry::span("core.decide.cfd_ns");
+        let _span = instruments().decide_cfd_ns.start_timer();
         let profile = observation.cyclic_profile_for(self.engine())?;
         Decision::from_outcome(self.detect_from_profile(profile)).finite("cfd")
     }
@@ -760,6 +820,59 @@ mod tests {
                 .max_abs_difference(&reference),
             0.0
         );
+    }
+
+    /// The three profile tiers agree bit for bit: a fresh profile folded
+    /// straight from the spectra (no matrix request), the profile filled
+    /// alongside a computed matrix, and a scan of that matrix — in either
+    /// call order, and on the materialising observation that follows a
+    /// matrix request.
+    #[test]
+    fn fused_profile_matches_the_matrix_scan_in_either_order() {
+        let params = ScfParams::new(64, 15, 6).unwrap().with_stride(48);
+        let engine = ScfEngine::new(params.clone()).unwrap();
+        let bits = |profile: &[f64]| profile.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for seed in 0..3 {
+            let samples = busy(&params, 0.0, 30 + seed);
+            let scanned = dscf_reference(&samples, &params).unwrap().cyclic_profile();
+
+            // Profile first: fused, no matrix served, then the matrix.
+            let mut observation = Observation::from_samples(samples.clone());
+            let fused = bits(observation.cyclic_profile_for(&engine).unwrap());
+            assert_eq!(
+                observation.scf_requests(),
+                0,
+                "the fused tier serves no matrix"
+            );
+            assert_eq!(fused, bits(&scanned));
+            let matrix = observation.scf_for(&engine).unwrap().cyclic_profile();
+            assert_eq!(bits(&matrix), fused);
+            assert_eq!(
+                bits(observation.cyclic_profile_for(&engine).unwrap()),
+                fused
+            );
+
+            // Matrix first: its pass fills the profile slot too.
+            let mut observation = Observation::from_samples(samples.clone());
+            let matrix = observation.scf_for(&engine).unwrap().cyclic_profile();
+            assert_eq!(bits(&matrix), fused);
+            assert_eq!(
+                bits(observation.cyclic_profile_for(&engine).unwrap()),
+                fused
+            );
+            assert_eq!(observation.scf_requests(), 1);
+
+            // The next observation materialises on its profile miss, and a
+            // matrix-free one after that drops back to the fused tier.
+            for _ in 0..2 {
+                observation.load(&samples);
+                assert_eq!(
+                    bits(observation.cyclic_profile_for(&engine).unwrap()),
+                    fused
+                );
+            }
+            assert_eq!(observation.scf_requests(), 1);
+        }
     }
 
     #[test]

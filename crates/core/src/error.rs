@@ -35,6 +35,12 @@ pub enum CfdError {
         /// The statistic.
         statistic: f64,
     },
+    /// A streamed hop holds a NaN or infinite sample; the hop is refused
+    /// before it reaches the sensor's state.
+    NonFiniteSample {
+        /// Position of the first non-finite sample within the hop.
+        index: usize,
+    },
 }
 
 impl fmt::Display for CfdError {
@@ -53,6 +59,9 @@ impl fmt::Display for CfdError {
                     "`{backend}` computed a non-finite statistic ({statistic})"
                 )
             }
+            CfdError::NonFiniteSample { index } => {
+                write!(f, "sample {index} of the hop is not finite")
+            }
         }
     }
 }
@@ -64,7 +73,9 @@ impl Error for CfdError {
             CfdError::Mapping(e) => Some(e),
             CfdError::Montium(e) => Some(e),
             CfdError::Soc(e) => Some(e),
-            CfdError::InvalidParameter { .. } | CfdError::NonFiniteStatistic { .. } => None,
+            CfdError::InvalidParameter { .. }
+            | CfdError::NonFiniteStatistic { .. }
+            | CfdError::NonFiniteSample { .. } => None,
         }
     }
 }
@@ -120,6 +131,9 @@ mod tests {
             message: "must be positive".into(),
         };
         assert!(e.to_string().contains("blocks"));
+        assert!(e.source().is_none());
+        let e = CfdError::NonFiniteSample { index: 3 };
+        assert!(e.to_string().contains("sample 3"));
         assert!(e.source().is_none());
     }
 

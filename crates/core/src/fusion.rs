@@ -69,8 +69,9 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Cached handles to the `fusion.*` instruments. Counters are always
 /// live; the `fusion.decide_ns` histogram fills only while telemetry is
-/// enabled (the span no-ops otherwise).
+/// enabled (its timer no-ops otherwise).
 struct FusionInstruments {
+    decide_ns: cfd_telemetry::Histogram,
     decisions: cfd_telemetry::Counter,
     member_decisions: cfd_telemetry::Counter,
     split_votes: cfd_telemetry::Counter,
@@ -79,6 +80,7 @@ struct FusionInstruments {
 fn instruments() -> &'static FusionInstruments {
     static INSTRUMENTS: OnceLock<FusionInstruments> = OnceLock::new();
     INSTRUMENTS.get_or_init(|| FusionInstruments {
+        decide_ns: cfd_telemetry::histogram("fusion.decide_ns"),
         decisions: cfd_telemetry::counter("fusion.decisions"),
         member_decisions: cfd_telemetry::counter("fusion.member_decisions"),
         split_votes: cfd_telemetry::counter("fusion.split_votes"),
@@ -378,7 +380,7 @@ impl SensingBackend for FusionCenter {
     /// [`FusionCenter::validate`] failures.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         self.validate()?;
-        let _span = cfd_telemetry::span("fusion.decide_ns");
+        let _span = instruments().decide_ns.start_timer();
         let members = &self.members;
         let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
         if state.replicas.len() != members.len() {

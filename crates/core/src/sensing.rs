@@ -16,11 +16,19 @@ use cfd_dsp::detector::{
 };
 use cfd_dsp::scf::ScfMatrix;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 use tiled_soc::config::ExecutionMode;
 use tiled_soc::error::SocError;
 use tiled_soc::power::PlatformMetrics;
 use tiled_soc::soc::{SocRun, TiledSoc};
 use tiled_soc::tile::TileCycleBreakdown;
+
+/// The `core.decide.cfd_soc_ns` histogram, resolved once; it records only
+/// while telemetry is enabled.
+fn decide_ns() -> &'static cfd_telemetry::Histogram {
+    static DECIDE_NS: OnceLock<cfd_telemetry::Histogram> = OnceLock::new();
+    DECIDE_NS.get_or_init(|| cfd_telemetry::histogram("core.decide.cfd_soc_ns"))
+}
 
 /// The result of one sensing decision taken on the platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -205,7 +213,7 @@ impl SensingBackend for SpectrumSensor {
     /// Platform and observation errors, and
     /// [`CfdError::NonFiniteStatistic`] for non-finite input.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
-        let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
+        let _span = decide_ns().start_timer();
         let outcome = if self.shares_software_spectra() {
             let profile = observation.cyclic_profile_for(self.engine())?;
             self.detector.detect_from_profile(profile)
@@ -458,7 +466,7 @@ impl SensingBackend for SensingSession {
     /// Platform and observation errors, and
     /// [`CfdError::NonFiniteStatistic`] for non-finite input.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
-        let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
+        let _span = decide_ns().start_timer();
         let outcome = if self.shares_software_spectra() {
             let blocks = self.sensor.application.num_blocks;
             let profile = observation.cyclic_profile_for(self.sensor.engine())?;

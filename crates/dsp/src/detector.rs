@@ -333,45 +333,19 @@ impl CyclostationaryDetector {
 
     /// Runs the decision on precomputed block spectra (eq. 2), e.g. the
     /// shared spectra a sweep engine computed once per trial. Decisions are
-    /// identical to [`Detector::detect`] on the raw samples: the engine's
-    /// spectra path is bit-identical to the one `detect` uses.
+    /// identical to [`Detector::detect`] on the raw samples: both fold the
+    /// cyclic profile straight out of the engine's DSCF bands
+    /// ([`ScfEngine::cyclic_profile_from_spectra_into`]), bit-identical to
+    /// scanning the materialised matrix.
     ///
     /// # Panics
     ///
     /// Panics if any block is shorter than `params().fft_len`.
     pub fn detect_from_spectra(&self, spectra: &[Vec<Cplx>]) -> DetectionOutcome {
-        let mut scf = ScfMatrix::zeros(self.params().max_offset);
-        self.detect_from_spectra_into(spectra, &mut scf)
-    }
-
-    /// [`CyclostationaryDetector::detect_from_spectra`] with a
-    /// caller-provided scratch matrix, so sweeps reuse one DSCF allocation
-    /// across all trials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block is shorter than `params().fft_len`.
-    pub fn detect_from_spectra_into(
-        &self,
-        spectra: &[Vec<Cplx>],
-        scratch: &mut ScfMatrix,
-    ) -> DetectionOutcome {
-        self.engine.dscf_from_spectra_into(spectra, scratch);
-        self.detect_from_scf(scratch)
-    }
-
-    /// [`Detector::detect`] with a caller-provided scratch matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (e.g. too few samples).
-    pub fn detect_into(
-        &self,
-        samples: &[Cplx],
-        scratch: &mut ScfMatrix,
-    ) -> Result<DetectionOutcome, DspError> {
-        self.engine.compute_into(samples, scratch)?;
-        Ok(self.detect_from_scf(scratch))
+        let mut profile = Vec::new();
+        self.engine
+            .cyclic_profile_from_spectra_into(spectra, &mut profile);
+        self.detect_from_profile(&profile)
     }
 
     fn outcome(&self, statistic: f64) -> DetectionOutcome {
@@ -389,8 +363,8 @@ impl CyclostationaryDetector {
 
 impl Detector for CyclostationaryDetector {
     fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError> {
-        let scf = self.engine.compute(samples)?;
-        Ok(self.statistic_from_scf(&scf))
+        let spectra = self.engine.compute_spectra(samples)?;
+        Ok(self.detect_from_spectra(&spectra).statistic)
     }
 
     fn threshold(&self) -> f64 {
@@ -599,14 +573,9 @@ mod tests {
             let spectra = d.engine().compute_spectra(&busy).unwrap();
             let from_samples = d.detect(&busy).unwrap();
             assert_eq!(d.detect_from_spectra(&spectra), from_samples);
-            // The scratch-reusing path is identical too, even with a dirty
-            // wrong-sized scratch matrix.
-            let mut scratch = ScfMatrix::zeros(2);
-            assert_eq!(
-                d.detect_from_spectra_into(&spectra, &mut scratch),
-                from_samples
-            );
-            assert_eq!(d.detect_into(&busy, &mut scratch).unwrap(), from_samples);
+            // And both equal the decision on the materialised matrix.
+            let scf = d.engine().compute(&busy).unwrap();
+            assert_eq!(d.detect_from_scf(&scf), from_samples);
         }
     }
 

@@ -841,6 +841,38 @@ fn finalize_row_scalar(row_vals: &mut [Cplx], ar: &[f64], ai: &[f64], m: usize, 
     }
 }
 
+/// Folds finished `a ≥ 0` accumulator rows (`best.len()` values per row,
+/// rows in ascending `f`) into the running per-offset maxima of `|S|²`.
+/// Each square replicates the finalised cell exactly (`(ar·s)² + (ai·s)²`,
+/// which is also the bits of its conjugate mirror) and the predicate is the
+/// matrix scan's ([`ScfMatrix::cyclic_profile_into`]): a NaN sticks.
+#[inline(always)]
+fn fold_profile_rows(acc_re: &[f64], acc_im: &[f64], scale: f64, best: &mut [f64]) {
+    let half = best.len();
+    for (ar, ai) in acc_re.chunks_exact(half).zip(acc_im.chunks_exact(half)) {
+        for ((best, &re), &im) in best.iter_mut().zip(ar).zip(ai) {
+            let re = re * scale;
+            let im = im * scale;
+            let magnitude = re * re + im * im;
+            if magnitude > *best || magnitude.is_nan() {
+                *best = magnitude;
+            }
+        }
+    }
+}
+
+/// Completes a profile whose `[m..]` half holds the folded `|S|²` maxima:
+/// one square root per column, then the `a < 0` half mirrored.
+fn finish_profile(profile: &mut [f64], m: usize) {
+    let (neg, pos) = profile.split_at_mut(m);
+    for best in pos.iter_mut() {
+        *best = best.sqrt();
+    }
+    for (j, cell) in neg.iter_mut().enumerate() {
+        *cell = pos[m - j];
+    }
+}
+
 /// Streams `src` into `dst` with non-temporal stores, bit-exact. The
 /// output matrix is written exactly once per call and read much later (if
 /// at all), so bypassing the cache avoids the read-for-ownership of every
@@ -1342,6 +1374,9 @@ pub struct ScfEngine {
     segments: Vec<RowSegment>,
     /// `P + 1` offsets into `segments` delimiting each row's runs.
     row_bounds: Vec<u32>,
+    /// This grid's `dsp.scf.accumulate_ns.g{P}` histogram, resolved on the
+    /// first batch accumulation with telemetry enabled (clones share it).
+    grid_accumulate_ns: OnceLock<cfd_telemetry::Histogram>,
 }
 
 /// Engines are equal iff their parameters are equal: every table is a pure
@@ -1402,6 +1437,7 @@ impl ScfEngine {
             window_coeffs,
             segments,
             row_bounds,
+            grid_accumulate_ns: OnceLock::new(),
         })
     }
 
@@ -1469,22 +1505,69 @@ impl ScfEngine {
     /// Panics if any block is shorter than `params.fft_len` (same contract
     /// as [`dscf_from_spectra`]).
     pub fn dscf_from_spectra_into(&self, spectra: &[Vec<Cplx>], out: &mut ScfMatrix) {
+        self.integrate_spectra(spectra, Some(out), None);
+    }
+
+    /// The cyclic-domain profile ([`ScfMatrix::cyclic_profile`] layout,
+    /// offset `a` at index `a + M`) of the DSCF of `spectra`, without
+    /// materialising the matrix: each row-band of the batch kernel is
+    /// folded into the profile while it is still cache-hot, so no
+    /// `P × P` matrix is written or read back. `profile` is resized to
+    /// the grid size.
+    ///
+    /// **Bit-identical** to [`ScfEngine::dscf_from_spectra_into`] followed
+    /// by [`ScfMatrix::cyclic_profile_into`]: the same band kernel
+    /// produces the same accumulator bits, the fold squares exactly the
+    /// finalised cell values (`(ar·s)² + (ai·s)²`), rows arrive in the
+    /// matrix scan's order under the same max predicate, and the `a < 0`
+    /// columns are copies of the columns they conjugate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any block is shorter than `params.fft_len`.
+    pub fn cyclic_profile_from_spectra_into(&self, spectra: &[Vec<Cplx>], profile: &mut Vec<f64>) {
+        self.integrate_spectra(spectra, None, Some(profile));
+    }
+
+    /// [`ScfEngine::dscf_from_spectra_into`] and
+    /// [`ScfEngine::cyclic_profile_from_spectra_into`] from one pass over
+    /// the same bands — for callers that need the matrix and its profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any block is shorter than `params.fft_len`.
+    pub fn dscf_and_profile_from_spectra_into(
+        &self,
+        spectra: &[Vec<Cplx>],
+        out: &mut ScfMatrix,
+        profile: &mut Vec<f64>,
+    ) {
+        self.integrate_spectra(spectra, Some(out), Some(profile));
+    }
+
+    /// The batch integration behind the three spectra entry points: one
+    /// band loop whose per-band sinks finalise into `matrix` and/or
+    /// fold into `profile`.
+    fn integrate_spectra(
+        &self,
+        spectra: &[Vec<Cplx>],
+        mut matrix: Option<&mut ScfMatrix>,
+        mut profile: Option<&mut Vec<f64>>,
+    ) {
         let _span = accumulate_ns().start_timer();
         let m = self.params.max_offset;
         let p = self.params.grid_size();
+        let half = m + 1;
         let k = self.params.fft_len;
         // Per-scale latency on top of the aggregate histogram, so wideband
-        // grids are visible separately (name lookup gated: formatting a
-        // dynamic instrument name is not free in the disabled default).
-        let _scale_span = if cfd_telemetry::enabled() {
-            Some(cfd_telemetry::histogram(&format!("dsp.scf.accumulate_ns.g{p}")).start_timer())
-        } else {
-            None
-        };
+        // grids are visible separately (resolved once per engine, and only
+        // once telemetry is on).
+        let _grid_span = cfd_telemetry::enabled().then(|| {
+            self.grid_accumulate_ns
+                .get_or_init(|| cfd_telemetry::histogram(&format!("dsp.scf.accumulate_ns.g{p}")))
+                .start_timer()
+        });
         segment_runs().add((self.segments.len() * spectra.len()) as u64);
-        if out.max_offset != m {
-            *out = ScfMatrix::zeros(m);
-        }
         for block in spectra {
             assert!(
                 block.len() >= k,
@@ -1492,20 +1575,60 @@ impl ScfEngine {
                 block.len()
             );
         }
+        if let Some(out) = matrix.as_deref_mut() {
+            if out.max_offset != m {
+                *out = ScfMatrix::zeros(m);
+            }
+            if spectra.is_empty() {
+                // The band finaliser writes every cell, so zeroing is only
+                // needed when there is nothing to accumulate.
+                out.values.fill(Cplx::ZERO);
+            }
+        }
+        if let Some(profile) = profile.as_deref_mut() {
+            profile.clear();
+            profile.resize(p, 0.0);
+        }
         if spectra.is_empty() {
-            // The band finaliser below writes every cell, so zeroing is
-            // only needed when there is nothing to accumulate.
-            out.values.fill(Cplx::ZERO);
             return;
         }
+        let scale = 1.0 / spectra.len() as f64;
         SCF_SCRATCH.with(|scratch| {
-            self.accumulate_segments(spectra, &mut scratch.borrow_mut(), out);
+            self.for_each_band(
+                spectra,
+                &mut scratch.borrow_mut(),
+                |band, acc_re, acc_im, row_buf| {
+                    // Normalise and mirror the finished band: `out = acc/N`
+                    // for `a ≥ 0`, conjugate for `a < 0`. Each row is
+                    // assembled in an L1-hot staging buffer, then streamed
+                    // into the (cold, write-once) output with wide
+                    // non-temporal copies.
+                    if let Some(out) = matrix.as_deref_mut() {
+                        let rows = acc_re.chunks_exact(half).zip(acc_im.chunks_exact(half));
+                        for (row, (ar, ai)) in band.clone().zip(rows) {
+                            finalize_row_scalar(row_buf, ar, ai, m, scale);
+                            copy_row_out(&mut out.values[row * p..(row + 1) * p], row_buf);
+                        }
+                    }
+                    if let Some(profile) = profile.as_deref_mut() {
+                        fold_profile_rows(acc_re, acc_im, scale, &mut profile[m..]);
+                    }
+                },
+            );
         });
+        if matrix.is_some() {
+            finalize_fence();
+        }
+        if let Some(profile) = profile {
+            finish_profile(profile, m);
+        }
     }
 
-    /// The unit-stride accumulation kernel behind
-    /// [`ScfEngine::dscf_from_spectra_into`] (spectra pre-validated,
-    /// non-empty).
+    /// The unit-stride row-band loop behind every batch entry point (spectra
+    /// pre-validated, non-empty): runs the row-band kernel and hands each
+    /// finished band to `sink` — its row range, the band's `a ≥ 0`
+    /// accumulator planes (`half` values per row) and the scratch row
+    /// buffer — while the band is still cache-hot.
     ///
     /// Stages every block once into re/im-split planes — the direct copy
     /// and the index-reversed copy `rev[t] = block[(K−t) mod K]` — then
@@ -1516,26 +1639,24 @@ impl ScfEngine {
     /// with the reference's product expression (four products, two
     /// single-rounded sums — `f64::mul_add` was measured here in PR 4 and
     /// rejected: without FMA in the target feature set it lowers to a libm
-    /// call per point, 6× slower), so the result is bit-identical to
-    /// [`dscf_reference`].
-    fn accumulate_segments(
+    /// call per point, 6× slower), so the accumulation is bit-identical to
+    /// [`dscf_reference`]'s.
+    fn for_each_band(
         &self,
         spectra: &[Vec<Cplx>],
         scratch: &mut ScfScratch,
-        out: &mut ScfMatrix,
+        mut sink: impl FnMut(std::ops::Range<usize>, &[f64], &[f64], &mut [Cplx]),
     ) {
         let m = self.params.max_offset;
         let p = self.params.grid_size();
         let half = m + 1;
         let k = self.params.fft_len;
-        let n = spectra.len();
         stage_operand_planes(scratch, k, spectra.iter().map(|block| &block[..k]));
         // Row-band × block cache blocking: the accumulator slab covers only
         // one band of rows (~64 KiB across the re + im planes), stays hot
-        // while every staged block streams through it, and is normalised
-        // and mirrored into `out` before the next band reuses it — so the
-        // accumulator traffic never round-trips through memory at any grid
-        // size.
+        // while every staged block streams through it, and is handed to
+        // the sink before the next band reuses it — so the accumulator
+        // traffic never round-trips through memory at any grid size.
         let band_rows = (4096 / half).clamp(4, 512).min(p);
         for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
             plane.clear();
@@ -1543,7 +1664,6 @@ impl ScfEngine {
         }
         scratch.row_buf.clear();
         scratch.row_buf.resize(p, Cplx::ZERO);
-        let scale = 1.0 / n as f64;
         let mut band_start = 0usize;
         while band_start < p {
             let band_end = (band_start + band_rows).min(p);
@@ -1558,23 +1678,15 @@ impl ScfEngine {
                 k,
                 scratch,
             );
-            // Normalise and mirror the finished band: `out = acc/N` for
-            // `a ≥ 0`, conjugate for `a < 0` — the same single-rounded
-            // scaling the pre-segment kernel applied via `Cplx * f64`. Each
-            // row is assembled in an L1-hot staging buffer, then streamed
-            // into the (cold, write-once) output with wide non-temporal
-            // copies.
-            for row in band_start..band_end {
-                let local = (row - band_start) * half;
-                let ar = &scratch.acc_re[local..][..half];
-                let ai = &scratch.acc_im[local..][..half];
-                finalize_row_scalar(&mut scratch.row_buf, ar, ai, m, scale);
-                let row_vals = &mut out.values[row * p..(row + 1) * p];
-                copy_row_out(row_vals, &scratch.row_buf);
-            }
+            let len = (band_end - band_start) * half;
+            sink(
+                band_start..band_end,
+                &scratch.acc_re[..len],
+                &scratch.acc_im[..len],
+                &mut scratch.row_buf,
+            );
             band_start = band_end;
         }
-        finalize_fence();
     }
 
     /// Full evaluation (spectra + eq. 3) into an existing matrix, reusing
@@ -1926,7 +2038,6 @@ impl ScfEngine {
         out: &mut Vec<f64>,
     ) {
         let m = self.params.max_offset;
-        let half = m + 1;
         let p = self.params.grid_size();
         assert_eq!(
             acc.max_offset, m,
@@ -1934,28 +2045,11 @@ impl ScfEngine {
             acc.max_offset
         );
         assert!(num_blocks > 0, "cannot normalise over zero blocks");
-        let scale = 1.0 / num_blocks as f64;
         out.clear();
         out.resize(p, 0.0);
-        let (neg, pos) = out.split_at_mut(m);
-        for row in 0..p {
-            let ar = &acc.acc_re[row * half..][..half];
-            let ai = &acc.acc_im[row * half..][..half];
-            for (a, best) in pos.iter_mut().enumerate() {
-                let re = ar[a] * scale;
-                let im = ai[a] * scale;
-                let magnitude = re * re + im * im;
-                if magnitude > *best || magnitude.is_nan() {
-                    *best = magnitude;
-                }
-            }
-        }
-        for best in pos.iter_mut() {
-            *best = best.sqrt();
-        }
-        for (j, cell) in neg.iter_mut().enumerate() {
-            *cell = pos[m - j];
-        }
+        let scale = 1.0 / num_blocks as f64;
+        fold_profile_rows(&acc.acc_re, &acc.acc_im, scale, &mut out[m..]);
+        finish_profile(out, m);
     }
 }
 
@@ -2377,6 +2471,64 @@ mod tests {
             .iter()
             .zip(&direct)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// The fused batch profile folds each band while it is hot instead of
+    /// scanning the finalised matrix, and must not move a bit doing so —
+    /// on finite input and with a NaN or infinite sample poisoning the
+    /// spectra — on the paper grid, mid-size and wideband grids, and an
+    /// overlapping-block geometry.
+    #[test]
+    fn fused_profile_is_bitwise_equal_to_matrix_scan() {
+        let grids = [
+            ScfParams::new(32, 7, 6).unwrap().with_stride(24),
+            ScfParams::paper_256_with_blocks(8),
+            ScfParams::new(64, 31, 5).unwrap(),
+            ScfParams::new(512, 255, 3).unwrap(),
+        ];
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        for params in grids {
+            let engine = ScfEngine::new(params.clone()).unwrap();
+            for poison in [None, Some(f64::NAN), Some(f64::INFINITY)] {
+                let mut signal = awgn(params.samples_needed(), 1.0, 31);
+                if let Some(value) = poison {
+                    signal[params.fft_len / 2] = Cplx::new(value, 0.0);
+                }
+                let spectra = engine.compute_spectra(&signal).unwrap();
+                let mut matrix = ScfMatrix::zeros(params.max_offset);
+                engine.dscf_from_spectra_into(&spectra, &mut matrix);
+                let scanned = matrix.cyclic_profile();
+                let mut fused = vec![1.0; 3];
+                engine.cyclic_profile_from_spectra_into(&spectra, &mut fused);
+                let case = format!(
+                    "{}x{} poison {poison:?}",
+                    params.grid_size(),
+                    params.grid_size()
+                );
+                assert!(same_bits(&fused, &scanned), "{case}");
+                assert_eq!(poison.is_some(), fused.iter().any(|v| v.is_nan()), "{case}");
+
+                // Matrix and profile from one pass equal both single passes.
+                let mut both = ScfMatrix::zeros(1);
+                let mut profile = Vec::new();
+                engine.dscf_and_profile_from_spectra_into(&spectra, &mut both, &mut profile);
+                assert!(same_bits(&profile, &scanned), "{case}");
+                let cells = |m: &ScfMatrix| -> Vec<u64> {
+                    m.as_slice()
+                        .iter()
+                        .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                        .collect()
+                };
+                assert_eq!(cells(&both), cells(&matrix), "{case}");
+            }
+        }
+        // No spectra: the zero matrix's all-zero profile.
+        let engine = ScfEngine::new(ScfParams::new(16, 3, 1).unwrap()).unwrap();
+        let mut profile = vec![f64::NAN];
+        engine.cyclic_profile_from_spectra_into(&[], &mut profile);
+        assert_eq!(profile, vec![0.0; 7]);
     }
 
     #[test]

@@ -47,8 +47,8 @@ use crate::channel::mix_seed;
 use crate::error::ScenarioError;
 use crate::scenario::{Hypothesis, RadioScenario};
 use cfd_core::backend::{BackendRecipe, Observation, SensingBackend};
-use cfd_dsp::detector::feature_statistic;
-use cfd_dsp::scf::{ScfEngine, ScfMatrix, ScfParams};
+use cfd_dsp::detector::feature_statistic_from_profile;
+use cfd_dsp::scf::{ScfEngine, ScfParams};
 use cfd_dsp::signal::awgn;
 use std::collections::HashMap;
 use std::fmt;
@@ -747,10 +747,10 @@ pub fn calibrate_cfd_threshold(
     }
     // The engine is bit-identical to `dscf_reference`, so thresholds
     // calibrated here are exactly the thresholds the golden model implies;
-    // the spectra and matrix allocations are reused across all trials.
+    // the spectra and profile allocations are reused across all trials.
     let engine = ScfEngine::new(params.clone())?;
     let mut spectra = Vec::new();
-    let mut scf = ScfMatrix::zeros(params.max_offset);
+    let mut profile = Vec::new();
     let mut statistics = Vec::with_capacity(trials);
     for trial in 0..trials {
         let noise = awgn(
@@ -759,8 +759,8 @@ pub fn calibrate_cfd_threshold(
             mix_seed(seed, 0xCA11_B8A7 ^ trial as u64),
         );
         engine.compute_spectra_into(&noise, &mut spectra)?;
-        engine.dscf_from_spectra_into(&spectra, &mut scf);
-        statistics.push(feature_statistic(&scf, guard_offsets));
+        engine.cyclic_profile_from_spectra_into(&spectra, &mut profile);
+        statistics.push(feature_statistic_from_profile(&profile, guard_offsets));
     }
     statistics.sort_by(|a, b| a.partial_cmp(b).expect("finite statistic"));
     // The (1 - Pfa) empirical quantile of the H0 statistic: pick the order

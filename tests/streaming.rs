@@ -16,7 +16,10 @@
 //!   decides bit-identically at every hop;
 //! * **adaptive materialisation** — the sensor finalises the full matrix
 //!   only for backends that actually read it; profile-deciding backends
-//!   drop to the O(grid/2) fast path after the first decision.
+//!   drop to the O(grid/2) fast path after the first decision;
+//! * **non-finite input** — a hop holding a NaN or infinite sample is
+//!   refused before it reaches the sensor state, and the clean hops after
+//!   it decide bit-identically to a sensor that never saw it.
 
 use cfd_core::backend::{Decision, Observation, SensingBackend};
 use cfd_core::error::CfdError;
@@ -250,4 +253,73 @@ fn energy_decisions_are_identical_through_the_stream() {
         let batch = batch_backend.decide(&mut observation).unwrap();
         assert_eq!(decision, &batch, "hop {d}");
     }
+}
+
+/// A hop holding a NaN or infinite sample is refused at the boundary with
+/// a structured error before it reaches the tape: the sensor state is left
+/// untouched, so the clean hops that follow decide bit-identically to a
+/// sensor that never saw the bad hop (before, one NaN poisoned the rolling
+/// accumulator until the next exact refresh). Under a `SensingScheduler`
+/// the same error quarantines the channel through the ordinary error path.
+#[test]
+fn non_finite_hops_are_refused_without_touching_the_stream() {
+    let params = ScfParams::new(32, 7, 4).unwrap();
+    // A refresh interval past the run keeps every later hop incremental:
+    // the rolling accumulator is what a poisoned hop would have hit.
+    let config = StreamingConfig::new(params.clone()).with_refresh_interval(1000);
+    let detector = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+    let hops: Vec<Vec<Cplx>> = (0..10).map(|seed| awgn(32, 1.0, 40 + seed)).collect();
+
+    let mut clean = StreamingSensor::new(config.clone(), detector.clone()).unwrap();
+    let mut guarded = StreamingSensor::new(config.clone(), detector.clone()).unwrap();
+    let mut expected = Vec::new();
+    let mut got = Vec::new();
+    for (i, hop) in hops.iter().enumerate() {
+        if i == 5 {
+            for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bad = hop.clone();
+                bad[17] = Cplx::new(0.0, poison);
+                let before = guarded.blocks_ingested();
+                assert_eq!(
+                    guarded.push_into(&bad, &mut got),
+                    Err(CfdError::NonFiniteSample { index: 17 })
+                );
+                assert_eq!(guarded.blocks_ingested(), before);
+            }
+        }
+        clean.push_into(hop, &mut expected).unwrap();
+        guarded.push_into(hop, &mut got).unwrap();
+    }
+    assert_eq!(got.len(), 7);
+    assert_eq!(guarded.incremental_hops(), 6);
+    for (hop, (g, e)) in got.iter().zip(&expected).enumerate() {
+        assert_eq!(g.statistic.to_bits(), e.statistic.to_bits(), "hop {hop}");
+        assert_eq!(g.verdict, e.verdict, "hop {hop}");
+    }
+
+    // Scheduled: the bad hop quarantines its channel; the other channel
+    // keeps deciding.
+    let log = cfd_core::service::DecisionLog::new();
+    let mut builder = cfd_core::SensingScheduler::builder(cfd_core::ServiceConfig::new(1));
+    for channel in 0..2u64 {
+        builder = builder.subscribe(cfd_core::ChannelSubscription::new(
+            channel,
+            config.clone(),
+            detector.clone(),
+            log.clone(),
+        ));
+    }
+    let scheduler = builder.spawn().unwrap();
+    let mut bad = hops[0].clone();
+    bad[3] = Cplx::new(f64::NAN, 0.0);
+    scheduler.push(0, &bad).unwrap();
+    for hop in &hops {
+        scheduler.push(0, hop).unwrap();
+        scheduler.push(1, hop).unwrap();
+    }
+    assert_eq!(
+        scheduler.join(),
+        Err(CfdError::NonFiniteSample { index: 3 })
+    );
+    assert_eq!(log.len(), 7, "only the clean channel decides");
 }

@@ -10,7 +10,10 @@
 //!   stays idle: the SoC session decides from the roster's shared DSCF;
 //! * **snapshot determinism** — the throughput counters advance by the
 //!   same amount whether the sweep runs serially or with three workers:
-//!   worker count is an execution detail, not a metric.
+//!   worker count is an execution detail, not a metric;
+//! * **one accumulation per observation** — a CFD next to a matrix reader
+//!   runs the DSCF once per observation in steady state
+//!   (`dsp.scf.segment_runs`).
 //!
 //! This lives in its own integration-test binary, as **one** `#[test]`, on
 //! purpose: the metric registry is process-global and `set_enabled` is a
@@ -386,4 +389,38 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         fusion_counter(&after, "member_decisions") - fusion_counter(&before, "member_decisions"),
         2
     );
+
+    // --- 10. Fused batch profile: a CFD alone folds its profile out of
+    // the DSCF bands (one accumulation, no matrix); next to a matrix
+    // reader the slot materialises on its profile miss from the second
+    // observation on, so the roster accumulates once per observation ----
+    let segment_runs = || cfd_telemetry::counter("dsp.scf.segment_runs").value();
+    let engine = cfd_dsp::scf::ScfEngine::new(params()).unwrap();
+    let mut cfd = CyclostationaryDetector::new(params(), 0.35, 1).unwrap();
+    let observe = |trial: usize| {
+        let observed = scenario.at_snr(0.0).observe(Hypothesis::Occupied, trial);
+        observed.unwrap().samples
+    };
+    let mut observation = cfd_core::Observation::from_samples(observe(1));
+    let start = segment_runs();
+    cfd.decide(&mut observation).unwrap();
+    let per_pass = segment_runs() - start;
+    assert!(per_pass > 0);
+    assert_eq!(
+        observation.scf_requests(),
+        0,
+        "a CFD alone requests no matrix"
+    );
+    for trial in 0..4usize {
+        observation.load(&observe(2 + trial));
+        let start = segment_runs();
+        cfd.decide(&mut observation).unwrap();
+        observation.scf_for(&engine).unwrap();
+        let passes = (segment_runs() - start) / per_pass;
+        let expected = if trial == 0 { 2 } else { 1 };
+        assert_eq!(
+            passes, expected,
+            "observation {trial}: DSCF accumulations of a CFD + matrix-reader roster"
+        );
+    }
 }
