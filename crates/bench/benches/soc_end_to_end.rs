@@ -37,9 +37,9 @@ fn bench_soc(c: &mut Criterion) {
         .unwrap()
         .samples;
     group.bench_function("sensing_decision_15x15_32_blocks", |b| {
-        let mut sensor =
-            SpectrumSensor::new(application.clone(), &Platform::paper(), 0.35, 1).unwrap();
-        b.iter(|| sensor.sense(&observation).unwrap());
+        let mut session =
+            SensingSession::new(application.clone(), &Platform::paper(), 0.35, 1).unwrap();
+        b.iter(|| session.run(&observation).unwrap().0);
     });
 
     group.finish();

@@ -128,21 +128,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         0.35,
         2,
     )?;
-    let observations: Vec<Vec<_>> = (0..8).map(|seed| awgn(256, 1.0, 10 + seed)).collect();
-    let batch_refs: Vec<&[_]> = observations.iter().map(Vec::as_slice).collect();
-    let batch = session.decide_batch(&batch_refs)?;
+    let mut observations: Vec<Observation> = (0..8)
+        .map(|seed| Observation::from_samples(awgn(256, 1.0, 10 + seed)))
+        .collect();
+    session.decide_batch(&mut observations)?;
+    let (blocks, cycles) = (session.total_blocks(), session.total_critical_cycles());
     println!(
         "decisions streamed        : {}   (platform configured {} time(s))",
         session.decisions(),
         session.configurations()
     );
-    println!("blocks processed          : {}", batch.blocks);
+    println!("blocks processed          : {blocks}");
     println!(
-        "critical-path cycles      : {}   ({} per block)",
-        batch.critical_cycles,
-        batch.critical_cycles / batch.blocks as u64
+        "critical-path cycles      : {cycles}   ({} per block)",
+        cycles / blocks
     );
-    println!("platform time for batch   : {:.2} us", batch.elapsed_us);
+    println!(
+        "platform time for batch   : {:.2} us",
+        cycles as f64 / Platform::paper().tile.clock_mhz
+    );
 
     header("Sweep-engine cross-check: Pd/Pfa of the platform path vs the golden model");
     let application = CfdApplication::new(32, 7, 32)?;

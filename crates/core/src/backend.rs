@@ -15,8 +15,7 @@
 //!   statistic and threshold behind it, and (for platform-backed paths)
 //!   optional [`PlatformMetrics`].
 //! * [`SensingBackend`] is the open trait every detector implements —
-//!   [`EnergyDetector`], [`CyclostationaryDetector`], the tiled-SoC
-//!   [`SpectrumSensor`](crate::sensing::SpectrumSensor) and
+//!   [`EnergyDetector`], [`CyclostationaryDetector`] and the tiled-SoC
 //!   [`SensingSession`] all do, and so can any third-party detector,
 //!   which then participates in `cfd-scenario`'s parallel ROC sweeps
 //!   without touching any of these crates.
@@ -446,8 +445,8 @@ impl Observation {
 /// backends — optional [`PlatformMetrics`].
 ///
 /// This replaces the previous mix of `bool` (sweep decisions),
-/// [`DetectionOutcome`] (detector-level results) and `SensingReport`
-/// (platform reports) at the [`SensingBackend`] surface.
+/// [`DetectionOutcome`] (detector-level results) and per-platform report
+/// types at the [`SensingBackend`] surface.
 ///
 /// # Examples
 ///
@@ -541,11 +540,10 @@ impl Decision {
 /// The open trait unifying every sensing path: one [`Observation`] in, one
 /// [`Decision`] out.
 ///
-/// Implemented by [`EnergyDetector`], [`CyclostationaryDetector`], the
-/// tiled-SoC [`SpectrumSensor`](crate::sensing::SpectrumSensor) and
-/// [`SensingSession`] — and by any third-party detector, which then plugs
-/// into `cfd-scenario`'s `SweepBuilder` (via [`BackendRecipe`]) without
-/// touching any crate of this workspace.
+/// Implemented by [`EnergyDetector`], [`CyclostationaryDetector`] and the
+/// tiled-SoC [`SensingSession`] — and by any third-party detector, which
+/// then plugs into `cfd-scenario`'s `SweepBuilder` (via [`BackendRecipe`])
+/// without touching any crate of this workspace.
 ///
 /// Implementations that evaluate block spectra or the DSCF should fetch
 /// them through [`Observation::spectra_for`] / [`Observation::scf_for`]
@@ -571,8 +569,9 @@ pub trait SensingBackend {
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError>;
 
     /// Takes one decision per observation, in order. The provided
-    /// implementation simply iterates [`SensingBackend::decide`];
-    /// platform-backed backends may override it to stream the batch.
+    /// implementation simply iterates [`SensingBackend::decide`]; a
+    /// [`SensingSession`] streams the batch through its once-configured
+    /// platform this way.
     ///
     /// # Errors
     ///

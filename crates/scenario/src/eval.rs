@@ -18,9 +18,10 @@
 //!
 //! Backends are stateful (the SoC path owns a whole simulated platform),
 //! so the sweep is described by recipes rather than backend instances:
-//! every worker thread builds its own replica of each backend once, and a
-//! work queue of `(snr_point, trial-chunk)` cells is distributed over the
-//! workers via crossbeam channels inside a [`std::thread::scope`].
+//! every worker builds its own replica of each backend once and evaluates
+//! `(snr_point, trial-chunk)` cells from one queue. A one-worker sweep runs
+//! the cells in queue order on the calling thread; more workers take them
+//! from crossbeam channels inside a [`std::thread::scope`].
 //!
 //! Determinism is preserved under any scheduling: observations are seeded
 //! by trial index (common random numbers), decisions are independent
@@ -36,9 +37,9 @@
 //! decide through it: the spectra **and** the integrated DSCF are computed
 //! **once per trial** per distinct `ScfParams` and cached inside the
 //! observation, where every golden-model CFD replica — and every analytic
-//! full-precision SoC replica, via its spectra-fed correlator — reuses
-//! them. The energy detector's statistic is time-domain power (it never
-//! ran an FFT), and a simulating (`Lockstep`/`Threaded`) or Q15 SoC
+//! full-precision SoC replica, which thresholds the cached cyclic profile
+//! — reuses them. The energy detector's statistic is time-domain power (it
+//! never ran an FFT), and a simulating (`Lockstep`/`Threaded`) or Q15 SoC
 //! replica computes its own on-tile spectra by design — those read the raw
 //! samples. The global `core.observation.spectra_computations` counter in
 //! [`cfd_telemetry::registry`] lets tests pin the once-per-trial contract.
@@ -352,8 +353,8 @@ impl<'a> SweepBuilder<'a> {
     }
 
     /// Explicit worker count. Defaults to the available parallelism; `1`
-    /// runs the in-thread serial reference. The table is bit-identical
-    /// for every worker count.
+    /// runs every cell on the calling thread, spawning none. The table is
+    /// bit-identical for every worker count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
@@ -411,7 +412,7 @@ struct SweepCell {
 impl SweepCell {
     /// Deterministic ordering key, used to pick a stable error when several
     /// cells fail (category 1; category 0 is reserved for replica-build
-    /// failures, which the serial path would hit first).
+    /// failures, which a one-worker sweep hits before any cell).
     fn order(&self) -> (usize, usize, usize) {
         (1, self.point.map_or(0, |p| p + 1), self.first_trial)
     }
@@ -441,59 +442,83 @@ fn build_replicas(
         .collect()
 }
 
-/// The sweep engine: every backend over every SNR point, either in-thread
-/// (`workers <= 1`, the serial reference) or over a work queue of
-/// `(snr_point, trial-chunk)` cells. Bit-identical for every worker count.
+/// The sweep engine: every backend over every SNR point, as a queue of
+/// `(snr_point, trial-chunk)` cells. At `workers <= 1` the cells run in
+/// queue order on the calling thread (no thread, no channel); otherwise
+/// they are distributed over scoped worker threads. Bit-identical for
+/// every worker count.
 fn sweep_over_recipes(
     scenario: &RadioScenario,
     sweep: &SnrSweep,
     recipes: &[&dyn BackendRecipe],
     workers: usize,
 ) -> Result<RocTable, ScenarioError> {
-    if workers <= 1 {
-        return sweep_serial_over_recipes(scenario, sweep, recipes);
-    }
     let labels = recipe_labels(recipes);
     let points = sweep.snr_points_db.len();
 
     // Chunk trials so each worker streams a meaningful batch through its
     // replicas per queue pop, while keeping enough cells for load
     // balancing.
-    let chunk = sweep.trials.div_ceil(workers * 4).max(1);
+    let chunk = sweep.trials.div_ceil(workers.max(1) * 4).max(1);
     let scenarios_at: Vec<RadioScenario> = sweep
         .snr_points_db
         .iter()
         .map(|&snr| scenario.at_snr(snr))
         .collect();
-
-    let (cell_tx, cell_rx) = crossbeam::channel::unbounded::<SweepCell>();
-    let (out_tx, out_rx) = crossbeam::channel::unbounded::<WorkerMessage>();
+    let mut cells = Vec::new();
     for point in std::iter::once(None).chain((0..points).map(Some)) {
         let mut first_trial = 0;
         while first_trial < sweep.trials {
             let trials = chunk.min(sweep.trials - first_trial);
-            cell_tx
-                .send(SweepCell {
-                    point,
-                    first_trial,
-                    trials,
-                })
-                .expect("receiver alive");
+            cells.push(SweepCell {
+                point,
+                first_trial,
+                trials,
+            });
             first_trial += trials;
         }
     }
-    drop(cell_tx);
     // Replica construction is not free (a SoC replica is a whole simulated
     // platform), so never spawn more workers than there are cells to
     // process.
-    let total_cells = (points + 1) * sweep.trials.div_ceil(chunk);
-    let workers = workers.min(total_cells);
+    let workers = workers.clamp(1, cells.len().max(1));
     let instruments = sweep_instruments();
     instruments.workers.set(workers as f64);
     let _run_span = instruments.run_ns.start_timer();
 
     let mut false_alarms = vec![0usize; recipes.len()];
     let mut detections = vec![vec![0usize; recipes.len()]; points];
+    let mut merge = |cell: SweepCell, positives: Vec<usize>| {
+        let target = match cell.point {
+            None => &mut false_alarms,
+            Some(p) => &mut detections[p],
+        };
+        for (count, positive) in target.iter_mut().zip(positives) {
+            *count += positive;
+        }
+    };
+    if workers == 1 {
+        let mut replicas = build_replicas(recipes)?;
+        let mut observation = Observation::new();
+        for cell in cells {
+            let positives = evaluate_cell(
+                scenario,
+                &scenarios_at,
+                &mut replicas,
+                &mut observation,
+                cell,
+            )?;
+            merge(cell, positives);
+        }
+        return Ok(assemble_table(sweep, &labels, &false_alarms, &detections));
+    }
+
+    let (cell_tx, cell_rx) = crossbeam::channel::unbounded::<SweepCell>();
+    let (out_tx, out_rx) = crossbeam::channel::unbounded::<WorkerMessage>();
+    for cell in cells {
+        cell_tx.send(cell).expect("receiver alive");
+    }
+    drop(cell_tx);
     let mut failure: Option<((usize, usize, usize), ScenarioError)> = None;
     let failed = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -524,7 +549,6 @@ fn sweep_over_recipes(
                     if failed.load(std::sync::atomic::Ordering::Relaxed) {
                         continue;
                     }
-                    let cell_span = instruments.cell_ns.start_timer();
                     let message = match evaluate_cell(
                         scenario,
                         scenarios_at,
@@ -541,9 +565,6 @@ fn sweep_over_recipes(
                             }
                         }
                     };
-                    drop(cell_span);
-                    instruments.cells.increment();
-                    instruments.trials.add(cell.trials as u64);
                     if out_tx.send(message).is_err() {
                         return;
                     }
@@ -559,15 +580,7 @@ fn sweep_over_recipes(
         // error may vary when several cells fail close together).
         while let Ok(message) = out_rx.recv() {
             match message {
-                WorkerMessage::Counts { cell, positives } => {
-                    let target = match cell.point {
-                        None => &mut false_alarms,
-                        Some(p) => &mut detections[p],
-                    };
-                    for (count, positive) in target.iter_mut().zip(positives) {
-                        *count += positive;
-                    }
-                }
+                WorkerMessage::Counts { cell, positives } => merge(cell, positives),
                 WorkerMessage::Failure { order, error } => {
                     if failure.as_ref().is_none_or(|(held, _)| order < *held) {
                         failure = Some((order, error));
@@ -582,58 +595,13 @@ fn sweep_over_recipes(
     Ok(assemble_table(sweep, &labels, &false_alarms, &detections))
 }
 
-/// The single-threaded reference implementation of the sweep: produces the
-/// same table as the parallel engine, bit for bit.
-fn sweep_serial_over_recipes(
-    scenario: &RadioScenario,
-    sweep: &SnrSweep,
-    recipes: &[&dyn BackendRecipe],
-) -> Result<RocTable, ScenarioError> {
-    let labels = recipe_labels(recipes);
-    let instruments = sweep_instruments();
-    instruments.workers.set(1.0);
-    let _run_span = instruments.run_ns.start_timer();
-    let mut replicas = build_replicas(recipes)?;
-    let mut observation = Observation::new();
-    let mut false_alarms = vec![0usize; recipes.len()];
-    for trial in 0..sweep.trials {
-        let h0 = scenario.observe(Hypothesis::Vacant, trial)?;
-        observation.set_samples(h0.samples);
-        for (index, backend) in replicas.iter_mut().enumerate() {
-            if backend.decide(&mut observation)?.is_signal() {
-                false_alarms[index] += 1;
-            }
-        }
-    }
-    let mut detections = vec![vec![0usize; recipes.len()]; sweep.snr_points_db.len()];
-    for (point, &snr_db) in sweep.snr_points_db.iter().enumerate() {
-        let at_snr = scenario.at_snr(snr_db);
-        for trial in 0..sweep.trials {
-            let h1 = at_snr.observe(Hypothesis::Occupied, trial)?;
-            observation.set_samples(h1.samples);
-            for (index, backend) in replicas.iter_mut().enumerate() {
-                if backend.decide(&mut observation)?.is_signal() {
-                    detections[point][index] += 1;
-                }
-            }
-        }
-    }
-    // One logical trial per (hypothesis point, trial index), matching what
-    // the parallel path counts per cell: worker count must not change the
-    // throughput counters.
-    instruments
-        .trials
-        .add((sweep.trials * (sweep.snr_points_db.len() + 1)) as u64);
-    Ok(assemble_table(sweep, &labels, &false_alarms, &detections))
-}
-
 /// Evaluates one work cell on a worker's replicas: generates each of the
 /// cell's observations in turn, loads it into the worker's reusable
 /// [`Observation`], and lets every backend decide — so the block spectra
 /// (and the DSCF) are computed once per observation, not once per replica,
 /// into buffers reused across the whole cell (and across cells: the
 /// observation belongs to the worker). Returns the positive-decision count
-/// per backend.
+/// per backend; the cell is timed and counted even when it fails.
 fn evaluate_cell(
     scenario: &RadioScenario,
     scenarios_at: &[RadioScenario],
@@ -641,6 +609,10 @@ fn evaluate_cell(
     observation: &mut Observation,
     cell: SweepCell,
 ) -> Result<Vec<usize>, ScenarioError> {
+    let instruments = sweep_instruments();
+    let _cell_span = instruments.cell_ns.start_timer();
+    instruments.cells.increment();
+    instruments.trials.add(cell.trials as u64);
     let (source, hypothesis) = match cell.point {
         None => (scenario, Hypothesis::Vacant),
         Some(p) => (&scenarios_at[p], Hypothesis::Occupied),
@@ -778,6 +750,8 @@ mod tests {
     use cfd_core::app::{CfdApplication, Platform};
     use cfd_core::backend::{Decision, SessionRecipe};
     use cfd_dsp::detector::{CyclostationaryDetector, EnergyDetector};
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
 
     fn small_scenario() -> RadioScenario {
         RadioScenario::preset(
@@ -858,9 +832,131 @@ mod tests {
                 .run()
                 .unwrap()
         };
-        let serial = build(1);
-        for workers in [2usize, 3, 7] {
+        let serial = reference_table(
+            &scenario,
+            &sweep,
+            &[&EnergyDetector::new(1.0, 0.1, len).unwrap(), &cfd(0.35)],
+        );
+        for workers in [1usize, 2, 3, 4, 7] {
             assert_eq!(serial, build(workers), "workers = {workers}");
+        }
+    }
+
+    /// The trial-order reference every worker count must reproduce: one
+    /// replica per backend decides on every H0 trial, then on every H1
+    /// trial of each SNR point in turn.
+    fn reference_table(
+        scenario: &RadioScenario,
+        sweep: &SnrSweep,
+        recipes: &[&dyn BackendRecipe],
+    ) -> RocTable {
+        let mut replicas = build_replicas(recipes).unwrap();
+        let mut observation = Observation::new();
+        let mut count = |source: &RadioScenario, hypothesis: Hypothesis| {
+            let mut positives = vec![0usize; replicas.len()];
+            for trial in 0..sweep.trials {
+                observation.set_samples(source.observe(hypothesis, trial).unwrap().samples);
+                for (positive, backend) in positives.iter_mut().zip(&mut replicas) {
+                    *positive += usize::from(backend.decide(&mut observation).unwrap().is_signal());
+                }
+            }
+            positives
+        };
+        let false_alarms = count(scenario, Hypothesis::Vacant);
+        let detections: Vec<Vec<usize>> = sweep
+            .snr_points_db
+            .iter()
+            .map(|&snr| count(&scenario.at_snr(snr), Hypothesis::Occupied))
+            .collect();
+        assemble_table(sweep, &recipe_labels(recipes), &false_alarms, &detections)
+    }
+
+    /// Records the id of the thread of every decision it takes.
+    #[derive(Debug)]
+    struct ThreadProbe {
+        threads: Arc<Mutex<Vec<ThreadId>>>,
+    }
+
+    impl SensingBackend for ThreadProbe {
+        fn decide(
+            &mut self,
+            _observation: &mut Observation,
+        ) -> Result<Decision, cfd_core::error::CfdError> {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            Ok(Decision::new(0.0, 1.0))
+        }
+    }
+
+    /// Builds [`ThreadProbe`]s that all record into one shared list.
+    #[derive(Debug, Default)]
+    struct ThreadProbeRecipe {
+        threads: Arc<Mutex<Vec<ThreadId>>>,
+    }
+
+    impl BackendRecipe for ThreadProbeRecipe {
+        fn label(&self) -> String {
+            "thread-probe".into()
+        }
+
+        fn build(&self) -> Result<Box<dyn SensingBackend + Send>, cfd_core::error::CfdError> {
+            Ok(Box::new(ThreadProbe {
+                threads: Arc::clone(&self.threads),
+            }))
+        }
+    }
+
+    #[test]
+    fn one_worker_sweep_decides_on_the_calling_thread() {
+        // A one-worker sweep is timed in the calling thread's CPU time by
+        // the repository benchmark, so it must not hand its cells to a
+        // spawned worker; a multi-worker sweep never decides on the caller.
+        let scenario = small_scenario();
+        let sweep = SnrSweep::new(vec![0.0, 5.0], 6).unwrap();
+        let caller = std::thread::current().id();
+        let threads_at = |workers: usize| {
+            let recipe = ThreadProbeRecipe::default();
+            let threads = Arc::clone(&recipe.threads);
+            SweepBuilder::new(&scenario)
+                .sweep(sweep.clone())
+                .backend(recipe)
+                .workers(workers)
+                .run()
+                .unwrap();
+            let threads = threads.lock().unwrap().clone();
+            assert_eq!(threads.len(), 3 * 6, "workers = {workers}");
+            threads
+        };
+        assert!(threads_at(1).iter().all(|&id| id == caller));
+        assert!(threads_at(3).iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn replica_build_errors_are_reported_before_cell_errors() {
+        // Observations too short for the CFD make every cell fail; the
+        // SoC replica's invalid guard zone must still be the error
+        // reported, for one worker and for several.
+        let scenario = RadioScenario::preset("bpsk-awgn", 16).unwrap();
+        let bad_guard = SessionRecipe::new(
+            CfdApplication::new(32, 7, 32).unwrap(),
+            &Platform::paper(),
+            0.35,
+            7,
+        );
+        for workers in [1usize, 3] {
+            let error = SweepBuilder::new(&scenario)
+                .sweep(SnrSweep::new(vec![0.0], 4).unwrap())
+                .backend(cfd(0.35))
+                .backend(bad_guard.clone())
+                .workers(workers)
+                .run()
+                .unwrap_err();
+            assert!(
+                error.to_string().contains("guard_offsets"),
+                "workers = {workers}: {error}"
+            );
         }
     }
 

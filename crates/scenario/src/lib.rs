@@ -21,11 +21,11 @@
 //!   full tiled-SoC sensing path of `cfd-core`, or a detector defined
 //!   outside this workspace: sweeps are described and launched by
 //!   [`SweepBuilder`], backends are described by
-//!   `cfd_core::backend::BackendRecipe`s, every worker thread builds its
-//!   own replicas (the SoC path opens one `SensingSession` per worker),
-//!   and `(snr_point, trial)` cells are distributed over a crossbeam work
-//!   queue — bit-identical for every worker count thanks to common random
-//!   numbers;
+//!   `cfd_core::backend::BackendRecipe`s, every worker builds its own
+//!   replicas (the SoC path opens one `SensingSession` per worker), and
+//!   `(snr_point, trial)` cells run from one queue — on the calling thread
+//!   for one worker, over a crossbeam channel for more — bit-identical for
+//!   every worker count thanks to common random numbers;
 //! * [`cooperative`] — cooperative sensing against a *live* primary user:
 //!   [`CooperativeSweep`] drives any backend (including a whole
 //!   `cfd_core::fusion::FusionCenter` fleet) along a Markov on/off

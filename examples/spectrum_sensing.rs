@@ -4,8 +4,8 @@
 //! Every built-in preset of `cfd-scenario` — BPSK over AWGN, QPSK with a
 //! local-oscillator offset, BPSK through two-ray multipath, an OFDM-like
 //! pilot signal and BPSK behind a Q15 ADC — is sensed by the paper's
-//! platform: the DSCF is computed on the simulated 4-tile SoC
-//! (`SpectrumSensor`) and its cyclic features thresholded, with an energy
+//! platform: the DSCF is computed on the simulated 4-tile SoC (a
+//! `SensingSession`) and its cyclic features thresholded, with an energy
 //! detector whose noise estimate is 1 dB off as the baseline.
 //!
 //! Run with: `cargo run --release --example spectrum_sensing`
@@ -26,18 +26,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let samples_per_decision = application.samples_needed();
     let sweep = SnrSweep::new(vec![-2.0, 2.0, 6.0], TRIALS)?;
 
-    // Report the platform cost of one decision once up front.
-    let mut probe = SpectrumSensor::new(application.clone(), &platform, 0.35, 1)?;
+    // Report the platform cost of one decision once up front: one raw
+    // platform run, whose critical tile sets the sensing latency.
+    let mut probe = SensingSession::new(application.clone(), &platform, 0.35, 1)?;
     let probe_obs = RadioScenario::preset("bpsk-awgn", samples_per_decision)
         .expect("built-in preset")
         .with_seed(SEED)
         .observe(Hypothesis::Occupied, 0)?;
-    let report = probe.sense(&probe_obs.samples)?;
+    let (_, run) = probe.run(&probe_obs.samples)?;
     println!(
         "platform: {} tiles | {} samples/decision | sensing latency {:.1} us/decision",
-        report.per_tile_cycles.len(),
+        run.per_tile_cycles.len(),
         samples_per_decision,
-        report.latency_us
+        run.max_tile_cycles() as f64 / platform.tile.clock_mhz
     );
     println!(
         "detectors assume noise power 1.0; the actual floor is {NOISE_UNCERTAINTY} (+1 dB); \

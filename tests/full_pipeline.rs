@@ -80,14 +80,14 @@ fn platform_results_are_identical_for_any_tile_count() {
 #[test]
 fn end_to_end_sensing_on_the_platform_detects_and_clears() {
     let application = CfdApplication::new(32, 7, 64).unwrap();
-    let mut sensor = SpectrumSensor::new(application, &Platform::paper(), 0.35, 1).unwrap();
-    let n = sensor.samples_per_decision();
+    let mut session = SensingSession::new(application, &Platform::paper(), 0.35, 1).unwrap();
+    let n = session.samples_per_decision();
     let params = ScfParams::new(32, 7, 64).unwrap();
     assert_eq!(n, params.samples_needed());
 
     let busy = licensed_user_signal(&params, 5.0, 3);
-    let report = sensor.sense(&busy).unwrap();
-    assert!(report.occupied());
+    let (decision, _) = session.run(&busy).unwrap();
+    assert!(decision.is_signal());
 
     let idle = SignalBuilder::new(n)
         .noise_only()
@@ -95,8 +95,8 @@ fn end_to_end_sensing_on_the_platform_detects_and_clears() {
         .build()
         .unwrap()
         .samples;
-    let report = sensor.sense(&idle).unwrap();
-    assert!(!report.occupied());
+    let (decision, _) = session.run(&idle).unwrap();
+    assert!(!decision.is_signal());
 }
 
 #[test]

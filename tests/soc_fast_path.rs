@@ -7,7 +7,7 @@
 //! model is the closed form of what the sequencer and links count.
 //!
 //! A sweep-level test additionally pins decision-identity of a
-//! `SpectrumSensor` roster between `ExecutionMode::Analytic` (the sweep
+//! `SessionRecipe` sweep between `ExecutionMode::Analytic` (the sweep
 //! default, fed by shared software spectra) and `ExecutionMode::Lockstep`
 //! (the golden reference simulating its own on-tile FFTs).
 
