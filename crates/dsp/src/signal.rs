@@ -13,7 +13,7 @@
 //! * [`complex_tone`], [`real_carrier`] — deterministic carriers,
 //! * [`SymbolModulation`] + [`modulated_signal`] — BPSK/QPSK/AM pulse-train
 //!   signals with a configurable symbol length,
-//! * [`awgn`] — complex additive white Gaussian noise,
+//! * [`awgn`], [`awgn_into`] — complex additive white Gaussian noise,
 //! * [`SignalBuilder`] — composes signal plus noise at a prescribed SNR.
 
 use crate::complex::Cplx;
@@ -161,12 +161,23 @@ pub fn modulated_signal(
 
 /// Generates complex additive white Gaussian noise with total (complex)
 /// variance `variance` — i.e. each of the real and imaginary parts has
-/// variance `variance / 2`.
+/// variance `variance / 2`. Allocates the result; [`awgn_into`] writes the
+/// same samples into a caller buffer.
 pub fn awgn(len: usize, variance: f64, seed: u64) -> Vec<Cplx> {
+    let mut noise = vec![Cplx::ZERO; len];
+    awgn_into(&mut noise, variance, seed);
+    noise
+}
+
+/// Fills `out` with the first `out.len()` samples of [`awgn`]`(_, variance,
+/// seed)`, bit for bit, without allocating.
+pub fn awgn_into(out: &mut [Cplx], variance: f64, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let std_dev = (variance / 2.0).max(0.0).sqrt();
     let normal = GaussianPair { std_dev };
-    (0..len).map(|_| normal.sample(&mut rng)).collect()
+    for sample in out {
+        *sample = normal.sample(&mut rng);
+    }
 }
 
 /// Samples a complex Gaussian with independent real/imaginary parts using
@@ -462,6 +473,30 @@ mod tests {
     fn awgn_is_reproducible_per_seed() {
         assert_eq!(awgn(16, 1.0, 5), awgn(16, 1.0, 5));
         assert_ne!(awgn(16, 1.0, 5), awgn(16, 1.0, 6));
+    }
+
+    #[test]
+    fn awgn_into_is_bitwise_equal_to_awgn() {
+        let bits = |noise: &[Cplx]| -> Vec<(u64, u64)> {
+            noise
+                .iter()
+                .map(|x| (x.re.to_bits(), x.im.to_bits()))
+                .collect()
+        };
+        for len in [0usize, 1, 7, 2048] {
+            for seed in [0u64, 1, 5, 0xDEAD_BEEF, u64::MAX] {
+                for variance in [1.0, 2.5] {
+                    // A dirty buffer: every sample must be overwritten.
+                    let mut out = vec![Cplx::new(f64::NAN, 3.0); len];
+                    awgn_into(&mut out, variance, seed);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&awgn(len, variance, seed)),
+                        "len {len}, seed {seed}, variance {variance}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

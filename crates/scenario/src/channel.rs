@@ -297,19 +297,16 @@ impl ChannelStage {
                 snr_db,
                 noise_power,
             } => {
-                let power = signal_power(&samples);
-                let gain = if power > 0.0 {
-                    let target = noise_power * 10f64.powf(snr_db / 10.0);
-                    (target / power).sqrt()
-                } else {
-                    1.0
-                };
                 let noise = awgn(samples.len(), *noise_power, seed);
-                samples
-                    .iter()
-                    .zip(noise.iter())
-                    .map(|(&s, &w)| s * gain + w)
-                    .collect()
+                let mut out = Vec::with_capacity(samples.len());
+                add_awgn(
+                    samples.iter().copied(),
+                    signal_power(&samples),
+                    (*snr_db, *noise_power),
+                    &noise,
+                    &mut out,
+                );
+                out
             }
             ChannelStage::CarrierOffset { normalised, phase } => {
                 frequency_shift(&samples, *normalised, *phase)
@@ -456,6 +453,29 @@ impl ChannelStage {
     }
 }
 
+/// The [`ChannelStage::Awgn`] combine `s·gain + w`, written into `out`:
+/// `gain` scales a `signal` of average power `power` to `snr_db` over the
+/// `noise_power` floor, and is 1 for a zero-power signal, which just
+/// receives the noise floor. The one implementation behind the stage and
+/// behind the per-SNR combine of a
+/// [`TrialDraw`](crate::scenario::TrialDraw).
+pub(crate) fn add_awgn(
+    signal: impl Iterator<Item = Cplx>,
+    power: f64,
+    (snr_db, noise_power): (f64, f64),
+    noise: &[Cplx],
+    out: &mut Vec<Cplx>,
+) {
+    let gain = if power > 0.0 {
+        let target = noise_power * 10f64.powf(snr_db / 10.0);
+        (target / power).sqrt()
+    } else {
+        1.0
+    };
+    out.clear();
+    out.extend(signal.zip(noise).map(|(s, &w)| s * gain + w));
+}
+
 /// An ordered list of channel stages.
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct ChannelPipeline {
@@ -511,11 +531,23 @@ impl ChannelPipeline {
     /// Propagates [`ChannelPipeline::validate`] failures.
     pub fn apply(&self, samples: Vec<Cplx>, seed: u64) -> Result<Vec<Cplx>, ScenarioError> {
         self.validate()?;
+        Ok(self.apply_stages(0..self.stages.len(), samples, seed))
+    }
+
+    /// Applies the stages in `range`, each with its pipeline sub-seed
+    /// `mix_seed(seed, index)` — so a pipeline run in pieces draws exactly
+    /// what one [`ChannelPipeline::apply`] pass draws. No validation.
+    pub(crate) fn apply_stages(
+        &self,
+        range: std::ops::Range<usize>,
+        samples: Vec<Cplx>,
+        seed: u64,
+    ) -> Vec<Cplx> {
         let mut current = samples;
-        for (index, stage) in self.stages.iter().enumerate() {
-            current = stage.apply(current, mix_seed(seed, index as u64));
+        for index in range {
+            current = self.stages[index].apply(current, mix_seed(seed, index as u64));
         }
-        Ok(current)
+        current
     }
 
     /// Applies all stages like [`ChannelPipeline::apply`], but without
@@ -532,11 +564,7 @@ impl ChannelPipeline {
         for stage in &self.stages {
             stage.validate()?;
         }
-        let mut current = samples;
-        for (index, stage) in self.stages.iter().enumerate() {
-            current = stage.apply(current, mix_seed(seed, index as u64));
-        }
-        Ok(current)
+        Ok(self.apply_stages(0..self.stages.len(), samples, seed))
     }
 
     /// A copy of the pipeline with every AWGN stage retargeted to
@@ -575,18 +603,26 @@ impl ChannelPipeline {
 
     /// The SNR the first AWGN stage targets, if any.
     pub fn snr_db(&self) -> Option<f64> {
-        self.stages.iter().find_map(|s| match s {
-            ChannelStage::Awgn { snr_db, .. } => Some(*snr_db),
-            _ => None,
-        })
+        self.first_awgn().map(|(_, snr_db, _)| snr_db)
     }
 
     /// The noise floor of the first AWGN stage, if any.
     pub fn noise_power(&self) -> Option<f64> {
-        self.stages.iter().find_map(|s| match s {
-            ChannelStage::Awgn { noise_power, .. } => Some(*noise_power),
-            _ => None,
-        })
+        self.first_awgn().map(|(_, _, noise_power)| noise_power)
+    }
+
+    /// The index, SNR target and noise floor of the first AWGN stage.
+    pub(crate) fn first_awgn(&self) -> Option<(usize, f64, f64)> {
+        self.stages
+            .iter()
+            .enumerate()
+            .find_map(|(index, stage)| match stage {
+                ChannelStage::Awgn {
+                    snr_db,
+                    noise_power,
+                } => Some((index, *snr_db, *noise_power)),
+                _ => None,
+            })
     }
 }
 

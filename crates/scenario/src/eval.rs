@@ -19,7 +19,14 @@
 //! Backends are stateful (the SoC path owns a whole simulated platform),
 //! so the sweep is described by recipes rather than backend instances:
 //! every worker builds its own replica of each backend once and evaluates
-//! `(snr_point, trial-chunk)` cells from one queue. A one-worker sweep runs
+//! trial-chunk cells from one queue. A cell covers its trials across the
+//! shared H0 pass and every SNR point: each trial's clean signal and
+//! channel noise are drawn once into the worker's [`TrialDraw`]
+//! ([`RadioScenario::draw_trial`]) and combined into the H0 observation
+//! and the H1 observation at every SNR point
+//! ([`RadioScenario::observe_drawn`]) — bit for bit the samples
+//! [`RadioScenario::observe`] returns, at one noise draw and one signal
+//! draw per trial instead of one per observation. A one-worker sweep runs
 //! the cells in queue order on the calling thread; more workers take them
 //! from crossbeam channels inside a [`std::thread::scope`].
 //!
@@ -46,8 +53,9 @@
 
 use crate::channel::mix_seed;
 use crate::error::ScenarioError;
-use crate::scenario::{Hypothesis, RadioScenario};
+use crate::scenario::{Hypothesis, RadioScenario, TrialDraw};
 use cfd_core::backend::{BackendRecipe, Observation, SensingBackend};
+use cfd_dsp::complex::Cplx;
 use cfd_dsp::detector::feature_statistic_from_profile;
 use cfd_dsp::scf::{ScfEngine, ScfParams};
 use cfd_dsp::signal::awgn;
@@ -93,25 +101,40 @@ impl SnrSweep {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::InvalidParameter`] for an empty point list
-    /// or zero trials.
+    /// Returns [`ScenarioError::InvalidParameter`] for an empty point list,
+    /// a NaN or infinite point, or zero trials.
     pub fn new(snr_points_db: Vec<f64>, trials: usize) -> Result<Self, ScenarioError> {
-        if snr_points_db.is_empty() {
+        let sweep = SnrSweep {
+            snr_points_db,
+            trials,
+        };
+        sweep.validate()?;
+        Ok(sweep)
+    }
+
+    /// What [`SnrSweep::new`] checks. The fields are public (and
+    /// deserialisation bypasses `new`), so [`SweepBuilder::run`] checks
+    /// again.
+    fn validate(&self) -> Result<(), ScenarioError> {
+        if self.snr_points_db.is_empty() {
             return Err(ScenarioError::InvalidParameter {
                 name: "snr_points_db",
                 message: "sweep needs at least one SNR point".into(),
             });
         }
-        if trials == 0 {
+        if let Some(point) = self.snr_points_db.iter().find(|point| !point.is_finite()) {
+            return Err(ScenarioError::InvalidParameter {
+                name: "snr_points_db",
+                message: format!("SNR points must be finite, got {point}"),
+            });
+        }
+        if self.trials == 0 {
             return Err(ScenarioError::InvalidParameter {
                 name: "trials",
                 message: "sweep needs at least one trial".into(),
             });
         }
-        Ok(SnrSweep {
-            snr_points_db,
-            trials,
-        })
+        Ok(())
     }
 
     /// An evenly spaced sweep from `from_db` to `to_db` (inclusive).
@@ -367,16 +390,21 @@ impl<'a> SweepBuilder<'a> {
     /// licensed-user signal — so each backend's false-alarm count is
     /// measured once and shared by every SNR row).
     ///
+    /// The sweep and every retargeted channel are validated before any
+    /// backend decides, so a NaN or infinite SNR point fails the run
+    /// instead of scaling observations by NaN.
+    ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::InvalidParameter`] when no sweep or no
-    /// backends were given; propagates observation, replica-construction
-    /// and decision errors.
+    /// backends were given, or for an invalid sweep or channel; propagates
+    /// observation, replica-construction and decision errors.
     pub fn run(&self) -> Result<RocTable, ScenarioError> {
         let sweep = self.sweep.as_ref().ok_or(ScenarioError::InvalidParameter {
             name: "sweep",
             message: "SweepBuilder needs an SnrSweep (SweepBuilder::sweep)".into(),
         })?;
+        sweep.validate()?;
         if self.recipes.is_empty() {
             return Err(ScenarioError::InvalidParameter {
                 name: "backends",
@@ -399,12 +427,10 @@ fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// One unit of sweep work: a chunk of consecutive trials under one
-/// hypothesis. `point: None` is the shared H0 (vacant-band) pass,
-/// `point: Some(i)` the H1 pass at `sweep.snr_points_db[i]`.
+/// One unit of sweep work: a chunk of consecutive trials, each observed
+/// under H0 and under H1 at every SNR point of the sweep.
 #[derive(Debug, Clone, Copy)]
 struct SweepCell {
-    point: Option<usize>,
     first_trial: usize,
     trials: usize,
 }
@@ -413,23 +439,30 @@ impl SweepCell {
     /// Deterministic ordering key, used to pick a stable error when several
     /// cells fail (category 1; category 0 is reserved for replica-build
     /// failures, which a one-worker sweep hits before any cell).
-    fn order(&self) -> (usize, usize, usize) {
-        (1, self.point.map_or(0, |p| p + 1), self.first_trial)
+    fn order(&self) -> (usize, usize) {
+        (1, self.first_trial)
     }
 }
 
 /// What a worker sends back per cell (or on failure).
 enum WorkerMessage {
-    /// Positives per backend over the cell's trials.
-    Counts {
-        cell: SweepCell,
-        positives: Vec<usize>,
-    },
+    /// Positives per row and backend over the cell's trials (see
+    /// [`evaluate_cell`]).
+    Counts(Vec<usize>),
     /// A replica-build or evaluation failure.
     Failure {
-        order: (usize, usize, usize),
+        order: (usize, usize),
         error: ScenarioError,
     },
+}
+
+/// A worker's buffers, reused across trials and cells: the trial draw,
+/// the combined samples and the observation every backend decides on.
+#[derive(Default)]
+struct Scratch {
+    draw: TrialDraw,
+    samples: Vec<Cplx>,
+    observation: Observation,
 }
 
 /// Builds one replica per recipe, in roster order.
@@ -443,10 +476,10 @@ fn build_replicas(
 }
 
 /// The sweep engine: every backend over every SNR point, as a queue of
-/// `(snr_point, trial-chunk)` cells. At `workers <= 1` the cells run in
-/// queue order on the calling thread (no thread, no channel); otherwise
-/// they are distributed over scoped worker threads. Bit-identical for
-/// every worker count.
+/// trial-chunk cells, each covering the H0 pass and every SNR point for
+/// its trials. At `workers <= 1` the cells run in queue order on the
+/// calling thread (no thread, no channel); otherwise they are distributed
+/// over scoped worker threads. Bit-identical for every worker count.
 fn sweep_over_recipes(
     scenario: &RadioScenario,
     sweep: &SnrSweep,
@@ -455,28 +488,30 @@ fn sweep_over_recipes(
 ) -> Result<RocTable, ScenarioError> {
     let labels = recipe_labels(recipes);
     let points = sweep.snr_points_db.len();
-
-    // Chunk trials so each worker streams a meaningful batch through its
-    // replicas per queue pop, while keeping enough cells for load
-    // balancing.
-    let chunk = sweep.trials.div_ceil(workers.max(1) * 4).max(1);
     let scenarios_at: Vec<RadioScenario> = sweep
         .snr_points_db
         .iter()
         .map(|&snr| scenario.at_snr(snr))
         .collect();
+    // Every channel a cell combines through is checked once, here, before
+    // any backend decides.
+    for source in std::iter::once(scenario).chain(&scenarios_at) {
+        source.channel.validate()?;
+    }
+
+    // Chunk trials so each worker streams a meaningful batch through its
+    // replicas per queue pop, while keeping enough cells for load
+    // balancing.
+    let chunk = sweep.trials.div_ceil(workers.max(1) * 4).max(1);
     let mut cells = Vec::new();
-    for point in std::iter::once(None).chain((0..points).map(Some)) {
-        let mut first_trial = 0;
-        while first_trial < sweep.trials {
-            let trials = chunk.min(sweep.trials - first_trial);
-            cells.push(SweepCell {
-                point,
-                first_trial,
-                trials,
-            });
-            first_trial += trials;
-        }
+    let mut first_trial = 0;
+    while first_trial < sweep.trials {
+        let trials = chunk.min(sweep.trials - first_trial);
+        cells.push(SweepCell {
+            first_trial,
+            trials,
+        });
+        first_trial += trials;
     }
     // Replica construction is not free (a SoC replica is a whole simulated
     // platform), so never spawn more workers than there are cells to
@@ -486,31 +521,33 @@ fn sweep_over_recipes(
     instruments.workers.set(workers as f64);
     let _run_span = instruments.run_ns.start_timer();
 
-    let mut false_alarms = vec![0usize; recipes.len()];
-    let mut detections = vec![vec![0usize; recipes.len()]; points];
-    let mut merge = |cell: SweepCell, positives: Vec<usize>| {
-        let target = match cell.point {
-            None => &mut false_alarms,
-            Some(p) => &mut detections[p],
-        };
-        for (count, positive) in target.iter_mut().zip(positives) {
+    // Row 0 is the shared H0 pass, row `p + 1` SNR point `p`; each row
+    // holds one count per backend.
+    let mut counts = vec![0usize; (points + 1) * recipes.len()];
+    let mut merge = |positives: Vec<usize>| {
+        for (count, positive) in counts.iter_mut().zip(positives) {
             *count += positive;
         }
     };
+    let assemble = |counts: &[usize]| {
+        let mut rows = counts.chunks(recipes.len()).map(<[usize]>::to_vec);
+        let false_alarms = rows.next().expect("the H0 row");
+        let detections: Vec<Vec<usize>> = rows.collect();
+        assemble_table(sweep, &labels, &false_alarms, &detections)
+    };
     if workers == 1 {
         let mut replicas = build_replicas(recipes)?;
-        let mut observation = Observation::new();
+        let mut scratch = Scratch::default();
         for cell in cells {
-            let positives = evaluate_cell(
+            merge(evaluate_cell(
                 scenario,
                 &scenarios_at,
                 &mut replicas,
-                &mut observation,
+                &mut scratch,
                 cell,
-            )?;
-            merge(cell, positives);
+            )?);
         }
-        return Ok(assemble_table(sweep, &labels, &false_alarms, &detections));
+        return Ok(assemble(&counts));
     }
 
     let (cell_tx, cell_rx) = crossbeam::channel::unbounded::<SweepCell>();
@@ -519,7 +556,7 @@ fn sweep_over_recipes(
         cell_tx.send(cell).expect("receiver alive");
     }
     drop(cell_tx);
-    let mut failure: Option<((usize, usize, usize), ScenarioError)> = None;
+    let mut failure: Option<((usize, usize), ScenarioError)> = None;
     let failed = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -533,13 +570,13 @@ fn sweep_over_recipes(
                     Err(error) => {
                         failed.store(true, std::sync::atomic::Ordering::Relaxed);
                         let _ = out_tx.send(WorkerMessage::Failure {
-                            order: (0, 0, 0),
+                            order: (0, 0),
                             error,
                         });
                         return;
                     }
                 };
-                let mut observation = Observation::new();
+                let mut scratch = Scratch::default();
                 loop {
                     let queue_wait = instruments.queue_wait_ns.start_timer();
                     let Ok(cell) = cell_rx.recv() else { break };
@@ -553,10 +590,10 @@ fn sweep_over_recipes(
                         scenario,
                         scenarios_at,
                         &mut replicas,
-                        &mut observation,
+                        &mut scratch,
                         cell,
                     ) {
-                        Ok(positives) => WorkerMessage::Counts { cell, positives },
+                        Ok(positives) => WorkerMessage::Counts(positives),
                         Err(error) => {
                             failed.store(true, std::sync::atomic::Ordering::Relaxed);
                             WorkerMessage::Failure {
@@ -580,7 +617,7 @@ fn sweep_over_recipes(
         // error may vary when several cells fail close together).
         while let Ok(message) = out_rx.recv() {
             match message {
-                WorkerMessage::Counts { cell, positives } => merge(cell, positives),
+                WorkerMessage::Counts(positives) => merge(positives),
                 WorkerMessage::Failure { order, error } => {
                     if failure.as_ref().is_none_or(|(held, _)| order < *held) {
                         failure = Some((order, error));
@@ -592,38 +629,45 @@ fn sweep_over_recipes(
     if let Some((_, error)) = failure {
         return Err(error);
     }
-    Ok(assemble_table(sweep, &labels, &false_alarms, &detections))
+    Ok(assemble(&counts))
 }
 
-/// Evaluates one work cell on a worker's replicas: generates each of the
-/// cell's observations in turn, loads it into the worker's reusable
-/// [`Observation`], and lets every backend decide — so the block spectra
-/// (and the DSCF) are computed once per observation, not once per replica,
-/// into buffers reused across the whole cell (and across cells: the
-/// observation belongs to the worker). Returns the positive-decision count
-/// per backend; the cell is timed and counted even when it fails.
+/// Evaluates one work cell on a worker's replicas. Each trial of the cell
+/// is drawn once — its clean signal and its channel noise — and combined
+/// into the H0 observation and the H1 observation at every SNR point, in
+/// that order ([`RadioScenario::observe_drawn`], bit for bit what
+/// [`RadioScenario::observe`] returns). Each observation is loaded into
+/// the worker's reusable [`Observation`] and every backend decides on it,
+/// so the block spectra (and the DSCF) are computed once per observation,
+/// not once per replica, into buffers the worker keeps across cells.
+/// Returns the positive-decision counts, row-major: row 0 is H0, row
+/// `p + 1` SNR point `p`, one count per backend. The cell is timed and
+/// counted even when it fails; the first error in trial order — and
+/// within a trial H0, point 0, point 1, … — is returned.
 fn evaluate_cell(
     scenario: &RadioScenario,
     scenarios_at: &[RadioScenario],
     replicas: &mut [Box<dyn SensingBackend + Send>],
-    observation: &mut Observation,
+    scratch: &mut Scratch,
     cell: SweepCell,
 ) -> Result<Vec<usize>, ScenarioError> {
     let instruments = sweep_instruments();
     let _cell_span = instruments.cell_ns.start_timer();
     instruments.cells.increment();
-    instruments.trials.add(cell.trials as u64);
-    let (source, hypothesis) = match cell.point {
-        None => (scenario, Hypothesis::Vacant),
-        Some(p) => (&scenarios_at[p], Hypothesis::Occupied),
-    };
-    let mut positives = vec![0usize; replicas.len()];
+    let rows = scenarios_at.len() + 1;
+    instruments.trials.add((rows * cell.trials) as u64);
+    let mut positives = vec![0usize; rows * replicas.len()];
     for trial in cell.first_trial..cell.first_trial + cell.trials {
-        let trial_observation = source.observe(hypothesis, trial)?;
-        observation.set_samples(trial_observation.samples);
-        for (index, backend) in replicas.iter_mut().enumerate() {
-            if backend.decide(observation)?.is_signal() {
-                positives[index] += 1;
+        scenario.draw_trial(Hypothesis::Occupied, trial, &mut scratch.draw)?;
+        let sources = std::iter::once((scenario, Hypothesis::Vacant))
+            .chain(scenarios_at.iter().map(|at| (at, Hypothesis::Occupied)));
+        for ((source, hypothesis), row) in sources.zip(positives.chunks_mut(replicas.len())) {
+            source.observe_drawn(&scratch.draw, hypothesis, &mut scratch.samples)?;
+            scratch.observation.load(&scratch.samples);
+            for (positive, backend) in row.iter_mut().zip(replicas.iter_mut()) {
+                if backend.decide(&mut scratch.observation)?.is_signal() {
+                    *positive += 1;
+                }
             }
         }
     }
@@ -957,6 +1001,79 @@ mod tests {
                 error.to_string().contains("guard_offsets"),
                 "workers = {workers}: {error}"
             );
+        }
+    }
+
+    #[test]
+    fn non_finite_snr_points_fail_before_any_decision() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rejected = |result: Result<SnrSweep, ScenarioError>| {
+                matches!(
+                    result,
+                    Err(ScenarioError::InvalidParameter {
+                        name: "snr_points_db",
+                        ..
+                    })
+                )
+            };
+            assert!(rejected(SnrSweep::new(vec![0.0, bad], 4)), "{bad}");
+            assert!(rejected(SnrSweep::linspace(0.0, bad, 3, 4)), "{bad}");
+            assert!(rejected(SnrSweep::linspace(bad, 0.0, 3, 4)), "{bad}");
+            // The fields are public, so a sweep can bypass `new`: the run
+            // must still fail, and before any backend decides — a NaN-scaled
+            // observation could otherwise be read as "vacant".
+            let scenario = small_scenario();
+            let sweep = SnrSweep {
+                snr_points_db: vec![0.0, bad],
+                trials: 4,
+            };
+            for workers in [1usize, 3] {
+                let recipe = ThreadProbeRecipe::default();
+                let threads = Arc::clone(&recipe.threads);
+                let result = SweepBuilder::new(&scenario)
+                    .sweep(sweep.clone())
+                    .backend(recipe)
+                    .workers(workers)
+                    .run();
+                assert!(
+                    matches!(
+                        result,
+                        Err(ScenarioError::InvalidParameter {
+                            name: "snr_points_db",
+                            ..
+                        })
+                    ),
+                    "{bad}, workers = {workers}: {result:?}"
+                );
+                assert!(
+                    threads.lock().unwrap().is_empty(),
+                    "{bad}, workers = {workers}: a backend decided"
+                );
+            }
+        }
+        // Likewise a channel that bypassed validation fails every
+        // retargeted pipeline's check before any backend decides.
+        let mut scenario = small_scenario();
+        scenario.channel = scenario.channel.with_noise_power(f64::NAN);
+        for workers in [1usize, 3] {
+            let recipe = ThreadProbeRecipe::default();
+            let threads = Arc::clone(&recipe.threads);
+            let result = SweepBuilder::new(&scenario)
+                .sweep(SnrSweep::new(vec![0.0, 5.0], 4).unwrap())
+                .backend(recipe)
+                .workers(workers)
+                .run();
+            assert!(
+                matches!(
+                    result,
+                    Err(ScenarioError::InvalidParameter {
+                        name: "noise_power",
+                        ..
+                    })
+                ),
+                "workers = {workers}: {result:?}"
+            );
+            assert!(threads.lock().unwrap().is_empty(), "workers = {workers}");
         }
     }
 

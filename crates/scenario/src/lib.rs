@@ -14,7 +14,9 @@
 //!   Rayleigh fading, log-normal shadowing, and an adjacent-channel
 //!   interferer;
 //! * [`scenario`] — named presets, the deterministic Monte-Carlo trial
-//!   runner, and SNR retargeting with common random numbers;
+//!   runner, and SNR retargeting with common random numbers, made
+//!   structural by the [`TrialDraw`]: a trial's signal and noise drawn once,
+//!   combined per SNR point;
 //! * [`eval`] — the parallel batched sweep engine producing Pd/Pfa ROC
 //!   tables over **any** roster of `cfd_core::backend::SensingBackend`s —
 //!   the energy detector, the golden-model cyclostationary detector, the
@@ -23,9 +25,11 @@
 //!   [`SweepBuilder`], backends are described by
 //!   `cfd_core::backend::BackendRecipe`s, every worker builds its own
 //!   replicas (the SoC path opens one `SensingSession` per worker), and
-//!   `(snr_point, trial)` cells run from one queue — on the calling thread
-//!   for one worker, over a crossbeam channel for more — bit-identical for
-//!   every worker count thanks to common random numbers;
+//!   trial-chunk cells — each trial drawn once and combined into its H0
+//!   observation and its H1 observation at every SNR point — run from one
+//!   queue — on the calling thread for one worker, over a crossbeam channel
+//!   for more — bit-identical for every worker count thanks to common
+//!   random numbers;
 //! * [`cooperative`] — cooperative sensing against a *live* primary user:
 //!   [`CooperativeSweep`] drives any backend (including a whole
 //!   `cfd_core::fusion::FusionCenter` fleet) along a Markov on/off
@@ -83,7 +87,7 @@ pub use channel::{ChannelPipeline, ChannelStage};
 pub use cooperative::{CooperativeReport, CooperativeSweep};
 pub use error::ScenarioError;
 pub use eval::{RocRow, RocTable, SnrSweep, SweepBuilder};
-pub use scenario::{Hypothesis, RadioScenario, ScenarioObservation};
+pub use scenario::{Hypothesis, RadioScenario, ScenarioObservation, TrialDraw};
 pub use service_traffic::{ActivityModel, ServiceTraffic, TrafficEvent};
 pub use signal::SignalModel;
 
@@ -93,7 +97,7 @@ pub mod prelude {
     pub use crate::cooperative::{CooperativeReport, CooperativeSweep};
     pub use crate::error::ScenarioError;
     pub use crate::eval::{calibrate_cfd_threshold, RocRow, RocTable, SnrSweep, SweepBuilder};
-    pub use crate::scenario::{Hypothesis, RadioScenario, ScenarioObservation};
+    pub use crate::scenario::{Hypothesis, RadioScenario, ScenarioObservation, TrialDraw};
     pub use crate::service_traffic::{ActivityModel, ServiceTraffic, TrafficEvent};
     pub use crate::signal::SignalModel;
     pub use cfd_core::backend::{

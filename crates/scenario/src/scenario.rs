@@ -7,11 +7,22 @@
 //! (common random numbers), which keeps SNR sweeps smooth and makes
 //! detection probabilities monotone in SNR rather than jittered by
 //! independent noise draws.
+//!
+//! Common random numbers are structural: a trial's clean signal (after the
+//! channel stages before the first [`ChannelStage::Awgn`] stage, which no
+//! SNR retarget touches) and that stage's noise are drawn once into a
+//! [`TrialDraw`] ([`RadioScenario::draw_trial`]); each observation of the
+//! trial — H0, or H1 at any SNR — is then one `s·gain + w` combine plus the
+//! pipeline's remaining stages ([`RadioScenario::observe_drawn`]).
+//! [`RadioScenario::observe`] is one draw and one combine, so the sweep
+//! engine, which draws each trial once for all its SNR points, produces
+//! exactly the samples `observe` does.
 
-use crate::channel::{mix_seed, ChannelPipeline, ChannelStage};
+use crate::channel::{add_awgn, mix_seed, ChannelPipeline, ChannelStage};
 use crate::error::ScenarioError;
 use crate::signal::SignalModel;
 use cfd_dsp::complex::Cplx;
+use cfd_dsp::signal::{awgn_into, signal_power};
 
 /// Which hypothesis an observation is drawn under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -33,6 +44,73 @@ pub struct ScenarioObservation {
     pub trial: usize,
     /// The SNR (dB) the channel targeted, `None` for vacant observations.
     pub snr_db: Option<f64>,
+}
+
+/// The SNR-independent randomness of one Monte-Carlo trial, drawn once by
+/// [`RadioScenario::draw_trial`] and combined into any number of
+/// observations by [`RadioScenario::observe_drawn`].
+///
+/// Trial `i`'s signal and channel seeds depend on the trial index alone,
+/// and [`ChannelPipeline::with_snr`] rewrites only the
+/// [`ChannelStage::Awgn`] stages. So neither the signal after the stages
+/// before the first `Awgn` stage nor that stage's noise depends on the SNR
+/// point, and the noise does not depend on the hypothesis either. The draw
+/// holds both; its noise buffer is reused from draw to draw.
+///
+/// # Examples
+///
+/// ```
+/// use cfd_scenario::prelude::*;
+///
+/// # fn main() -> Result<(), ScenarioError> {
+/// let scenario = RadioScenario::preset("qpsk-offset", 256).expect("built-in preset");
+/// let mut draw = TrialDraw::default();
+/// let mut samples = Vec::new();
+/// scenario.draw_trial(Hypothesis::Occupied, 3, &mut draw)?;
+/// for snr_db in [-6.0, 0.0, 6.0] {
+///     let at_snr = scenario.at_snr(snr_db);
+///     at_snr.observe_drawn(&draw, Hypothesis::Occupied, &mut samples)?;
+///     assert_eq!(samples, at_snr.observe(Hypothesis::Occupied, 3)?.samples);
+/// }
+/// scenario.observe_drawn(&draw, Hypothesis::Vacant, &mut samples)?;
+/// assert_eq!(samples, scenario.observe(Hypothesis::Vacant, 3)?.samples);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct TrialDraw {
+    /// Base seed of the drawing scenario.
+    seed: u64,
+    /// The trial's pipeline seed; stage `i` runs on `mix_seed(channel_seed, i)`.
+    channel_seed: u64,
+    /// Index of the first `Awgn` stage.
+    awgn_stage: usize,
+    /// That stage's noise floor.
+    noise_power: f64,
+    /// The licensed-user signal after the pre-`Awgn` stages; `None` for a
+    /// vacant-only draw.
+    signal: Option<Prefixed>,
+    /// The vacant band after the pre-`Awgn` stages; `None` when there are
+    /// none, so it is silent.
+    vacant: Option<Prefixed>,
+    /// The first `Awgn` stage's noise, `observation_len` samples.
+    noise: Vec<Cplx>,
+}
+
+/// Samples after the pre-`Awgn` stages, with their average power.
+#[derive(Debug, Clone)]
+struct Prefixed {
+    samples: Vec<Cplx>,
+    power: f64,
+}
+
+impl Prefixed {
+    fn new(samples: Vec<Cplx>) -> Self {
+        Prefixed {
+            power: signal_power(&samples),
+            samples,
+        }
+    }
 }
 
 /// A named, fully specified sensing workload.
@@ -121,16 +199,10 @@ impl RadioScenario {
         trial: usize,
     ) -> Result<ScenarioObservation, ScenarioError> {
         let occupied = hypothesis == Hypothesis::Occupied;
-        // H0 and H1 share channel randomness per trial; the signal seed is
-        // salted separately so symbols and noise are independent.
-        let channel_seed = mix_seed(self.seed, 0x0C0F_FEE0 ^ trial as u64);
-        let signal_seed = mix_seed(self.seed, 0x51C4_A1B0 ^ trial as u64);
-        let clean = if occupied {
-            self.signal.generate(self.observation_len, signal_seed)?
-        } else {
-            vec![Cplx::ZERO; self.observation_len]
-        };
-        let samples = self.channel.apply(clean, channel_seed)?;
+        let mut draw = TrialDraw::default();
+        self.draw_trial(hypothesis, trial, &mut draw)?;
+        let mut samples = Vec::with_capacity(self.observation_len);
+        self.observe_drawn(&draw, hypothesis, &mut samples)?;
         Ok(ScenarioObservation {
             samples,
             occupied,
@@ -141,6 +213,135 @@ impl RadioScenario {
                 None
             },
         })
+    }
+
+    /// Draws trial `trial`'s SNR-independent randomness into `draw`,
+    /// reusing its noise buffer: the channel noise of the first
+    /// [`ChannelStage::Awgn`] stage and, for [`Hypothesis::Occupied`], the
+    /// licensed-user signal passed through the stages before it. A vacant
+    /// draw skips signal generation; an occupied draw serves both
+    /// hypotheses.
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel validation and signal-generation errors; `draw`
+    /// is left unchanged on error.
+    pub fn draw_trial(
+        &self,
+        hypothesis: Hypothesis,
+        trial: usize,
+        draw: &mut TrialDraw,
+    ) -> Result<(), ScenarioError> {
+        let (awgn_stage, _, noise_power) = self.validated_awgn_stage()?;
+        // H0 and H1 share channel randomness per trial; the signal seed is
+        // salted separately so symbols and noise are independent.
+        let channel_seed = mix_seed(self.seed, 0x0C0F_FEE0 ^ trial as u64);
+        let prefix = |samples| {
+            Prefixed::new(
+                self.channel
+                    .apply_stages(0..awgn_stage, samples, channel_seed),
+            )
+        };
+        draw.signal = match hypothesis {
+            Hypothesis::Occupied => {
+                let signal_seed = mix_seed(self.seed, 0x51C4_A1B0 ^ trial as u64);
+                Some(prefix(
+                    self.signal.generate(self.observation_len, signal_seed)?,
+                ))
+            }
+            Hypothesis::Vacant => None,
+        };
+        draw.vacant = (awgn_stage > 0).then(|| prefix(vec![Cplx::ZERO; self.observation_len]));
+        draw.noise.resize(self.observation_len, Cplx::ZERO);
+        awgn_into(
+            &mut draw.noise,
+            noise_power,
+            mix_seed(channel_seed, awgn_stage as u64),
+        );
+        draw.seed = self.seed;
+        draw.channel_seed = channel_seed;
+        draw.awgn_stage = awgn_stage;
+        draw.noise_power = noise_power;
+        Ok(())
+    }
+
+    /// Writes the observation of a drawn trial under `hypothesis` into
+    /// `out` (reusing its allocation): the first [`ChannelStage::Awgn`]
+    /// stage's `s·gain + w` at this scenario's SNR — a vacant band's zero
+    /// signal has gain 1 — then the remaining stages. Bit for bit what
+    /// [`RadioScenario::observe`] returns for the same trial.
+    ///
+    /// `draw` must come from [`RadioScenario::draw_trial`] on this
+    /// scenario or on one it is an [`RadioScenario::at_snr`] copy of
+    /// (checked as far as seed, length and noise floor go).
+    ///
+    /// # Errors
+    ///
+    /// Propagates channel validation errors; rejects a draw from another
+    /// scenario and an occupied observation of a vacant-only draw.
+    pub fn observe_drawn(
+        &self,
+        draw: &TrialDraw,
+        hypothesis: Hypothesis,
+        out: &mut Vec<Cplx>,
+    ) -> Result<(), ScenarioError> {
+        let (awgn_stage, snr_db, noise_power) = self.validated_awgn_stage()?;
+        if (
+            draw.seed,
+            draw.noise.len(),
+            draw.awgn_stage,
+            draw.noise_power,
+        ) != (self.seed, self.observation_len, awgn_stage, noise_power)
+        {
+            return Err(ScenarioError::InvalidParameter {
+                name: "draw",
+                message: format!(
+                    "the draw does not belong to scenario `{}` (draw it with this \
+                     scenario or the one it was retargeted from)",
+                    self.name
+                ),
+            });
+        }
+        let prefixed = match hypothesis {
+            Hypothesis::Occupied => {
+                Some(
+                    draw.signal
+                        .as_ref()
+                        .ok_or_else(|| ScenarioError::InvalidParameter {
+                            name: "hypothesis",
+                            message: "a vacant draw holds no signal; draw the trial as occupied"
+                                .into(),
+                        })?,
+                )
+            }
+            Hypothesis::Vacant => draw.vacant.as_ref(),
+        };
+        let awgn = (snr_db, noise_power);
+        match prefixed {
+            Some(prefixed) => add_awgn(
+                prefixed.samples.iter().copied(),
+                prefixed.power,
+                awgn,
+                &draw.noise,
+                out,
+            ),
+            None => add_awgn(std::iter::repeat(Cplx::ZERO), 0.0, awgn, &draw.noise, out),
+        }
+        let rest = awgn_stage + 1..self.channel.stages.len();
+        *out = self
+            .channel
+            .apply_stages(rest, std::mem::take(out), draw.channel_seed);
+        Ok(())
+    }
+
+    /// Validates the channel and returns the index, SNR target and noise
+    /// floor of its first [`ChannelStage::Awgn`] stage.
+    fn validated_awgn_stage(&self) -> Result<(usize, f64, f64), ScenarioError> {
+        self.channel.validate()?;
+        Ok(self
+            .channel
+            .first_awgn()
+            .expect("a valid pipeline holds an Awgn stage"))
     }
 
     /// Generates `trials` observation pairs `(H1, H0)`.
@@ -396,6 +597,71 @@ mod tests {
             assert_eq!(h1.trial, i);
             assert_eq!(h0.trial, i);
             assert!(h1.occupied && !h0.occupied);
+        }
+    }
+
+    #[test]
+    fn observe_matches_the_whole_pipeline_reference() {
+        // `observe` runs the pipeline in pieces around its first Awgn
+        // stage; it must draw exactly what one `ChannelPipeline::apply`
+        // pass over the clean signal (or silence) draws — also when a
+        // stage before the Awgn stage is audible in a vacant band and when
+        // a second Awgn stage follows.
+        let mut scenarios: Vec<RadioScenario> = RadioScenario::preset_names()
+            .iter()
+            .map(|name| RadioScenario::preset(name, 200).unwrap())
+            .collect();
+        scenarios.push(
+            RadioScenario::new(
+                "interferer-first",
+                SignalModel::qpsk(),
+                ChannelPipeline::new(vec![
+                    ChannelStage::AdjacentChannelInterferer {
+                        offset: 0.3,
+                        power: 0.5,
+                        samples_per_symbol: 3,
+                    },
+                    ChannelStage::Awgn {
+                        snr_db: 2.0,
+                        noise_power: 1.5,
+                    },
+                    ChannelStage::Awgn {
+                        snr_db: -4.0,
+                        noise_power: 0.5,
+                    },
+                    ChannelStage::Quantize { full_scale: 4.0 },
+                ]),
+                200,
+            )
+            .unwrap(),
+        );
+        for scenario in &scenarios {
+            let scenario = scenario.at_snr(-3.0).with_seed(13);
+            for trial in 0..3usize {
+                let channel_seed = mix_seed(scenario.seed, 0x0C0F_FEE0 ^ trial as u64);
+                let signal_seed = mix_seed(scenario.seed, 0x51C4_A1B0 ^ trial as u64);
+                let clean = scenario.signal.generate(200, signal_seed).unwrap();
+                let cases = [
+                    (Hypothesis::Occupied, clean),
+                    (Hypothesis::Vacant, vec![Cplx::ZERO; 200]),
+                ];
+                for (hypothesis, clean) in cases {
+                    let reference = scenario.channel.apply(clean, channel_seed).unwrap();
+                    let observed = scenario.observe(hypothesis, trial).unwrap().samples;
+                    let bits = |samples: &[Cplx]| -> Vec<(u64, u64)> {
+                        samples
+                            .iter()
+                            .map(|x| (x.re.to_bits(), x.im.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(
+                        bits(&observed),
+                        bits(&reference),
+                        "{} {hypothesis:?} trial {trial}",
+                        scenario.name
+                    );
+                }
+            }
         }
     }
 

@@ -121,7 +121,8 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
     // --- 3. Snapshot determinism: worker count is not a metric ----------
     let table_parallel = run_sweep(3);
     let after = cfd_telemetry::registry().snapshot();
-    // The parallel engine additionally times per-cell work and queue waits.
+    // Both engines time per-cell work; the parallel one also times queue
+    // waits.
     assert!(
         hcount(&after, "scenario.sweep.cell_ns") > hcount(&mid, "scenario.sweep.cell_ns"),
         "parallel sweeps time each work cell"
