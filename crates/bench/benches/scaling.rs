@@ -6,7 +6,7 @@
 use cfd_dsp::signal::awgn;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use tiled_soc::config::{ExecutionMode, SocConfig};
+use tiled_soc::config::SocConfig;
 use tiled_soc::soc::TiledSoc;
 
 fn bench_platform_scaling(c: &mut Criterion) {
@@ -32,19 +32,6 @@ fn bench_platform_scaling(c: &mut Criterion) {
             },
         );
     }
-    group.bench_function("threaded_tiles_4", |b| {
-        b.iter(|| {
-            let mut soc = TiledSoc::new(
-                SocConfig::paper()
-                    .with_tiles(4)
-                    .with_mode(ExecutionMode::Threaded),
-                15,
-                64,
-            )
-            .unwrap();
-            soc.run(&signal, 2).unwrap()
-        });
-    });
     group.finish();
 }
 

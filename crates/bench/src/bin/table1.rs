@@ -2,7 +2,8 @@
 //! task for one integration step of the 127×127 DSCF on one Montium core,
 //! plus the Section 4.1 memory-sizing checks.
 //!
-//! Run with: `cargo run -p cfd-bench --bin table1`
+//! Run with: `cargo run -p cfd-bench --bin table1` (exits non-zero when
+//! the simulated cycle counts do not match the paper's).
 
 use cfd_bench::header;
 use cfd_core::prelude::*;
@@ -29,14 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         simulated.render()
     );
     println!("paper (Table 1):\n{}", paper.render());
-    println!(
-        "match: {}",
-        if simulated.matches(&paper) {
-            "EXACT"
-        } else {
-            "MISMATCH"
-        }
-    );
+    let exact = simulated.matches(&paper);
+    println!("match: {}", if exact { "EXACT" } else { "MISMATCH" });
     println!(
         "time per integration step at 100 MHz: {:.2} us (paper: 139.96 us)",
         tile.config().cycles_to_us(run.cycles.total())
@@ -64,5 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "dynamic range of 16-bit words: {:.1} dB (paper: sufficient below 96 dB)",
         memory.dynamic_range_db()
     );
+    if !exact {
+        return Err("the simulated cycle counts do not match Table 1".into());
+    }
     Ok(())
 }

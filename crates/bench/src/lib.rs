@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper (under `src/bin/`) and one
 //! Criterion bench per performance aspect (under `benches/`). The binaries
 //! print the regenerated artefact next to the value published in the paper;
-//! `EXPERIMENTS.md` in the repository root records the comparison.
+//! the README's "Reproduction binaries" section describes them, including
+//! which ones exit non-zero when the reproduction breaks.
 //!
 //! | target | artefact |
 //! |--------|----------|

@@ -126,7 +126,7 @@ impl Platform {
     /// fast path that produces the same `SocRun` (bit-identical DSCF,
     /// equal cycle/transfer counters) without per-cycle simulation, which
     /// is what Monte-Carlo sweeps want. Use
-    /// `.with_mode(ExecutionMode::Lockstep)` (or `Threaded`) for the
+    /// `.with_mode(ExecutionMode::Lockstep)` for the
     /// cycle-accurate golden-reference simulation.
     pub fn paper() -> Self {
         Platform {
@@ -191,9 +191,9 @@ mod tests {
         let soc = platform.soc_config();
         assert_eq!(soc.num_tiles, 4);
         assert!((soc.total_power_mw() - 200.0).abs() < 1e-9);
-        let p8 = Platform::with_cores(8).with_mode(ExecutionMode::Threaded);
+        let p8 = Platform::with_cores(8).with_mode(ExecutionMode::Lockstep);
         assert_eq!(p8.soc_config().num_tiles, 8);
-        assert_eq!(p8.mode, ExecutionMode::Threaded);
+        assert_eq!(p8.mode, ExecutionMode::Lockstep);
     }
 
     #[test]

@@ -474,19 +474,10 @@ pub struct Decision {
 
 impl Decision {
     /// A decision from a statistic/threshold pair; the verdict is
-    /// `statistic > threshold`, matching every detector in this
-    /// repository.
+    /// `statistic > threshold`, the rule of every detector in this
+    /// repository ([`DetectionOutcome::new`]).
     pub fn new(statistic: f64, threshold: f64) -> Self {
-        Decision {
-            verdict: if statistic > threshold {
-                Verdict::SignalPresent
-            } else {
-                Verdict::NoiseOnly
-            },
-            statistic,
-            threshold,
-            metrics: None,
-        }
+        Decision::from_outcome(DetectionOutcome::new(statistic, threshold))
     }
 
     /// Wraps a detector-level [`DetectionOutcome`], preserving its verdict
@@ -524,16 +515,6 @@ impl Decision {
     /// Convenience: whether the band was declared occupied.
     pub fn is_signal(&self) -> bool {
         self.verdict.is_signal()
-    }
-
-    /// The detector-level view of this decision (statistic, threshold,
-    /// verdict — the platform metrics are dropped).
-    pub fn outcome(&self) -> DetectionOutcome {
-        DetectionOutcome {
-            statistic: self.statistic,
-            threshold: self.threshold,
-            decision: self.verdict,
-        }
     }
 }
 
@@ -887,11 +868,25 @@ mod tests {
         let decision = Decision::new(0.5, 0.5);
         assert_eq!(decision.verdict, Verdict::NoiseOnly);
         assert!(!decision.is_signal());
-        let outcome = decision.outcome();
+        let outcome = DetectionOutcome::new(0.5, 0.5);
         assert_eq!(outcome.statistic, 0.5);
         assert_eq!(outcome.decision, Verdict::NoiseOnly);
-        let roundtrip = Decision::from_outcome(outcome);
-        assert_eq!(roundtrip, decision);
+        assert_eq!(Decision::from_outcome(outcome), decision);
+        assert!(Decision::new(0.75, 0.5).is_signal());
+        // A detector's outcome is the rule applied to its statistic and
+        // threshold, and the backend decides exactly that.
+        let params = ScfParams::new(32, 7, 16).unwrap();
+        let samples = busy(&params, 3.0, 7);
+        let mut energy = EnergyDetector::new(1.0, 0.05, samples.len()).unwrap();
+        let detected = energy.detect(&samples).unwrap();
+        assert_eq!(
+            detected,
+            DetectionOutcome::new(detected.statistic, detected.threshold)
+        );
+        let decided = energy
+            .decide(&mut Observation::from_samples(samples))
+            .unwrap();
+        assert_eq!(decided, Decision::from_outcome(detected));
     }
 
     #[test]
@@ -902,13 +897,19 @@ mod tests {
 
         let mut energy = EnergyDetector::new(1.0, 0.05, samples.len()).unwrap();
         let energy_decision = energy.decide(&mut observation).unwrap();
-        assert_eq!(energy_decision.outcome(), energy.detect(&samples).unwrap());
+        assert_eq!(
+            energy_decision,
+            Decision::from_outcome(energy.detect(&samples).unwrap())
+        );
         assert_eq!(SensingBackend::label(&energy), "energy");
         assert!(energy_decision.metrics.is_none());
 
         let mut cfd = CyclostationaryDetector::new(params, 0.35, 1).unwrap();
         let cfd_decision = cfd.decide(&mut observation).unwrap();
-        assert_eq!(cfd_decision.outcome(), cfd.detect(&samples).unwrap());
+        assert_eq!(
+            cfd_decision,
+            Decision::from_outcome(cfd.detect(&samples).unwrap())
+        );
         assert_eq!(SensingBackend::label(&cfd), "cfd");
     }
 

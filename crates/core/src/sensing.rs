@@ -144,8 +144,8 @@ impl SensingSession {
     /// the software-computed spectra and DSCF as from raw samples: true
     /// for the analytic fast path (which `TiledSoc` only constructs for the
     /// full-precision datapath — Analytic + Q15 is refused up front). The
-    /// simulating modes compute their spectra on-tile by design, so they
-    /// read raw samples. The Q15 check is defensive should that
+    /// lockstep simulation computes its spectra on-tile by design, so it
+    /// reads raw samples. The Q15 check is defensive should that
     /// construction rule ever be relaxed.
     pub fn shares_software_spectra(&self) -> bool {
         self.soc.config().mode == ExecutionMode::Analytic && !self.soc.config().tile.quantize_q15
@@ -476,7 +476,11 @@ mod tests {
             .unwrap();
         let decision = SensingBackend::decide(&mut fast, &mut cached).unwrap();
         let detector = CyclostationaryDetector::new(params, 0.35, 2).unwrap();
-        assert_eq!(decision.outcome(), detector.detect_from_profile(&installed));
+        let expected = detector.detect_from_profile(&installed);
+        assert_eq!(
+            (decision.statistic, decision.threshold, decision.verdict),
+            (expected.statistic, expected.threshold, expected.decision)
+        );
         assert_eq!(cached.scf_requests(), 0);
 
         // On real observations the cached path is bit-identical to the

@@ -47,6 +47,28 @@ pub struct DetectionOutcome {
     pub decision: Verdict,
 }
 
+impl DetectionOutcome {
+    /// The outcome of comparing `statistic` with `threshold`: the band is
+    /// declared occupied iff `statistic > threshold`. This is the one
+    /// decision rule of every detector and sensing backend in the
+    /// workspace.
+    ///
+    /// Transitional: `DetectionOutcome` is planned to merge into a single
+    /// `Decision { verdict, statistic, threshold }` type in this module,
+    /// and this rule will move into that type's constructor.
+    pub fn new(statistic: f64, threshold: f64) -> Self {
+        DetectionOutcome {
+            statistic,
+            threshold,
+            decision: if statistic > threshold {
+                Verdict::SignalPresent
+            } else {
+                Verdict::NoiseOnly
+            },
+        }
+    }
+}
+
 /// A recipe for building independent detector replicas.
 ///
 /// Detectors are stateful objects (thresholds, calibration, and — for the
@@ -99,17 +121,10 @@ pub trait Detector {
     ///
     /// Propagates errors from [`Detector::statistic`].
     fn detect(&self, samples: &[Cplx]) -> Result<DetectionOutcome, DspError> {
-        let statistic = self.statistic(samples)?;
-        let threshold = self.threshold();
-        Ok(DetectionOutcome {
-            statistic,
-            threshold,
-            decision: if statistic > threshold {
-                Verdict::SignalPresent
-            } else {
-                Verdict::NoiseOnly
-            },
-        })
+        Ok(DetectionOutcome::new(
+            self.statistic(samples)?,
+            self.threshold(),
+        ))
     }
 }
 
@@ -311,8 +326,7 @@ impl CyclostationaryDetector {
 
     /// Runs the decision on an already-computed DSCF matrix.
     pub fn detect_from_scf(&self, scf: &ScfMatrix) -> DetectionOutcome {
-        let statistic = self.statistic_from_scf(scf);
-        self.outcome(statistic)
+        DetectionOutcome::new(self.statistic_from_scf(scf), self.threshold)
     }
 
     /// Computes the normalised feature statistic from an already-computed
@@ -327,8 +341,7 @@ impl CyclostationaryDetector {
     /// Runs the decision on an already-computed cyclic-domain profile —
     /// the streaming fast path, which never materialises the full matrix.
     pub fn detect_from_profile(&self, profile: &[f64]) -> DetectionOutcome {
-        let statistic = self.statistic_from_profile(profile);
-        self.outcome(statistic)
+        DetectionOutcome::new(self.statistic_from_profile(profile), self.threshold)
     }
 
     /// Runs the decision on precomputed block spectra (eq. 2), e.g. the
@@ -346,18 +359,6 @@ impl CyclostationaryDetector {
         self.engine
             .cyclic_profile_from_spectra_into(spectra, &mut profile);
         self.detect_from_profile(&profile)
-    }
-
-    fn outcome(&self, statistic: f64) -> DetectionOutcome {
-        DetectionOutcome {
-            statistic,
-            threshold: self.threshold,
-            decision: if statistic > self.threshold {
-                Verdict::SignalPresent
-            } else {
-                Verdict::NoiseOnly
-            },
-        }
     }
 }
 

@@ -46,7 +46,7 @@
 //! observation, where every golden-model CFD replica — and every analytic
 //! full-precision SoC replica, which thresholds the cached cyclic profile
 //! — reuses them. The energy detector's statistic is time-domain power (it
-//! never ran an FFT), and a simulating (`Lockstep`/`Threaded`) or Q15 SoC
+//! never ran an FFT), and a lockstep or Q15 SoC
 //! replica computes its own on-tile spectra by design — those read the raw
 //! samples. The global `core.observation.spectra_computations` counter in
 //! [`cfd_telemetry::registry`] lets tests pin the once-per-trial contract.

@@ -4,22 +4,21 @@
 use montium_sim::MontiumConfig;
 use serde::{Deserialize, Serialize};
 
-/// How the SoC simulation executes its tiles.
+/// How the SoC executes its tiles: the cycle-accurate simulation or its
+/// closed-form fast path. The two modes produce the same `SocRun` for the
+/// full-precision datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
     /// All tiles advance one frequency step at a time in a single thread
     /// (deterministic; the cycle-accurate golden reference).
     #[default]
     Lockstep,
-    /// Each tile runs on its own thread; inter-tile streams are crossbeam
-    /// channels. Produces identical results to lockstep mode.
-    Threaded,
     /// The fast path: no per-cycle simulation. The DSCF the folded tiles
     /// compute comes from the shared `cfd-dsp` engine and the cycle,
     /// transfer and source counters come from the closed-form model derived
     /// from the task sets at configure time. For the full-precision
     /// datapath it produces the same `SocRun` — bit-identical DSCF, equal
-    /// counters — as the two simulating modes (pinned by
+    /// counters — as the lockstep simulation (pinned by
     /// `tests/soc_fast_path.rs`); the default for Monte-Carlo sweeps. A
     /// Q15 platform is refused at construction: the 16-bit accumulator
     /// quantisation exists only in the cycle-accurate simulation.
@@ -101,10 +100,10 @@ mod tests {
     fn builder_modifiers() {
         let config = SocConfig::paper()
             .with_tiles(8)
-            .with_mode(ExecutionMode::Threaded)
+            .with_mode(ExecutionMode::Analytic)
             .with_tile_config(MontiumConfig::paper().with_clock_mhz(50.0));
         assert_eq!(config.num_tiles, 8);
-        assert_eq!(config.mode, ExecutionMode::Threaded);
+        assert_eq!(config.mode, ExecutionMode::Analytic);
         assert!((config.total_power_mw() - 8.0 * 25.0).abs() < 1e-9);
         assert!((config.total_area_mm2() - 16.0).abs() < 1e-12);
     }

@@ -26,8 +26,8 @@ pub enum SocError {
         /// Description of the problem.
         message: String,
     },
-    /// A worker thread of the threaded execution mode panicked or
-    /// disconnected.
+    /// A run could not proceed on the platform's current state (switching
+    /// between the simulated and the analytic path without a reset).
     ExecutionFailure {
         /// Description of the failure.
         message: String,

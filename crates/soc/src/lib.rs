@@ -4,9 +4,9 @@
 //! Processing Fabric: a tiled SoC with four Montium cores. This crate builds
 //! that platform out of the `montium-sim` tiles:
 //!
-//! * [`config`] — platform configuration (tile count, clock, execution mode);
-//! * [`link`] — inter-tile streams (FIFO for the lockstep mode, crossbeam
-//!   channels for the threaded mode);
+//! * [`config`] — platform configuration (tile count, clock, execution mode:
+//!   the cycle-accurate lockstep simulation or the analytic fast path);
+//! * [`link`] — the inter-tile streams of the lockstep simulation;
 //! * [`tile`] — one tile: a Montium core plus its folded task set;
 //! * [`soc`] — the platform itself: distributes the folded DSCF over the
 //!   tiles, runs whole integration steps with explicit boundary traffic, and
@@ -53,7 +53,7 @@ pub use tile::{Tile, TileCycleBreakdown};
 pub mod prelude {
     pub use crate::config::{ExecutionMode, SocConfig};
     pub use crate::error::SocError;
-    pub use crate::link::{ChannelLink, QueueLink, StreamWord};
+    pub use crate::link::{QueueLink, StreamWord};
     pub use crate::power::PlatformMetrics;
     pub use crate::soc::{SocRun, TiledSoc};
     pub use crate::tile::{Tile, TileCycleBreakdown};

@@ -6,18 +6,13 @@
 //! performance; the reproduction still models it explicitly so the claim can
 //! be measured.
 //!
-//! Two flavours are provided behind one interface:
-//!
-//! * [`QueueLink`] — a single-threaded FIFO used by the lockstep execution
-//!   mode;
-//! * [`ChannelLink`] — a crossbeam channel used by the threaded execution
-//!   mode, one sender/receiver pair per direction.
+//! [`QueueLink`] is that stream: a single-threaded FIFO the lockstep
+//! simulation drives once per frequency step, one link per direction and
+//! tile boundary. (The analytic execution mode moves no words; it derives
+//! the same transfer counts in closed form.)
 
 use cfd_dsp::complex::Cplx;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A value travelling between tiles, tagged with the flow it belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,70 +59,6 @@ impl QueueLink {
     }
 }
 
-/// A thread-safe link built on a crossbeam channel, with a shared transfer
-/// counter.
-#[derive(Debug, Clone)]
-pub struct ChannelLink {
-    sender: Sender<StreamWord>,
-    receiver: Receiver<StreamWord>,
-    transfers: Arc<AtomicU64>,
-}
-
-impl ChannelLink {
-    /// Creates an unbounded channel link.
-    pub fn new() -> Self {
-        let (sender, receiver) = unbounded();
-        ChannelLink {
-            sender,
-            receiver,
-            transfers: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Sends a word (never blocks; the channel is unbounded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the receiving side has been dropped — that indicates a bug
-    /// in the execution harness, not a recoverable condition.
-    pub fn send(&self, word: StreamWord) {
-        self.transfers.fetch_add(1, Ordering::Relaxed);
-        self.sender
-            .send(word)
-            .expect("inter-tile channel receiver dropped");
-    }
-
-    /// Receives a word, blocking until one is available.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message if the sending side has been dropped.
-    pub fn receive(&self) -> Result<StreamWord, String> {
-        self.receiver
-            .recv()
-            .map_err(|_| "inter-tile channel sender dropped".to_string())
-    }
-
-    /// Non-blocking receive.
-    pub fn try_receive(&self) -> Option<StreamWord> {
-        match self.receiver.try_recv() {
-            Ok(word) => Some(word),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    /// Total words ever sent over this link.
-    pub fn transfers(&self) -> u64 {
-        self.transfers.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for ChannelLink {
-    fn default() -> Self {
-        ChannelLink::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,26 +82,6 @@ mod tests {
         assert_eq!(link.receive().unwrap().value.re, 2.0);
         assert!(link.receive().is_none());
         assert_eq!(link.transfers(), 2);
-    }
-
-    #[test]
-    fn channel_link_delivers_across_threads() {
-        let link = ChannelLink::new();
-        let sender_side = link.clone();
-        let handle = std::thread::spawn(move || {
-            for i in 0..100 {
-                sender_side.send(word(i as f64));
-            }
-        });
-        let mut received = 0;
-        while received < 100 {
-            let w = link.receive().unwrap();
-            assert_eq!(w.value.re, received as f64);
-            received += 1;
-        }
-        handle.join().unwrap();
-        assert_eq!(link.transfers(), 100);
-        assert!(link.try_receive().is_none());
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! between tiles once per frequency step (a rate `T` times lower than the
 //! multiply–accumulate rate, as the paper argues).
 //!
-//! Three execution modes produce identical results:
+//! Two execution modes produce identical results:
 //!
 //! * **lockstep** — all tiles advance one frequency step at a time in a
 //!   single thread (deterministic; the cycle-accurate golden reference);
-//! * **threaded** — one thread per tile, inter-tile streams carried by
-//!   crossbeam channels;
 //! * **analytic** — the fast path: no sequencer, ALU or register-file
 //!   machinery is stepped at all. The folded tiles together compute
 //!   exactly the eq.-3 DSCF, so the matrix comes from the shared
@@ -22,7 +20,7 @@
 //!   ([`montium_sim::kernels::analytic_step_cycles`] plus the
 //!   deterministic per-block stream volumes) — every counter the
 //!   simulation would have produced, without the per-cycle walk. The DSCF
-//!   is bit-identical to the simulating modes and the counters equal
+//!   is bit-identical to the simulation and the counters equal
 //!   (pinned by `tests/soc_fast_path.rs`). [`TiledSoc::run_from_spectra`]
 //!   additionally accepts externally computed block spectra, so callers
 //!   that already hold the spectra feed them straight into the correlator.
@@ -32,7 +30,7 @@
 
 use crate::config::{ExecutionMode, SocConfig};
 use crate::error::SocError;
-use crate::link::{ChannelLink, QueueLink, StreamWord};
+use crate::link::{QueueLink, StreamWord};
 use crate::power::PlatformMetrics;
 use crate::tile::{Tile, TileCycleBreakdown};
 use cfd_dsp::complex::Cplx;
@@ -44,14 +42,13 @@ use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Cached handles to the SoC run instruments: stage histograms for the
-/// simulated/analytic run and the spectra-fed correlator, per-mode run
+/// simulated/analytic run and the spectra-fed correlator, per-path run
 /// counters, and last-run cycle/energy gauges (the analytic-vs-lockstep
 /// comparison the paper's Table 1 is about).
 struct SocInstruments {
     run_ns: cfd_telemetry::Histogram,
     correlate_ns: cfd_telemetry::Histogram,
     runs_lockstep: cfd_telemetry::Counter,
-    runs_threaded: cfd_telemetry::Counter,
     runs_analytic: cfd_telemetry::Counter,
     runs_spectra_fed: cfd_telemetry::Counter,
     critical_cycles: cfd_telemetry::Gauge,
@@ -64,7 +61,6 @@ fn instruments() -> &'static SocInstruments {
         run_ns: cfd_telemetry::histogram("soc.run_ns"),
         correlate_ns: cfd_telemetry::histogram("soc.correlate_ns"),
         runs_lockstep: cfd_telemetry::counter("soc.runs.lockstep"),
-        runs_threaded: cfd_telemetry::counter("soc.runs.threaded"),
         runs_analytic: cfd_telemetry::counter("soc.runs.analytic"),
         runs_spectra_fed: cfd_telemetry::counter("soc.runs.spectra_fed"),
         critical_cycles: cfd_telemetry::gauge("soc.run.critical_cycles"),
@@ -145,7 +141,7 @@ pub struct TiledSoc {
     /// The closed-form per-block cycle breakdown of every tile.
     steps: Vec<IntegrationStepCycles>,
     /// The analytic accumulation, built on first use so platforms that
-    /// never run it (simulating modes, sensing sessions deciding from a
+    /// never run it (the lockstep simulation, sensing sessions deciding from a
     /// shared DSCF) pay nothing for it.
     analytic: Option<Box<AnalyticPath>>,
     /// Blocks accumulated through the cycle-accurate tiles since the last
@@ -179,7 +175,7 @@ impl TiledSoc {
             // different numbers than the hardware model. Refuse up front.
             return Err(SocError::InvalidConfiguration {
                 message: "the analytic execution mode models the full-precision datapath; \
-                          use Lockstep or Threaded for a Q15 platform"
+                          use Lockstep for a Q15 platform"
                     .into(),
             });
         }
@@ -259,7 +255,7 @@ impl TiledSoc {
     ///
     /// In [`ExecutionMode::Analytic`] each block spectrum is accumulated
     /// through the shared [`ScfEngine`] and the counters come from the
-    /// closed forms; the result is the same `SocRun` the simulating modes
+    /// closed forms; the result is the same `SocRun` the lockstep simulation
     /// produce.
     ///
     /// # Errors
@@ -301,7 +297,6 @@ impl TiledSoc {
         let _span = instruments.run_ns.start_timer();
         match self.config.mode {
             ExecutionMode::Lockstep => instruments.runs_lockstep.increment(),
-            ExecutionMode::Threaded => instruments.runs_threaded.increment(),
             ExecutionMode::Analytic => instruments.runs_analytic.increment(),
         }
         if self.config.mode == ExecutionMode::Analytic {
@@ -316,12 +311,7 @@ impl TiledSoc {
             self.count_analytic_blocks(num_blocks);
         } else {
             for block in 0..num_blocks {
-                let samples = &signal[block * k..(block + 1) * k];
-                match self.config.mode {
-                    ExecutionMode::Lockstep => self.run_block_lockstep(samples)?,
-                    ExecutionMode::Threaded => self.run_block_threaded(samples)?,
-                    ExecutionMode::Analytic => unreachable!("handled above"),
-                }
+                self.run_block_lockstep(&signal[block * k..(block + 1) * k])?;
             }
         }
         self.fill_run(num_blocks, out)?;
@@ -593,105 +583,6 @@ impl TiledSoc {
         Ok(())
     }
 
-    fn run_block_threaded(&mut self, samples: &[Cplx]) -> Result<(), SocError> {
-        let q_count = self.tiles.len();
-        let f_count = 2 * self.max_offset + 1;
-        // conj_links[q]: tile q -> tile q+1; direct_links[q]: tile q+1 -> tile q.
-        let conj_links: Vec<ChannelLink> = (0..q_count.saturating_sub(1))
-            .map(|_| ChannelLink::new())
-            .collect();
-        let direct_links: Vec<ChannelLink> = (0..q_count.saturating_sub(1))
-            .map(|_| ChannelLink::new())
-            .collect();
-
-        let results: Vec<Result<(), SocError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(q_count);
-            for (q, tile) in self.tiles.iter_mut().enumerate() {
-                let conj_in = if q > 0 {
-                    Some(conj_links[q - 1].clone())
-                } else {
-                    None
-                };
-                let conj_out = if q + 1 < q_count {
-                    Some(conj_links[q].clone())
-                } else {
-                    None
-                };
-                let direct_in = if q + 1 < q_count {
-                    Some(direct_links[q].clone())
-                } else {
-                    None
-                };
-                let direct_out = if q > 0 {
-                    Some(direct_links[q - 1].clone())
-                } else {
-                    None
-                };
-                handles.push(scope.spawn(move || -> Result<(), SocError> {
-                    tile.begin_block(samples)?;
-                    for step in 0..f_count {
-                        tile.mac_step(step)?;
-                        if step + 1 == f_count {
-                            break;
-                        }
-                        let (conj_edge, direct_edge) = tile.edge_outputs()?;
-                        if let Some(link) = &conj_out {
-                            link.send(StreamWord {
-                                value: conj_edge,
-                                conjugate_flow: true,
-                            });
-                        }
-                        if let Some(link) = &direct_out {
-                            link.send(StreamWord {
-                                value: direct_edge,
-                                conjugate_flow: false,
-                            });
-                        }
-                        let incoming_conj = match &conj_in {
-                            Some(link) => {
-                                link.receive()
-                                    .map_err(|message| SocError::ExecutionFailure { message })?
-                                    .value
-                            }
-                            None => tile.source_conjugate(step + 1),
-                        };
-                        let incoming_direct = match &direct_in {
-                            Some(link) => {
-                                link.receive()
-                                    .map_err(|message| SocError::ExecutionFailure { message })?
-                                    .value
-                            }
-                            None => tile.source_direct(step + 1),
-                        };
-                        tile.shift_in(incoming_conj, incoming_direct)?;
-                    }
-                    tile.finish_block()?;
-                    Ok(())
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(SocError::ExecutionFailure {
-                            message: "tile worker panicked".into(),
-                        })
-                    })
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        for link in conj_links.iter().chain(direct_links.iter()) {
-            self.inter_tile_transfers += link.transfers();
-        }
-        // Source inputs: one per boundary end per shift.
-        self.source_inputs += 2 * (f_count as u64 - 1);
-        self.blocks_simulated += 1;
-        Ok(())
-    }
-
     /// Gathers the simulated tiles' DSCF into `matrix` (resized only if
     /// its grid differs), reading each tile's slice through its reusable
     /// flat gather buffer — no per-task or per-row allocation.
@@ -768,21 +659,6 @@ mod tests {
         assert_eq!(run.blocks, 3);
         assert_eq!(run.per_tile_cycles.len(), 4);
         assert!(run.inter_tile_transfers > 0);
-    }
-
-    #[test]
-    fn threaded_run_matches_lockstep_exactly() {
-        let (signal, _) = test_signal(2);
-        let mut lockstep = small_soc(ExecutionMode::Lockstep, 4);
-        let mut threaded = small_soc(ExecutionMode::Threaded, 4);
-        let run_a = lockstep.run(&signal, 2).unwrap();
-        let run_b = threaded.run(&signal, 2).unwrap();
-        assert!(run_a.scf.max_abs_difference(&run_b.scf) < 1e-12);
-        assert_eq!(run_a.inter_tile_transfers, run_b.inter_tile_transfers);
-        assert_eq!(
-            run_a.per_tile_cycles[0].total(),
-            run_b.per_tile_cycles[0].total()
-        );
     }
 
     #[test]
@@ -912,7 +788,7 @@ mod tests {
             TiledSoc::new(analytic, 7, 32),
             Err(SocError::InvalidConfiguration { .. })
         ));
-        // The simulating modes keep accepting Q15.
+        // The lockstep simulation keeps accepting Q15.
         let lockstep = SocConfig::paper().with_tile_config(q15);
         assert!(TiledSoc::new(lockstep, 7, 32).is_ok());
     }

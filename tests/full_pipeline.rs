@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: every implementation layer of the DSCF —
 //! golden model, systolic array, folded array, single Montium tile, full
-//! tiled SoC (lockstep and threaded) — must agree on the same input, and the
+//! tiled SoC (lockstep and analytic) — must agree on the same input, and the
 //! end-to-end sensing pipeline must make correct decisions on top of the
 //! platform result.
 
@@ -46,15 +46,15 @@ fn all_implementations_agree_on_the_same_dscf() {
     let lockstep_run = lockstep.run(&signal, params.num_blocks).unwrap();
     assert!(lockstep_run.scf.max_abs_difference(&reference) < 1e-9);
 
-    // Full tiled SoC, threaded (crossbeam channels between tiles).
-    let mut threaded = TiledSoc::new(
-        SocConfig::paper().with_mode(ExecutionMode::Threaded),
+    // Full tiled SoC, analytic fast path: exactly the lockstep result.
+    let mut analytic = TiledSoc::new(
+        SocConfig::paper().with_mode(ExecutionMode::Analytic),
         params.max_offset,
         params.fft_len,
     )
     .unwrap();
-    let threaded_run = threaded.run(&signal, params.num_blocks).unwrap();
-    assert!(threaded_run.scf.max_abs_difference(&lockstep_run.scf) < 1e-12);
+    let analytic_run = analytic.run(&signal, params.num_blocks).unwrap();
+    assert_eq!(analytic_run.scf.max_abs_difference(&lockstep_run.scf), 0.0);
 }
 
 #[test]

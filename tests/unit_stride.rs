@@ -8,8 +8,8 @@
 //! * the analytic SoC, which accumulates through the same engine, must
 //!   equal [`dscf_reference`] **bitwise** on 1–17 tiles, including
 //!   platforms with more tiles than DSCF columns (entirely idle tiles) and
-//!   wrap-heavy offsets, and so must the thread-per-tile and lockstep
-//!   simulators, counter for counter;
+//!   wrap-heavy offsets, and so must the cycle-accurate lockstep
+//!   simulation, with the analytic SoC equal to it counter for counter;
 //! * parameter errors are structured values, not panics: the overflowing
 //!   and too-wide `max_offset` cases for both `ScfParams` and
 //!   `CfdApplication`.
@@ -84,9 +84,9 @@ proptest! {
         prop_assert_eq!(fast.as_slice(), golden.as_slice());
     }
 
-    /// The thread-per-tile simulator (`ExecutionMode::Threaded`) and the
-    /// analytic SoC vs the serial lockstep simulator and `dscf_reference`:
-    /// bit-identical DSCF and equal platform counters on 1–17 tiles,
+    /// The analytic SoC vs the serial lockstep simulator, and both vs
+    /// `dscf_reference`: bit-identical DSCF and equal platform counters on
+    /// 1–17 tiles,
     /// including platforms with more tiles than grid columns, where
     /// trailing tiles hold no active task. Half of the cases sit at the
     /// wrap-heavy offset limit (`2M = K - 2`, every row wrapping the mod-K
@@ -113,24 +113,21 @@ proptest! {
         let params = ScfParams::new(fft_len, max_offset, blocks).unwrap();
         let reference = dscf_reference(&signal, &params).unwrap();
         prop_assert_eq!(golden.scf.as_slice(), reference.as_slice());
-        for mode in [ExecutionMode::Threaded, ExecutionMode::Analytic] {
-            let run = soc(mode, tiles, max_offset, fft_len)
-                .run(&signal, blocks)
-                .unwrap();
-            prop_assert_eq!(run.scf.as_slice(), golden.scf.as_slice());
-            prop_assert_eq!(&run.per_tile_cycles, &golden.per_tile_cycles);
-            prop_assert_eq!(run.inter_tile_transfers, golden.inter_tile_transfers);
-            prop_assert_eq!(run.source_inputs, golden.source_inputs);
-            prop_assert_eq!(run.blocks, golden.blocks);
-        }
+        let run = soc(ExecutionMode::Analytic, tiles, max_offset, fft_len)
+            .run(&signal, blocks)
+            .unwrap();
+        prop_assert_eq!(run.scf.as_slice(), golden.scf.as_slice());
+        prop_assert_eq!(&run.per_tile_cycles, &golden.per_tile_cycles);
+        prop_assert_eq!(run.inter_tile_transfers, golden.inter_tile_transfers);
+        prop_assert_eq!(run.source_inputs, golden.source_inputs);
+        prop_assert_eq!(run.blocks, golden.blocks);
     }
 }
 
 /// 16–20 tiles over a 15-column grid leave one to five tiles with no
-/// active task. The thread-per-tile simulator runs one thread per tile, so
-/// every tile count is also a thread count: each must stay exact against
-/// the serial lockstep run (and not stall on the idle tiles' links), and
-/// so must the analytic SoC.
+/// active task. At every tile count the analytic SoC, whose closed-form
+/// counters include the idle tiles, must stay exact against the serial
+/// lockstep run.
 #[test]
 fn idle_tiles_survive_every_thread_count() {
     let (fft_len, max_offset, blocks) = (32usize, 7usize, 3usize);
@@ -143,17 +140,15 @@ fn idle_tiles_survive_every_thread_count() {
             .per_tile_cycles
             .iter()
             .any(|t| t.multiply_accumulate == 0));
-        for mode in [ExecutionMode::Threaded, ExecutionMode::Analytic] {
-            let run = soc(mode, tiles, max_offset, fft_len)
-                .run(&signal, blocks)
-                .unwrap();
-            assert_eq!(run.scf.as_slice(), golden.scf.as_slice(), "{tiles} tiles");
-            assert_eq!(run.per_tile_cycles, golden.per_tile_cycles, "{tiles} tiles");
-            assert_eq!(
-                run.inter_tile_transfers, golden.inter_tile_transfers,
-                "{tiles} tiles"
-            );
-        }
+        let run = soc(ExecutionMode::Analytic, tiles, max_offset, fft_len)
+            .run(&signal, blocks)
+            .unwrap();
+        assert_eq!(run.scf.as_slice(), golden.scf.as_slice(), "{tiles} tiles");
+        assert_eq!(run.per_tile_cycles, golden.per_tile_cycles, "{tiles} tiles");
+        assert_eq!(
+            run.inter_tile_transfers, golden.inter_tile_transfers,
+            "{tiles} tiles"
+        );
     }
 }
 
