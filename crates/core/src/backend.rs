@@ -69,6 +69,7 @@ use cfd_dsp::detector::{
 };
 use cfd_dsp::scf::{ScfEngine, ScfMatrix, ScfParams};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::OnceLock;
 use tiled_soc::power::PlatformMetrics;
 
@@ -141,6 +142,12 @@ struct CachedSpectra {
 /// one `Observation` across the trials of a sweep performs no steady-state
 /// allocation.
 ///
+/// A [`StreamingSensor`](crate::stream::StreamingSensor) keeps its whole
+/// retained stream in the observation's buffer and presents each hop's
+/// window as a view into it, so a streamed decision copies no samples;
+/// [`Observation::samples`] and the spectra always cover exactly the
+/// current observation.
+///
 /// # Examples
 ///
 /// ```
@@ -165,7 +172,9 @@ struct CachedSpectra {
 /// ```
 #[derive(Debug, Default)]
 pub struct Observation {
+    /// The owned sample buffer; the observation is `samples[view]`.
     samples: Vec<Cplx>,
+    view: Range<usize>,
     entries: Vec<CachedSpectra>,
     scf_requests: u64,
 }
@@ -180,6 +189,7 @@ impl Observation {
     /// An observation owning `samples`.
     pub fn from_samples(samples: Vec<Cplx>) -> Self {
         Observation {
+            view: 0..samples.len(),
             samples,
             entries: Vec::new(),
             scf_requests: 0,
@@ -192,19 +202,49 @@ impl Observation {
     pub fn load(&mut self, samples: &[Cplx]) {
         self.samples.clear();
         self.samples.extend_from_slice(samples);
-        self.invalidate();
+        self.view_window(0..samples.len());
     }
 
     /// Starts a new observation by taking ownership of `samples` (no copy)
     /// and invalidating the cached spectra without freeing them.
     pub fn set_samples(&mut self, samples: Vec<Cplx>) {
         self.samples = samples;
-        self.invalidate();
+        self.view_window(0..self.samples.len());
     }
 
     /// The raw observation samples.
     pub fn samples(&self) -> &[Cplx] {
+        &self.samples[self.view.clone()]
+    }
+
+    /// The whole owned sample buffer, for a producer that keeps its stream
+    /// in it. Whatever it writes is not an observation until
+    /// [`Observation::view_window`] says which part is, so the view is
+    /// emptied here.
+    pub(crate) fn buffer_mut(&mut self) -> &mut Vec<Cplx> {
+        self.view = 0..0;
+        &mut self.samples
+    }
+
+    /// The whole owned sample buffer (see [`Observation::buffer_mut`]).
+    pub(crate) fn buffer(&self) -> &[Cplx] {
         &self.samples
+    }
+
+    /// Starts a new observation over `range` of the owned buffer, without
+    /// copying, and invalidates the cached spectra without freeing them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the buffer.
+    pub(crate) fn view_window(&mut self, range: Range<usize>) {
+        assert!(
+            range.start <= range.end && range.end <= self.samples.len(),
+            "observation view {range:?} outside a {}-sample buffer",
+            self.samples.len()
+        );
+        self.view = range;
+        self.invalidate();
     }
 
     /// Marks every cached result stale (buffers are kept).
@@ -255,7 +295,7 @@ impl Observation {
             instruments.spectra_cache_hits.increment();
         } else {
             instruments.spectra_cache_misses.increment();
-            engine.compute_spectra_into(&self.samples, &mut entry.spectra)?;
+            engine.compute_spectra_into(&self.samples[self.view.clone()], &mut entry.spectra)?;
             entry.spectra_valid = true;
             instruments.spectra_computations.increment();
         }
@@ -371,10 +411,11 @@ impl Observation {
     /// valid, so a subsequent [`Observation::scf_for`] at the same
     /// parameters serves the installed matrix without computing anything.
     /// Unlike [`Observation::load`], nothing is invalidated here — a
-    /// streaming producer first `load`s the window samples (which
-    /// invalidates every slot), then composes the results it already has:
-    /// the matrix, the profile ([`Observation::install_cyclic_profile`]),
-    /// or both.
+    /// streaming producer first points the observation at the window's
+    /// samples (which invalidates every slot; the window is a view of the
+    /// producer's retained stream, not a copy), then composes the results
+    /// it already has: the matrix, the profile
+    /// ([`Observation::install_cyclic_profile`]), or both.
     ///
     /// This is the hand-off point of the streaming layer
     /// ([`StreamingSensor`](crate::stream::StreamingSensor)): the sliding

@@ -13,17 +13,32 @@
 //! is a plain sum of per-block contribution terms — so a sliding window
 //! only ever changes by one block per hop. [`StreamingSensor`] exploits
 //! that: it keeps a ring of the window's block spectra (and, memory budget
-//! permitting, their per-block DSCF contribution planes), and on each hop
-//! runs **one** FFT for the incoming block, one O(grid) add pass for it,
-//! and one O(grid) retire pass for the outgoing one — retained blocks are
-//! never re-FFT'd and never re-accumulated. The finished results are
-//! handed to any [`SensingBackend`] through the ordinary [`Observation`]
-//! surface: the window samples, the cyclic-domain profile (via
-//! [`Observation::install_cyclic_profile`], scanned straight off the
-//! half-grid accumulator), and — only while the backend actually reads it
-//! ([`StreamingSensor::materializes_matrix`]) — the full finalised matrix
-//! (via [`Observation::install_scf`]). The same backend decides
-//! identically whether it is driven batchwise or streamed.
+//! permitting, their per-block DSCF contribution planes). Retained blocks
+//! are never re-FFT'd and never re-accumulated; an incremental hop does
+//! this much work:
+//!
+//! 1. **one** FFT for the incoming block, into its ring slot;
+//! 2. **one** O(grid) pass over the half-grid accumulator. Without cached
+//!    planes (`plane_budget_bytes = 0`, or a window over budget) it is
+//!    [`ScfEngine::slide_block`], which retires the re-phased outgoing
+//!    block, adds the incoming one and folds the cyclic-domain profile
+//!    from the still-hot cells. With cached planes it is a plane
+//!    subtraction and addition, then a profile scan of the accumulator;
+//! 3. a constant-time hand-off of the window: the sample tape lives in the
+//!    sensor's [`Observation`] buffer, so the window is a view of it and
+//!    no sample is copied;
+//! 4. only while the backend actually reads it
+//!    ([`StreamingSensor::materializes_matrix`]), one copy of the
+//!    accumulator re-phased into the window frame and finalised into the
+//!    full matrix.
+//!
+//! The finished results are handed to any [`SensingBackend`] through the
+//! ordinary [`Observation`] surface: the window samples, the
+//! cyclic-domain profile (via [`Observation::install_cyclic_profile`]),
+//! and the matrix when it is materialised (via
+//! [`Observation::install_scf`]). The same backend decides identically
+//! whether it is driven batchwise or streamed. A warm sensor allocates
+//! nothing per hop, exact refreshes included.
 //!
 //! # Drift and the exact-refresh interval
 //!
@@ -122,8 +137,11 @@ pub struct StreamingConfig {
     /// whole window's planes fit
     /// ([`ScfAccumulator::bytes_for`]`(max_offset) · num_blocks` bytes),
     /// retiring a block is a pure O(grid) plane subtraction; otherwise the
-    /// retire pass recomputes the outgoing contribution from its ring
-    /// spectrum (still O(grid), roughly twice the arithmetic).
+    /// hop recomputes the outgoing contribution from its ring spectrum in
+    /// the same pass that adds the incoming block and folds the profile
+    /// ([`ScfEngine::slide_block`]: still O(grid), roughly twice the
+    /// arithmetic of the plane subtraction, but one walk over the
+    /// accumulator instead of three).
     pub plane_budget_bytes: usize,
 }
 
@@ -166,36 +184,52 @@ impl StreamingConfig {
     }
 }
 
-/// A contiguous view of the retained tail of the sample stream.
+/// The retained tail of the sample stream, stored in the sensor's
+/// [`Observation`] buffer: a decision presents its window as a view of
+/// the tape ([`SampleTape::observe`]) instead of copying it.
 ///
 /// Appends at the back, trims from the front by absolute stream index, and
 /// compacts in place once the dead prefix outgrows the live tail — every
 /// sample is memmoved at most a bounded number of times, and the live
-/// window is always one contiguous slice (which the per-hop FFT and the
-/// observation install read directly).
+/// window is always one contiguous slice (which the per-hop FFT reads and
+/// the observation views directly).
 #[derive(Debug, Default)]
 struct SampleTape {
-    data: Vec<Cplx>,
-    /// Absolute stream index of `data[offset]`.
+    /// Owns the tape's storage (its sample buffer) and presents windows.
+    observation: Observation,
+    /// Absolute stream index of `buffer[offset]`.
     start: u64,
     offset: usize,
 }
 
 impl SampleTape {
     fn push(&mut self, samples: &[Cplx]) {
-        self.data.extend_from_slice(samples);
+        self.observation.buffer_mut().extend_from_slice(samples);
     }
 
     /// One past the absolute index of the last retained sample.
     fn end(&self) -> u64 {
-        self.start + (self.data.len() - self.offset) as u64
+        self.start + (self.observation.buffer().len() - self.offset) as u64
+    }
+
+    /// Buffer range of the `len` samples starting at absolute index `from`.
+    fn range(&self, from: u64, len: usize) -> std::ops::Range<usize> {
+        debug_assert!(from >= self.start && from + len as u64 <= self.end());
+        let at = self.offset + (from - self.start) as usize;
+        at..at + len
     }
 
     /// The `len` samples starting at absolute index `from`.
     fn slice(&self, from: u64, len: usize) -> &[Cplx] {
-        debug_assert!(from >= self.start && from + len as u64 <= self.end());
-        let at = self.offset + (from - self.start) as usize;
-        &self.data[at..at + len]
+        &self.observation.buffer()[self.range(from, len)]
+    }
+
+    /// Starts a new observation of the `len` samples from absolute index
+    /// `from` — a view of the tape, no copy — and hands it out.
+    fn observe(&mut self, from: u64, len: usize) -> &mut Observation {
+        let range = self.range(from, len);
+        self.observation.view_window(range);
+        &mut self.observation
     }
 
     /// Forgets everything before absolute index `keep_from` (clamped to
@@ -208,15 +242,16 @@ impl SampleTape {
         }
         self.offset += (keep_from - self.start) as usize;
         self.start = keep_from;
-        if self.offset > self.data.len() - self.offset {
-            self.data.copy_within(self.offset.., 0);
-            self.data.truncate(self.data.len() - self.offset);
+        let data = self.observation.buffer_mut();
+        if self.offset > data.len() - self.offset {
+            data.copy_within(self.offset.., 0);
+            data.truncate(data.len() - self.offset);
             self.offset = 0;
         }
     }
 
     fn clear(&mut self) {
-        self.data.clear();
+        self.observation.buffer_mut().clear();
         self.start = 0;
         self.offset = 0;
     }
@@ -228,11 +263,16 @@ impl SampleTape {
 /// Feed samples with [`StreamingSensor::push`]; once the first full window
 /// of blocks has arrived, every further completed block yields exactly one
 /// decision (so the steady-state decision latency is the per-hop work — 1
-/// FFT + O(grid) integration — not the O(N·grid) batch recompute). The
-/// backend sees each hop's window through the same [`Observation`] surface
-/// the batch path uses: the loaded samples for time-domain backends, the
-/// incrementally maintained cyclic-domain profile (and, while the backend
-/// reads it, the full DSCF matrix) for cyclostationary ones.
+/// FFT + one O(grid) pass over the accumulator, see the
+/// [module docs](self) — not the O(N·grid) batch recompute). The backend
+/// sees each hop's window through the same [`Observation`] surface the
+/// batch path uses: the window's samples for time-domain backends (a view
+/// of the sensor's sample tape, not a copy), the incrementally maintained
+/// cyclic-domain profile (and, while the backend reads it, the full DSCF
+/// matrix) for cyclostationary ones. Because the window is a view of the
+/// tape, a backend must not [`load`](Observation::load) or
+/// [`set_samples`](Observation::set_samples) into the observation it is
+/// handed: that would replace the retained stream.
 ///
 /// # Examples
 ///
@@ -265,8 +305,12 @@ pub struct StreamingSensor<B: SensingBackend> {
     /// `ring[i % num_blocks]`; the eq.-2 phase is applied per use, since
     /// the right frame depends on the hop.
     ring: Vec<Vec<Cplx>>,
-    /// Scratch for one re-phased spectrum (the per-hop add/retire frame).
+    /// Scratch for the incoming block's re-phased spectrum (the per-hop
+    /// absolute-time frame).
     rotated: Vec<Cplx>,
+    /// Scratch for the outgoing block's re-phased spectrum on the fused
+    /// slide (recompute-retire) path.
+    outgoing: Vec<Cplx>,
     /// Scratch ring of window-relative re-phased spectra for refreshes.
     refresh_ring: Vec<Vec<Cplx>>,
     /// Per-block contribution planes in the absolute-time frame, same
@@ -279,7 +323,6 @@ pub struct StreamingSensor<B: SensingBackend> {
     /// Scratch accumulation in the decision window's phase frame (what
     /// [`ScfEngine::finalize_accumulator`] consumes).
     frame_acc: ScfAccumulator,
-    observation: Observation,
     /// Whether decision hops materialise the full finalised [`ScfMatrix`]
     /// for the backend, or install only the cyclic-domain profile (the
     /// O(grid/2) fast path). Adaptive: starts `true`, then tracks whether
@@ -319,11 +362,11 @@ impl<B: SensingBackend> StreamingSensor<B> {
             tape: SampleTape::default(),
             ring: Vec::new(),
             rotated: Vec::new(),
+            outgoing: Vec::new(),
             refresh_ring: Vec::new(),
             planes: Vec::new(),
             acc,
             frame_acc,
-            observation: Observation::new(),
             materialize: true,
             next_block: 0,
             decisions: 0,
@@ -354,7 +397,8 @@ impl<B: SensingBackend> StreamingSensor<B> {
 
     /// Whether retiring uses cached per-block contribution planes (window
     /// fits [`StreamingConfig::plane_budget_bytes`]) or recomputes the
-    /// outgoing contribution from its ring spectrum.
+    /// outgoing contribution from its ring spectrum in the fused slide
+    /// pass ([`ScfEngine::slide_block`]).
     pub fn caches_planes(&self) -> bool {
         self.cache_planes
     }
@@ -458,6 +502,7 @@ impl<B: SensingBackend> StreamingSensor<B> {
         self.tape.clear();
         self.ring.clear();
         self.rotated.clear();
+        self.outgoing.clear();
         self.refresh_ring.clear();
         self.planes.clear();
         self.acc.reset();
@@ -508,6 +553,9 @@ impl<B: SensingBackend> StreamingSensor<B> {
         // An exact refresh every R-th decision (the first — pure warm-up
         // adds — is exact by construction and counts as hop 0).
         let refresh = decision_hop && (i + 1 - window).is_multiple_of(self.config.refresh_interval);
+        // Every other decision hop rolls the window by one block; its
+        // first decision being a refresh, it always has an outgoing block.
+        let incremental = decision_hop && !refresh;
         // A block's eq.-2 phase start in the absolute-time frame,
         // pre-reduced modulo the FFT length (overflow-safe for unbounded
         // streams).
@@ -516,12 +564,12 @@ impl<B: SensingBackend> StreamingSensor<B> {
             (((block % k) * (hop % k)) % k) as usize
         };
 
-        // 1. Retire the outgoing block before its slot is overwritten —
-        //    skipped when this hop re-sums the whole ring anyway. The
-        //    re-phased spectrum is bit-identical to the one its add used
-        //    (same raw bits, same table rotation), so the subtraction
+        // 1. Retire the outgoing block's cached plane, or re-phase its
+        //    spectrum for the fused slide, before its slot is overwritten.
+        //    The re-phased spectrum is bit-identical to the one its add
+        //    used (same raw bits, same table rotation), so the subtraction
         //    cancels the old contribution exactly.
-        if i >= window && !refresh {
+        if incremental {
             if self.cache_planes {
                 self.acc.sub_assign(&self.planes[slot]);
             } else {
@@ -529,9 +577,8 @@ impl<B: SensingBackend> StreamingSensor<B> {
                 self.engine.rotate_spectrum_into(
                     &self.ring[slot],
                     abs_phase(outgoing),
-                    &mut self.rotated,
+                    &mut self.outgoing,
                 );
-                self.engine.retire_block(&self.rotated, &mut self.acc);
             }
         }
 
@@ -546,7 +593,7 @@ impl<B: SensingBackend> StreamingSensor<B> {
 
         // 3. Re-phase the incoming block into the absolute-time frame and
         //    cache its contribution plane for a later O(grid) retire.
-        if self.cache_planes || (decision_hop && !refresh) {
+        if self.cache_planes || incremental {
             self.engine.rotate_spectrum_into(
                 &self.ring[slot],
                 abs_phase(self.next_block),
@@ -569,10 +616,10 @@ impl<B: SensingBackend> StreamingSensor<B> {
         // the phase frame this hop's matrix must be finalised in.
         let d = self.next_block + 1 - window as u64;
 
-        // 4. Integrate the window: add the new contribution to the rolling
-        //    absolute-frame sum (re-basing a copy into `frame_acc` only if
-        //    the backend wants the full matrix), or re-sum the re-phased
-        //    ring exactly with the batch kernel's fused passes.
+        // 4. Integrate the window: re-sum the re-phased ring exactly with
+        //    the batch kernel's fused passes, or add the new cached plane
+        //    to the rolling absolute-frame sum (the recompute path slides
+        //    in step 5, folding the profile in the same pass).
         if refresh {
             let refresh_timer = instruments().refresh_ns.start_timer();
             let oldest = (slot + 1) % window;
@@ -586,57 +633,62 @@ impl<B: SensingBackend> StreamingSensor<B> {
                     &mut self.refresh_ring[j],
                 );
             }
-            let refs: Vec<&[Cplx]> = self.refresh_ring[..window]
-                .iter()
-                .map(|s| s.as_slice())
-                .collect();
-            self.engine.accumulate_window(&refs, &mut self.frame_acc);
+            self.engine
+                .accumulate_window(&self.refresh_ring[..window], &mut self.frame_acc);
             drop(refresh_timer);
             self.exact_refreshes += 1;
             instruments().exact_refreshes.increment();
         } else {
             if self.cache_planes {
                 self.acc.add_assign(&self.planes[slot]);
-            } else {
-                self.engine.accumulate_block(&self.rotated, &mut self.acc);
             }
             self.incremental_hops += 1;
             instruments().incremental_hops.increment();
-            if self.materialize {
-                self.frame_acc.clone_from(&self.acc);
-                self.engine
-                    .rotate_accumulator_columns(&mut self.frame_acc, abs_phase(d), true);
-            }
         }
 
         // 5. Present the window through the shared Observation surface:
-        //    the window's samples, the cyclic-domain profile, and — only
-        //    when the backend reads it — the finalised (normalised +
-        //    mirrored) matrix, so any backend decides as if batch-driven.
-        //    The profile source never depends on the materialise mode:
-        //    `frame_acc` at exact refreshes (bit-identical to the batch
-        //    matrix scan), the rolling absolute-frame `acc` otherwise
-        //    (ulp-level phase-rotation residue, bounded like the matrix
-        //    drift by the refresh interval).
-        let win_start = d * hop;
+        //    the window's samples (a view of the tape), the cyclic-domain
+        //    profile, and — only when the backend reads it — the finalised
+        //    (normalised + mirrored) matrix, so any backend decides as if
+        //    batch-driven. The profile source never depends on the
+        //    materialise mode: `frame_acc` at exact refreshes
+        //    (bit-identical to the batch matrix scan), the rolling
+        //    absolute-frame `acc` otherwise (ulp-level phase-rotation
+        //    residue, bounded like the matrix drift by the refresh
+        //    interval).
         let engine = &self.engine;
-        self.observation.load(self.tape.slice(win_start, needed));
+        let observation = self.tape.observe(d * hop, needed);
+        observation.install_cyclic_profile(engine.params(), |profile| {
+            if refresh {
+                engine.cyclic_profile_from_accumulator(&self.frame_acc, window, profile);
+            } else if self.cache_planes {
+                engine.cyclic_profile_from_accumulator(&self.acc, window, profile);
+            } else {
+                engine.slide_block(
+                    &self.outgoing,
+                    &self.rotated,
+                    &mut self.acc,
+                    window,
+                    profile,
+                );
+            }
+            Ok::<_, CfdError>(())
+        })?;
         if self.materialize {
+            if !refresh {
+                // Re-base a copy of the rolling sum into the window frame.
+                self.frame_acc.clone_from(&self.acc);
+                engine.rotate_accumulator_columns(&mut self.frame_acc, abs_phase(d), true);
+            }
             let acc = &self.frame_acc;
-            self.observation.install_scf(engine.params(), |scf| {
+            observation.install_scf(engine.params(), |scf| {
                 engine.finalize_accumulator(acc, window, scf);
                 Ok::<_, CfdError>(())
             })?;
         }
-        let profile_src = if refresh { &self.frame_acc } else { &self.acc };
-        self.observation
-            .install_cyclic_profile(engine.params(), |profile| {
-                engine.cyclic_profile_from_accumulator(profile_src, window, profile);
-                Ok::<_, CfdError>(())
-            })?;
-        let requests_before = self.observation.scf_requests();
-        let decision = self.backend.decide(&mut self.observation)?;
-        self.materialize = self.observation.scf_requests() > requests_before;
+        let requests_before = observation.scf_requests();
+        let decision = self.backend.decide(observation)?;
+        self.materialize = observation.scf_requests() > requests_before;
         self.decisions += 1;
         if refresh {
             // Adopt the exact re-sum as the new rolling accumulation,

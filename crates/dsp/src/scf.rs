@@ -618,6 +618,12 @@ const ADD_PASS: u8 = 1;
 /// `(acc + t) − t` alone, which the streaming layer bounds with periodic
 /// exact refreshes.
 const SUB_PASS: u8 = 2;
+/// Slides a window by one block: exactly two staged blocks, the outgoing
+/// one first, and each cell becomes `(acc − t_out) + t_in` in registers —
+/// the operation order of a `SUB_PASS` over the outgoing block followed by
+/// an `ADD_PASS` over the incoming one, so the accumulator bits equal the
+/// two separate passes' while every cell is loaded and stored once.
+const SLIDE_PASS: u8 = 3;
 
 /// One unit-stride pass over a segment, accumulating `B` blocks per point
 /// with the accumulator held in registers across the unrolled block chain
@@ -643,10 +649,11 @@ fn seg_pass<const KIND: u8, const B: usize>(
         } else {
             (ar[i], ai[i])
         };
-        for &(xr, xi, yr, yi) in ops {
+        for (j, &(xr, xi, yr, yi)) in ops.iter().enumerate() {
             let t_re = xr[i] * yr[i] + xi[i] * yi[i];
             let t_im = xi[i] * yr[i] - xr[i] * yi[i];
-            if KIND == SUB_PASS {
+            // A slide's first staged block is the outgoing one.
+            if KIND == SUB_PASS || (KIND == SLIDE_PASS && j == 0) {
                 re -= t_re;
                 im -= t_im;
             } else {
@@ -689,6 +696,12 @@ fn chain_step<const KIND: u8>(
             b + 1
         }
     }
+}
+
+/// Rows per cache band of a `p`-row, `half`-column accumulator: about
+/// 64 KiB across the re + im planes.
+fn band_rows(half: usize, p: usize) -> usize {
+    (4096 / half).clamp(4, 512).min(p)
 }
 
 /// The widest vector tier the host supports (checked once per call site;
@@ -844,13 +857,34 @@ fn finalize_fence() {
 /// accumulator layout, but owned by the caller and persistent across
 /// blocks, so a streaming sensor can add the newest block's contribution
 /// ([`ScfEngine::accumulate_block`]), retire the oldest
-/// ([`ScfEngine::retire_block`]) and normalise + mirror into an
+/// ([`ScfEngine::retire_block`]) — or do both and fold the profile in one
+/// pass ([`ScfEngine::slide_block`]) — and normalise + mirror into an
 /// [`ScfMatrix`] ([`ScfEngine::finalize_accumulator`]) in O(grid) per hop.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ScfAccumulator {
     max_offset: usize,
     acc_re: Vec<f64>,
     acc_im: Vec<f64>,
+}
+
+/// `clone_from` copies into the existing planes (the derived one would
+/// reallocate both): a streaming sensor re-bases one accumulator into
+/// another on every hop that materialises the matrix and on every exact
+/// refresh, and that copy must not allocate.
+impl Clone for ScfAccumulator {
+    fn clone(&self) -> Self {
+        ScfAccumulator {
+            max_offset: self.max_offset,
+            acc_re: self.acc_re.clone(),
+            acc_im: self.acc_im.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.max_offset = source.max_offset;
+        self.acc_re.clone_from(&source.acc_re);
+        self.acc_im.clone_from(&source.acc_im);
+    }
 }
 
 impl ScfAccumulator {
@@ -1259,7 +1293,7 @@ impl ScfEngine {
         // while every staged block streams through it, and is handed to
         // the sink before the next band reuses it — so the accumulator
         // traffic never round-trips through memory at any grid size.
-        let band_rows = (4096 / half).clamp(4, 512).min(p);
+        let band_rows = band_rows(half, p);
         for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
             plane.clear();
             plane.resize(band_rows * half, 0.0);
@@ -1358,6 +1392,10 @@ impl ScfEngine {
         let k = self.params.fft_len;
         let n = ops.plus_re.len() / k;
         debug_assert!(KIND != INIT_PASS || n >= 1, "init requires a staged block");
+        debug_assert!(
+            KIND != SLIDE_PASS || n == 2,
+            "a slide stages exactly two blocks"
+        );
         for row in rows.clone() {
             let base = (row - rows.start) * half;
             let bounds = self.row_bounds[row] as usize..self.row_bounds[row + 1] as usize;
@@ -1370,10 +1408,10 @@ impl ScfEngine {
                     b = chain_step::<INIT_PASS>(ar, ai, ops, n, b, k, seg);
                 }
                 while b < n {
-                    b = if KIND == SUB_PASS {
-                        chain_step::<SUB_PASS>(ar, ai, ops, n, b, k, seg)
-                    } else {
-                        chain_step::<ADD_PASS>(ar, ai, ops, n, b, k, seg)
+                    b = match KIND {
+                        SUB_PASS => chain_step::<SUB_PASS>(ar, ai, ops, n, b, k, seg),
+                        SLIDE_PASS => chain_step::<SLIDE_PASS>(ar, ai, ops, n, b, k, seg),
+                        _ => chain_step::<ADD_PASS>(ar, ai, ops, n, b, k, seg),
                     };
                 }
             }
@@ -1555,6 +1593,56 @@ impl ScfEngine {
         self.accumulator_pass::<SUB_PASS>(std::iter::once(block), acc);
     }
 
+    /// Slides a window accumulation by one block and folds its cyclic
+    /// profile in the same walk: retires `outgoing`'s contribution from
+    /// `acc`, adds `incoming`'s, and writes into `profile` (resized to the
+    /// grid size) the profile `acc` finalises to over `num_blocks` blocks —
+    /// the incremental hop of a streaming sensor in one pass over the
+    /// half-grid instead of three.
+    ///
+    /// **Bit-identical** to [`ScfEngine::retire_block`]`(outgoing)`, then
+    /// [`ScfEngine::accumulate_block`]`(incoming)`, then
+    /// [`ScfEngine::cyclic_profile_from_accumulator`]: both spectra are
+    /// staged once, every cell becomes `(acc − t_out) + t_in` in registers
+    /// (the two passes' operation order, with their product expression),
+    /// and each band of rows is folded into the profile while it is still
+    /// cache-hot, in the scan's row order under the scan's predicate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either block is shorter than `fft_len`, if `num_blocks`
+    /// is zero or if `acc` was built for a different grid.
+    pub fn slide_block(
+        &self,
+        outgoing: &[Cplx],
+        incoming: &[Cplx],
+        acc: &mut ScfAccumulator,
+        num_blocks: usize,
+        profile: &mut Vec<f64>,
+    ) {
+        let m = self.params.max_offset;
+        let half = m + 1;
+        let p = self.params.grid_size();
+        self.check_grid(acc);
+        assert!(num_blocks > 0, "cannot normalise over zero blocks");
+        profile.clear();
+        profile.resize(p, 0.0);
+        let scale = 1.0 / num_blocks as f64;
+        let band_rows = band_rows(half, p);
+        SCF_SCRATCH.with(|scratch| {
+            let operands = &mut scratch.borrow_mut().operands;
+            operands.stage(self.params.fft_len, [outgoing, incoming].into_iter());
+            for band_start in (0..p).step_by(band_rows) {
+                let band = band_start..(band_start + band_rows).min(p);
+                let cells = band.start * half..band.end * half;
+                let (ar, ai) = (&mut acc.acc_re[cells.clone()], &mut acc.acc_im[cells]);
+                self.segment_pass::<SLIDE_PASS>(band, operands, ar, ai);
+                fold_profile_rows(ar, ai, scale, &mut profile[m..]);
+            }
+        });
+        finish_profile(profile, m);
+    }
+
     /// Stages `blocks` and runs one segment pass of `KIND` over the whole
     /// grid of `acc`.
     fn accumulator_pass<'a, const KIND: u8>(
@@ -1585,17 +1673,20 @@ impl ScfEngine {
     /// [`ScfEngine::finalize_accumulator`] with `num_blocks =
     /// blocks.len()`) to the batch [`ScfEngine::dscf_from_spectra_into`]
     /// over the same spectra. An empty `blocks` resets the accumulator.
+    /// `blocks` may be slices or owned spectra (`&[Vec<Cplx>]`), so a
+    /// caller holding a ring of spectra stages it without collecting a
+    /// slice list.
     ///
     /// # Panics
     ///
     /// Panics if any block is shorter than `fft_len` or if `acc` was built
     /// for a different grid.
-    pub fn accumulate_window(&self, blocks: &[&[Cplx]], acc: &mut ScfAccumulator) {
+    pub fn accumulate_window<B: AsRef<[Cplx]>>(&self, blocks: &[B], acc: &mut ScfAccumulator) {
         if blocks.is_empty() {
             self.check_grid(acc);
             acc.reset();
         } else {
-            self.accumulator_pass::<INIT_PASS>(blocks.iter().copied(), acc);
+            self.accumulator_pass::<INIT_PASS>(blocks.iter().map(AsRef::as_ref), acc);
         }
     }
 
@@ -2032,7 +2123,7 @@ mod tests {
         assert!(rolled.max_abs_difference(&exact) <= 1e-12);
 
         // An empty window resets the accumulation entirely.
-        engine.accumulate_window(&[], &mut acc);
+        engine.accumulate_window::<&[Cplx]>(&[], &mut acc);
         let mut zeroed = ScfMatrix::zeros(params.max_offset);
         engine.finalize_accumulator(&acc, 4, &mut zeroed);
         assert_eq!(zeroed.max_magnitude(), 0.0);
@@ -2160,6 +2251,83 @@ mod tests {
         let other = ScfEngine::new(ScfParams::new(32, 5, 1).unwrap()).unwrap();
         let mut acc = other.accumulator();
         engine.accumulate_block(&[Cplx::ZERO; 32], &mut acc);
+    }
+
+    /// The fused slide equals retire, then add, then the accumulator
+    /// profile scan, to the last bit of every accumulator cell and profile
+    /// value: over several consecutive slides on a 15×15 grid with
+    /// overlapping blocks, 31×31, a wrap-heavy 63×63 and 127×127, each with
+    /// finite input and with a NaN or infinite sample entering the window.
+    #[test]
+    fn slide_pass_is_bitwise_equal_to_retire_then_add() {
+        let grids = [
+            ScfParams::new(32, 7, 6).unwrap().with_stride(24),
+            ScfParams::new(64, 15, 32).unwrap(),
+            ScfParams::new(64, 31, 5).unwrap().with_stride(40),
+            ScfParams::paper_256_with_blocks(8),
+        ];
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for params in grids {
+            let engine = ScfEngine::new(params.clone()).unwrap();
+            let window = params.num_blocks;
+            let slides = 4;
+            let blocks = window + slides;
+            let len = (blocks - 1) * params.block_stride + params.fft_len;
+            for poison in [None, Some(f64::NAN), Some(f64::INFINITY)] {
+                let mut signal = awgn(len, 1.0, 0x511D);
+                if let Some(value) = poison {
+                    // Inside the second incoming block only.
+                    let at = (window + 1) * params.block_stride + params.fft_len / 2;
+                    signal[at.min(len - 1)] = Cplx::new(0.0, value);
+                }
+                let mut spectra = Vec::new();
+                let long = ScfParams {
+                    num_blocks: blocks,
+                    ..params.clone()
+                };
+                ScfEngine::new(long)
+                    .unwrap()
+                    .compute_spectra_into(&signal, &mut spectra)
+                    .unwrap();
+                let mut fused = engine.accumulator();
+                engine.accumulate_window(&spectra[..window], &mut fused);
+                let mut split = fused.clone();
+                let (mut fused_profile, mut split_profile) = (vec![7.0; 2], Vec::new());
+                for s in 0..slides {
+                    let (outgoing, incoming) = (&spectra[s], &spectra[window + s]);
+                    engine.slide_block(outgoing, incoming, &mut fused, window, &mut fused_profile);
+                    engine.retire_block(outgoing, &mut split);
+                    engine.accumulate_block(incoming, &mut split);
+                    engine.cyclic_profile_from_accumulator(&split, window, &mut split_profile);
+                    let case = format!(
+                        "{}x{} poison {poison:?} slide {s}",
+                        params.grid_size(),
+                        params.grid_size()
+                    );
+                    assert_eq!(bits(&fused.acc_re), bits(&split.acc_re), "{case}");
+                    assert_eq!(bits(&fused.acc_im), bits(&split.acc_im), "{case}");
+                    assert_eq!(bits(&fused_profile), bits(&split_profile), "{case}");
+                }
+                assert_eq!(
+                    poison.is_some(),
+                    fused_profile.iter().any(|v| v.is_nan()),
+                    "a poisoned block must reach the profile"
+                );
+            }
+        }
+    }
+
+    /// The accumulator's `clone_from` copies into the existing planes.
+    #[test]
+    fn accumulator_clone_from_reuses_its_planes() {
+        let engine = ScfEngine::new(ScfParams::new(32, 7, 2).unwrap()).unwrap();
+        let mut source = engine.accumulator();
+        engine.accumulate_block(&awgn(32, 1.0, 3), &mut source);
+        let mut target = engine.accumulator();
+        let planes = (target.acc_re.as_ptr(), target.acc_im.as_ptr());
+        target.clone_from(&source);
+        assert_eq!(target, source);
+        assert_eq!((target.acc_re.as_ptr(), target.acc_im.as_ptr()), planes);
     }
 
     /// FNV-1a over the bits of an accumulator's re plane, then its im plane.

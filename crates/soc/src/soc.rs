@@ -120,8 +120,7 @@ impl AnalyticPath {
     /// equal adding the blocks one at a time in order.
     fn accumulate(engine: &ScfEngine, acc: &mut ScfAccumulator, blocks: &[Vec<Cplx>], fresh: bool) {
         if fresh {
-            let blocks: Vec<&[Cplx]> = blocks.iter().map(Vec::as_slice).collect();
-            engine.accumulate_window(&blocks, acc);
+            engine.accumulate_window(blocks, acc);
         } else {
             for block in blocks {
                 engine.accumulate_block(block, acc);

@@ -27,7 +27,7 @@ use cfd_core::stream::{StreamingConfig, StreamingSensor};
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::detector::{CyclostationaryDetector, EnergyDetector};
 use cfd_dsp::scf::{ScfEngine, ScfMatrix, ScfParams};
-use cfd_dsp::signal::awgn;
+use cfd_dsp::signal::{awgn, SignalBuilder, SymbolModulation};
 use proptest::prelude::*;
 
 /// A backend that captures each hop's window samples and installed DSCF,
@@ -322,4 +322,129 @@ fn non_finite_hops_are_refused_without_touching_the_stream() {
         Err(CfdError::NonFiniteSample { index: 3 })
     );
     assert_eq!(log.len(), 7, "only the clean channel decides");
+}
+
+/// FNV-1a over the bits of every decision's statistic, in order.
+fn statistic_hash(decisions: &[Decision]) -> u64 {
+    decisions
+        .iter()
+        .flat_map(|decision| decision.statistic.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The streamed statistics of the service geometry (64-point FFT, ±15,
+/// 32 blocks, no plane cache, a refresh every 64 hops) are pinned bit for
+/// bit: 300 decisions over a BPSK burst in noise, fed one hop per push,
+/// hash to a value recorded before the incremental hop was fused. Any
+/// change to the per-hop arithmetic — retire, add, profile fold, phase
+/// frames — moves the hash.
+#[test]
+fn streamed_statistics_are_pinned() {
+    let params = ScfParams::new(64, 15, 32).unwrap();
+    let config = StreamingConfig::new(params.clone())
+        .with_refresh_interval(64)
+        .with_plane_budget(0);
+    let detector = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+    let mut sensor = StreamingSensor::new(config, detector).unwrap();
+    assert!(!sensor.caches_planes());
+    let decisions = 300;
+    let blocks = params.num_blocks + decisions - 1;
+    let signal = SignalBuilder::new(blocks * params.block_stride)
+        .modulation(SymbolModulation::Bpsk)
+        .samples_per_symbol(4)
+        .snr_db(-3.0)
+        .seed(0x5E4F)
+        .build()
+        .unwrap()
+        .samples;
+    let mut streamed = Vec::new();
+    for hop in signal.chunks(params.block_stride) {
+        sensor.push_into(hop, &mut streamed).unwrap();
+    }
+    assert_eq!(streamed.len(), decisions);
+    assert_eq!(sensor.exact_refreshes(), 5);
+    assert_eq!(statistic_hash(&streamed), 0xb395_b8c3_07da_b2d1);
+}
+
+/// A backend that captures what it reads on every hop: the observation's
+/// samples and the block spectra computed from them.
+struct WindowProbe {
+    engine: ScfEngine,
+    captured: Vec<(Vec<Cplx>, Vec<Vec<Cplx>>)>,
+}
+
+impl SensingBackend for WindowProbe {
+    fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
+        let samples = observation.samples().to_vec();
+        let spectra = observation.spectra_for(&self.engine)?.to_vec();
+        self.captured.push((samples, spectra));
+        Ok(Decision::new(0.0, 1.0))
+    }
+}
+
+/// The window a streamed decision presents is a view of the sensor's
+/// sample tape, not a copy, so it must survive everything the tape does
+/// between hops: pushes of 1, 7, one hop and three hops plus 5 samples
+/// (which cross many tape compactions), a `park` mid-window and a `reset`
+/// mid-window. On every hop the backend's samples equal the batch window
+/// verbatim and the spectra it computes from them are bit-equal to
+/// `compute_spectra` on that window, in both retire modes.
+#[test]
+fn window_view_survives_ragged_pushes() {
+    let params = ScfParams::new(32, 7, 4).unwrap().with_stride(24);
+    let hop = params.block_stride;
+    let needed = params.samples_needed();
+    let engine = ScfEngine::new(params.clone()).unwrap();
+    let sizes = [1, 7, hop, 3 * hop + 5];
+    for plane_budget in [usize::MAX, 0] {
+        let config = StreamingConfig::new(params.clone())
+            .with_refresh_interval(5)
+            .with_plane_budget(plane_budget);
+        let probe = WindowProbe {
+            engine: engine.clone(),
+            captured: Vec::new(),
+        };
+        let mut sensor = StreamingSensor::new(config, probe).unwrap();
+        // Three stream segments: the first ends in a park, the second in
+        // a reset, each mid-window; every segment restarts at sample 0.
+        for (segment, seed) in [61u64, 62, 63].into_iter().enumerate() {
+            let signal = awgn(needed + 40 * hop + 11, 1.0, seed);
+            let mut fed = 0;
+            for size in sizes.iter().cycle() {
+                let end = (fed + size).min(signal.len());
+                sensor.push(&signal[fed..end]).unwrap();
+                fed = end;
+                if fed == signal.len() {
+                    break;
+                }
+            }
+            let captured = std::mem::take(&mut sensor.backend_mut().captured);
+            assert_eq!(captured.len(), 41, "segment {segment}");
+            for (d, (samples, spectra)) in captured.iter().enumerate() {
+                let window = &signal[d * hop..d * hop + needed];
+                assert_eq!(samples.as_slice(), window, "segment {segment}, hop {d}");
+                let batch = engine.compute_spectra(window).unwrap();
+                for (streamed, batch) in spectra.iter().zip(&batch) {
+                    let bits = |block: &[Cplx]| {
+                        block
+                            .iter()
+                            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(streamed), bits(batch), "segment {segment}, hop {d}");
+                }
+                assert_eq!(spectra.len(), batch.len());
+            }
+            // End the segment mid-window: half a window more, then forget.
+            sensor.push(&awgn(needed / 2, 1.0, seed + 10)).unwrap();
+            sensor.backend_mut().captured.clear();
+            if segment == 0 {
+                sensor.park();
+            } else {
+                sensor.reset();
+            }
+        }
+    }
 }
