@@ -19,16 +19,20 @@
 //! streaming state reuse, not parallelism — on the single-core CI host
 //! the 4-worker rows measure scheduling overhead (expect ≈ the 1-worker
 //! rows); on a multi-core host they should additionally approach the
-//! core count. The same two paths are timed by `section5_evaluation
-//! --service` (min-of-3 spans) and spliced into `BENCH_sweeps.json` as
-//! the `service` object the perf gate diffs.
+//! core count. Both paths live in the private `driver` module; full
+//! measured runs are a manual step (`cargo bench -p cfd-bench --bench
+//! service`), while the repository benchmark's `service-1024ch` workload
+//! is what CI compares against the parent commit.
 //!
 //! [`SensingScheduler`]: cfd_core::service::SensingScheduler
 //! [`StreamingSensor`]: cfd_core::stream::StreamingSensor
 //! [`CyclostationaryDetector`]: cfd_dsp::detector::CyclostationaryDetector
 
-use cfd_bench::service_driver::{run_naive, run_scheduler, service_workload};
+#[path = "service/driver.rs"]
+mod driver;
+
 use criterion::{criterion_group, criterion_main, Criterion};
+use driver::{run_naive, run_scheduler, service_workload};
 use std::time::Duration;
 
 /// The benched subscription counts: a rack of bands, the paper's

@@ -1,8 +1,5 @@
-//! Shared drivers for the many-channel sensing-service benchmarks: the
-//! `service_throughput` Criterion group and `section5_evaluation
-//! --service` time the **same two paths** over the **same synthesized
-//! traffic**, so the Criterion rows and the spliced `service` object in
-//! `BENCH_sweeps.json` measure one thing.
+//! The two paths the `service_throughput` Criterion group times over the
+//! same synthesized traffic:
 //!
 //! * [`run_naive`] — the baseline a caller pays without the scheduler:
 //!   one batch [`CyclostationaryDetector`] replica per channel, re-run
@@ -154,29 +151,4 @@ pub fn run_naive(channels: usize, events: &[TrafficEvent]) -> u64 {
         }
     }
     decisions
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Both drivers agree on the decision count — over dense traffic
-    /// (slots − window + 1 decisions per channel) and bursty traffic
-    /// (parks restart the warm-up identically on both paths).
-    #[test]
-    fn drivers_emit_identical_decision_counts() {
-        let channels = 5;
-        let events = service_workload(channels);
-        let expected = (channels * (SERVICE_SLOTS - service_params().num_blocks + 1)) as u64;
-        assert_eq!(run_naive(channels, &events), expected);
-        assert_eq!(run_scheduler(channels, &events, 2), expected);
-
-        let bursty = ServiceTraffic::new("bpsk-awgn", 8, 16, service_params().block_stride)
-            .unwrap()
-            .with_seed(23)
-            .with_activity(cfd_scenario::service_traffic::ActivityModel::bursty(0.7, 0.4).unwrap())
-            .synthesize()
-            .unwrap();
-        assert_eq!(run_naive(8, &bursty), run_scheduler(8, &bursty, 3));
-    }
 }

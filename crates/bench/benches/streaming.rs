@@ -19,8 +19,10 @@
 //!
 //! The `incremental / batch` quotient is the headline of the PR (the
 //! acceptance bar is ≥ 4× at 127×127/8); the measured numbers are
-//! recorded in README.md and spliced into `BENCH_sweeps.json` by
-//! `section5_evaluation` as the `streaming` object the perf gate diffs.
+//! recorded in README.md. Full measured runs are a manual step (`cargo
+//! bench -p cfd-bench --bench streaming`); the repository benchmark's
+//! `service-1024ch` workload is what CI compares against the parent
+//! commit.
 //!
 //! Two more groups:
 //!

@@ -17,15 +17,47 @@
 //! | `fig7_systolic` | Fig. 7 register-based systolic array |
 //! | `fig8_fig9_folding` | Figs. 8–9 folded core and switch schedule |
 //! | `fig10_fig11_montium` | Figs. 10–11 Montium resources and CFD mapping |
-//! | `section5_evaluation` | Section 5 latency/bandwidth/area/power + scaling |
+//! | `section5_evaluation` | Section 5 latency/bandwidth/area/power + scaling; checks the SoC sweep rows against the golden model |
 //! | `functional_check` | cross-check of every implementation layer |
 //! | `detector_comparison` | CFD vs energy detector (the motivation of \[7\]) |
-//! | `bench_gate` | perf-regression gate over the uploaded JSON artefacts |
 
 #![warn(missing_docs)]
 
-pub mod gate;
-pub mod service_driver;
+// The service drivers are private to the `service` bench, their only
+// caller; compiled in here too so `cargo test` runs their unit test.
+#[cfg(test)]
+#[path = "../benches/service"]
+mod service_driver {
+    mod driver;
+    use cfd_scenario::service_traffic::ServiceTraffic;
+    use driver::*;
+
+    mod tests {
+        use super::*;
+
+        /// Both drivers agree on the decision count — over dense traffic
+        /// (slots − window + 1 decisions per channel) and bursty traffic
+        /// (parks restart the warm-up identically on both paths).
+        #[test]
+        fn drivers_emit_identical_decision_counts() {
+            let channels = 5;
+            let events = service_workload(channels);
+            let expected = (channels * (SERVICE_SLOTS - service_params().num_blocks + 1)) as u64;
+            assert_eq!(run_naive(channels, &events), expected);
+            assert_eq!(run_scheduler(channels, &events, 2), expected);
+
+            let bursty = ServiceTraffic::new("bpsk-awgn", 8, 16, service_params().block_stride)
+                .unwrap()
+                .with_seed(23)
+                .with_activity(
+                    cfd_scenario::service_traffic::ActivityModel::bursty(0.7, 0.4).unwrap(),
+                )
+                .synthesize()
+                .unwrap();
+            assert_eq!(run_naive(8, &bursty), run_scheduler(8, &bursty, 3));
+        }
+    }
+}
 
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::scf::ScfParams;

@@ -256,13 +256,11 @@ impl RocTable {
 
     /// Renders the table as a JSON document
     /// (`{"schema":2,"rows":[{"snr_db":…,"detector":…,"pd":…,"pfa":…,"trials":…},…]}`),
-    /// for machine-readable sweep results (e.g. `BENCH_*.json` trajectory
-    /// tracking). The `schema` field versions the document so trajectory
-    /// tooling can detect format changes — schema 2 marks the gated era
-    /// (documents CI's `bench_gate` compares against the previous run's
-    /// artifact); detector labels — which are arbitrary strings now that
-    /// third-party backends name themselves — are escaped per RFC 8259
-    /// (quotes, backslashes, control characters) via
+    /// for machine-readable sweep results. The `schema` field
+    /// ([`ROC_JSON_SCHEMA`]) versions the document so tooling that reads
+    /// it can detect format changes; detector labels — which are arbitrary
+    /// strings now that third-party backends name themselves — are escaped
+    /// per RFC 8259 (quotes, backslashes, control characters) via
     /// [`cfd_telemetry::json`]. The vendored `serde` is a marker-only
     /// stand-in, so the encoding is done here; the derives keep the types
     /// drop-in ready for the real `serde_json` once the build environment
@@ -290,10 +288,8 @@ impl RocTable {
     }
 }
 
-/// Schema version of [`RocTable::to_json`] documents. Version 2 marks the
-/// gated era: `BENCH_sweeps.json` artifacts are compared against the
-/// previous CI run by `bench_gate`, and the gate skips (passes with a note)
-/// when the schema of the previous document differs.
+/// Schema version of [`RocTable::to_json`] documents; bumped whenever the
+/// document's shape changes.
 pub const ROC_JSON_SCHEMA: u64 = 2;
 
 /// Builds and runs an SNR sweep over any roster of [`SensingBackend`]s.
