@@ -3,11 +3,13 @@
 //! `¼K²` complex multiplications versus `½K·log2 K` for the FFT — 16× for
 //! K = 256), plus the `dscf_kernel` group comparing the eq.-3 golden model
 //! against the table-driven, symmetry-halved [`ScfEngine`] at the paper's
-//! 127×127 scale.
+//! 127×127 scale, and the `signal` group timing the ziggurat noise source
+//! that feeds every seeded observation.
 
+use cfd_dsp::complex::Cplx;
 use cfd_dsp::fft::{fft, FftPlan};
 use cfd_dsp::scf::{dscf_reference, ScfEngine, ScfMatrix, ScfParams};
-use cfd_dsp::signal::awgn;
+use cfd_dsp::signal::{awgn, awgn_into};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use tiled_soc::config::{ExecutionMode, SocConfig};
@@ -259,12 +261,34 @@ fn bench_fft_plan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Gaussian noise source: `awgn_into` filling one 2048-sample buffer
+/// (one `fusion-coop` member observation). The row reports ns per call;
+/// divide by 2048 for ns per complex sample.
+fn bench_signal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("signal");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    let mut noise = vec![Cplx::ZERO; 2048];
+    let mut seed = 0u64;
+    group.bench_function("awgn_into_2048", |b| {
+        b.iter(|| {
+            seed = seed.wrapping_add(1);
+            awgn_into(&mut noise, 1.0, seed);
+            noise[0]
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_fft,
     bench_dscf,
     bench_dscf_kernel,
     bench_soc_block,
-    bench_fft_plan
+    bench_fft_plan,
+    bench_signal
 );
 criterion_main!(benches);

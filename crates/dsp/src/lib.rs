@@ -33,11 +33,23 @@
 //!     .seed(8)
 //!     .build()?;
 //!
-//! // Evaluate the DSCF (eq. 3) and look for cyclic features.
-//! let scf = dscf_reference(&observation.samples, &params)?;
-//! let detector = CyclostationaryDetector::new(params, 0.35, 1)?;
-//! let outcome = detector.detect_from_scf(&scf);
-//! assert!(outcome.decision.is_signal());
+//! // The same noise without the licensed user.
+//! let vacant = SignalBuilder::new(params.samples_needed())
+//!     .noise_only()
+//!     .seed(8)
+//!     .build()?;
+//!
+//! // Evaluate the DSCF (eq. 3) and look for cyclic features: the user's
+//! // symbol rate lifts the feature statistic over its noise alone, which
+//! // stays below the threshold. (At 0 dB the 0.35 threshold sits near the
+//! // occupied statistic's median, so it flags only about half of such
+//! // observations; `cfd_scenario::eval::calibrate_cfd_threshold` sets a
+//! // threshold from a false-alarm target instead.)
+//! let detector = CyclostationaryDetector::new(params.clone(), 0.35, 1)?;
+//! let occupied = detector.detect_from_scf(&dscf_reference(&observation.samples, &params)?);
+//! let vacant = detector.detect_from_scf(&dscf_reference(&vacant.samples, &params)?);
+//! assert!(!vacant.decision.is_signal());
+//! assert!(occupied.statistic > vacant.statistic);
 //! # Ok(())
 //! # }
 //! ```

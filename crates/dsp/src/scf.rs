@@ -2345,14 +2345,17 @@ mod tests {
     /// accumulator and retired again leaves every cell exactly zero, and a
     /// fixed sequence of six adds and two retires reproduces recorded
     /// accumulator bits — on a 15×15 grid and on a 63×63 grid with
-    /// overlapping blocks.
+    /// overlapping blocks. The input is `awgn` noise: the hashes were
+    /// re-recorded when that noise moved to the ziggurat generator, with
+    /// this kernel unchanged, so they pin the same arithmetic on the new
+    /// noise.
     #[test]
     fn retire_pass_is_pinned_bit_exactly() {
         let cases = [
-            (ScfParams::new(32, 7, 6).unwrap(), 0xb492_cf03_e16d_9af4),
+            (ScfParams::new(32, 7, 6).unwrap(), 0x97e0_762a_c315_2042),
             (
                 ScfParams::new(64, 31, 6).unwrap().with_stride(40),
-                0x68f4_4549_ec70_410e,
+                0xf1da_9c37_d310_aa6d,
             ),
         ];
         for (params, recorded) in cases {

@@ -13,15 +13,25 @@
 //! * [`complex_tone`], [`real_carrier`] — deterministic carriers,
 //! * [`SymbolModulation`] + [`modulated_signal`] — BPSK/QPSK/AM pulse-train
 //!   signals with a configurable symbol length,
-//! * [`awgn`], [`awgn_into`] — complex additive white Gaussian noise,
+//! * [`GaussianNoise`], [`awgn`], [`awgn_into`] — complex additive white
+//!   Gaussian noise, and [`standard_normal`] for a single real draw,
 //! * [`SignalBuilder`] — composes signal plus noise at a prescribed SNR.
+//!
+//! Every Gaussian draw comes from one 256-layer ziggurat (Marsaglia &
+//! Tsang, "The Ziggurat Method for Generating Random Variables", J. Stat.
+//! Softw. 5(8), 2000), with the layer index and the uniform taken from
+//! disjoint bits of one 64-bit word (Doornik, "An Improved Ziggurat Method
+//! to Generate Normal Random Samples", 2005). It is plain scalar code: no
+//! SIMD-tier dispatch and no fused multiply-add, so a seeded realisation
+//! does not depend on the host's vector tier. The platform `exp` and `ln`
+//! are called only on the rare wedge and tail branches.
 
 use crate::complex::Cplx;
 use crate::error::DspError;
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Generates a unit-amplitude complex exponential `exp(j·2π·f·t/fs)`.
 ///
@@ -162,7 +172,13 @@ pub fn modulated_signal(
 /// Generates complex additive white Gaussian noise with total (complex)
 /// variance `variance` — i.e. each of the real and imaginary parts has
 /// variance `variance / 2`. Allocates the result; [`awgn_into`] writes the
-/// same samples into a caller buffer.
+/// same samples into a caller buffer. The samples are the first `len`
+/// items of [`GaussianNoise::new`]`(variance, seed)`: ziggurat draws (see
+/// the module docs), so a realisation is the same on every SIMD tier.
+///
+/// # Panics
+///
+/// Panics if `variance` is negative or not finite.
 pub fn awgn(len: usize, variance: f64, seed: u64) -> Vec<Cplx> {
     let mut noise = vec![Cplx::ZERO; len];
     awgn_into(&mut noise, variance, seed);
@@ -171,33 +187,160 @@ pub fn awgn(len: usize, variance: f64, seed: u64) -> Vec<Cplx> {
 
 /// Fills `out` with the first `out.len()` samples of [`awgn`]`(_, variance,
 /// seed)`, bit for bit, without allocating.
+///
+/// # Panics
+///
+/// Panics if `variance` is negative or not finite.
 pub fn awgn_into(out: &mut [Cplx], variance: f64, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let std_dev = (variance / 2.0).max(0.0).sqrt();
-    let normal = GaussianPair { std_dev };
-    for sample in out {
-        *sample = normal.sample(&mut rng);
+    for (sample, noise) in out.iter_mut().zip(GaussianNoise::new(variance, seed)) {
+        *sample = noise;
     }
 }
 
-/// Samples a complex Gaussian with independent real/imaginary parts using
-/// the Box–Muller transform (keeps the dependency surface to `rand` only).
-#[derive(Debug, Clone, Copy)]
-struct GaussianPair {
+/// An endless stream of complex Gaussian samples with total variance
+/// `variance`, seeded by `seed`: the one noise source behind [`awgn`],
+/// [`awgn_into`] and the channel overlays that add noise in place.
+///
+/// The real and imaginary parts of each sample are two successive
+/// [`standard_normal`] draws from `StdRng::seed_from_u64(seed)`, scaled by
+/// `sqrt(variance / 2)`.
+#[derive(Debug, Clone)]
+pub struct GaussianNoise {
+    rng: StdRng,
     std_dev: f64,
+    tables: &'static ZigguratTables,
 }
 
-impl Distribution<Cplx> for GaussianPair {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Cplx {
-        // Box–Muller: two uniforms -> two independent standard normals.
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let radius = (-2.0 * u1.ln()).sqrt();
-        let angle = 2.0 * PI * u2;
-        Cplx::new(
-            self.std_dev * radius * angle.cos(),
-            self.std_dev * radius * angle.sin(),
-        )
+impl GaussianNoise {
+    /// Creates the stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `variance` is negative or not finite: a NaN or negative
+    /// noise power is a caller bug, not a noiseless floor.
+    pub fn new(variance: f64, seed: u64) -> Self {
+        assert!(
+            variance.is_finite() && variance >= 0.0,
+            "noise variance must be finite and non-negative, got {variance}"
+        );
+        GaussianNoise {
+            rng: StdRng::seed_from_u64(seed),
+            std_dev: (variance / 2.0).sqrt(),
+            tables: ziggurat_tables(),
+        }
+    }
+}
+
+impl Iterator for GaussianNoise {
+    type Item = Cplx;
+
+    #[inline]
+    fn next(&mut self) -> Option<Cplx> {
+        let re = ziggurat_normal(self.tables, &mut self.rng);
+        let im = ziggurat_normal(self.tables, &mut self.rng);
+        Some(Cplx::new(self.std_dev * re, self.std_dev * im))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
+}
+
+/// Draws one standard normal (zero mean, unit variance) from `rng` with
+/// the ziggurat of [`GaussianNoise`]. About 98.5% of draws return after
+/// one `next_u64` and one multiply-compare; the rest take the wedge or
+/// tail branch.
+pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    ziggurat_normal(ziggurat_tables(), rng)
+}
+
+/// Number of ziggurat layers; the low 8 bits of a draw pick one.
+const ZIGGURAT_LAYERS: usize = 256;
+/// Where the base layer's rectangle ends and the tail begins.
+const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+/// The area of every layer under `exp(-x²/2)`, the base layer's tail
+/// included.
+const ZIGGURAT_V: f64 = 0.004_928_673_233_99;
+
+/// Layer edges `x[0] > x[1] = R > … > x[255] > x[256] = 0`, where `x[0] =
+/// V / f(R)` is the base layer's virtual width, and the density `f(x) =
+/// exp(-x²/2)` at each edge.
+#[derive(Debug)]
+struct ZigguratTables {
+    x: [f64; ZIGGURAT_LAYERS + 1],
+    f: [f64; ZIGGURAT_LAYERS + 1],
+}
+
+fn ziggurat_tables() -> &'static ZigguratTables {
+    static TABLES: OnceLock<ZigguratTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let density = |x: f64| (-0.5 * x * x).exp();
+        let mut x = [0.0; ZIGGURAT_LAYERS + 1];
+        x[0] = ZIGGURAT_V / density(ZIGGURAT_R);
+        x[1] = ZIGGURAT_R;
+        // Each layer `[x[i+1], x[i]]` encloses area V: x[i]·(f(x[i+1]) −
+        // f(x[i])) = V. The top layer closes on x[256] = 0.
+        for i in 1..ZIGGURAT_LAYERS - 1 {
+            x[i + 1] = (-2.0 * (ZIGGURAT_V / x[i] + density(x[i])).ln()).sqrt();
+        }
+        ZigguratTables {
+            x,
+            f: x.map(density),
+        }
+    })
+}
+
+/// The top 52 bits of `bits` as a uniform in the open interval (-1, 1),
+/// symmetric about 0.
+#[inline]
+fn symmetric_uniform(bits: u64) -> f64 {
+    ((bits >> 12) as f64 + 0.5) * (1.0 / (1u64 << 51) as f64) - 1.0
+}
+
+/// The top 52 bits of `bits` as a uniform in the open interval (0, 1).
+#[inline]
+fn open_unit(bits: u64) -> f64 {
+    ((bits >> 12) as f64 + 0.5) * (1.0 / (1u64 << 52) as f64)
+}
+
+/// One ziggurat draw: the low 8 bits of a word pick a layer, its top 52
+/// bits a uniform point across it. A point inside the layer's core
+/// rectangle is returned at once; a point in the wedge is accepted
+/// against the density with one extra uniform; a point past `R` in the
+/// base layer is replaced by a tail draw (Marsaglia's 1964 exponential
+/// method).
+#[inline]
+fn ziggurat_normal<R: RngCore + ?Sized>(tables: &ZigguratTables, rng: &mut R) -> f64 {
+    loop {
+        let bits = rng.next_u64();
+        let layer = (bits & 0xFF) as usize;
+        let u = symmetric_uniform(bits);
+        let x = u * tables.x[layer];
+        if x.abs() < tables.x[layer + 1] {
+            return x;
+        }
+        if layer == 0 {
+            return normal_tail(rng, u < 0.0);
+        }
+        let (f_outer, f_inner) = (tables.f[layer], tables.f[layer + 1]);
+        if f_outer + (f_inner - f_outer) * open_unit(rng.next_u64()) < (-0.5 * x * x).exp() {
+            return x;
+        }
+    }
+}
+
+/// A draw from the normal tail beyond `R` (negated if `negative`):
+/// Marsaglia's method, with `x = ln(u₁)/R` and `y = ln(u₂)` until
+/// `-2y ≥ x²`.
+#[cold]
+fn normal_tail<R: RngCore + ?Sized>(rng: &mut R, negative: bool) -> f64 {
+    loop {
+        let x = open_unit(rng.next_u64()).ln() / ZIGGURAT_R;
+        let y = open_unit(rng.next_u64()).ln();
+        if -2.0 * y >= x * x {
+            let magnitude = ZIGGURAT_R - x;
+            return if negative { -magnitude } else { magnitude };
+        }
     }
 }
 
@@ -497,6 +640,153 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `count` standard-normal draws: the real and imaginary parts of
+    /// unit-component-variance complex noise, in stream order.
+    fn standard_draws(count: usize, seed: u64) -> impl Iterator<Item = f64> {
+        GaussianNoise::new(2.0, seed)
+            .take(count.div_ceil(2))
+            .flat_map(|z| [z.re, z.im])
+            .take(count)
+    }
+
+    /// The standard normal CDF, via the Chebyshev-fitted `erfc` of
+    /// Numerical Recipes (fractional error below 1.2e-7).
+    fn normal_cdf(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = [
+            -1.265_512_23,
+            1.000_023_68,
+            0.374_091_96,
+            0.096_784_18,
+            -0.186_288_06,
+            0.278_868_07,
+            -1.135_203_98,
+            1.488_515_87,
+            -0.822_152_23,
+            0.170_872_77,
+        ]
+        .iter()
+        .rev()
+        .fold(0.0, |acc, &c| c + t * acc);
+        let erfc = t * (-z * z + poly).exp();
+        if x >= 0.0 {
+            1.0 - 0.5 * erfc
+        } else {
+            0.5 * erfc
+        }
+    }
+
+    #[test]
+    fn ziggurat_layers_close_at_the_top() {
+        let tables = ziggurat_tables();
+        let top = ZIGGURAT_LAYERS - 1;
+        assert_eq!(tables.x[ZIGGURAT_LAYERS], 0.0);
+        assert_eq!(tables.x[1], ZIGGURAT_R);
+        assert!(tables.x.windows(2).all(|pair| pair[0] > pair[1]));
+        let top_area = tables.x[top] * (tables.f[top + 1] - tables.f[top]);
+        assert!(
+            (top_area - ZIGGURAT_V).abs() < 1e-9 * ZIGGURAT_V,
+            "top layer area {top_area}, every layer should enclose {ZIGGURAT_V}"
+        );
+    }
+
+    #[test]
+    fn ziggurat_moments_match_the_standard_normal() {
+        let n = 2_000_000;
+        let (mut s1, mut s2, mut s4, mut lag1) = (0.0, 0.0, 0.0, 0.0);
+        let mut previous = 0.0;
+        for x in standard_draws(n, 0x2166) {
+            let x2 = x * x;
+            s1 += x;
+            s2 += x2;
+            s4 += x2 * x2;
+            lag1 += previous * x;
+            previous = x;
+        }
+        let mean = s1 / n as f64;
+        let variance = s2 / n as f64 - mean * mean;
+        let kurtosis = (s4 / n as f64) / (variance * variance);
+        // Successive draws (so also a sample's real and imaginary parts)
+        // are uncorrelated: sigma of this estimate is 1/sqrt(n) ≈ 7e-4.
+        let serial = lag1 / n as f64;
+        assert!(mean.abs() < 0.005, "mean {mean}");
+        assert!((variance - 1.0).abs() < 0.01, "variance {variance}");
+        assert!((kurtosis - 3.0).abs() < 0.05, "kurtosis {kurtosis}");
+        assert!(serial.abs() < 0.005, "lag-1 correlation {serial}");
+    }
+
+    #[test]
+    fn ziggurat_tail_mass_matches_the_normal_beyond_r() {
+        let n = 4_000_000;
+        let beyond = standard_draws(n, 0x7A11)
+            .filter(|x| x.abs() > ZIGGURAT_R)
+            .count();
+        let expected = 2.0 * (1.0 - normal_cdf(ZIGGURAT_R)) * n as f64;
+        assert!((expected / n as f64 - 2.58e-4).abs() < 1e-6);
+        assert!(
+            (beyond as f64 - expected).abs() < 0.2 * expected,
+            "{beyond} draws beyond R, expected {expected:.0}"
+        );
+    }
+
+    #[test]
+    fn ziggurat_passes_a_chi_squared_test_against_the_normal_cdf() {
+        // 40 bins of width 0.2 across [-4, 4] plus the two tails: 41
+        // degrees of freedom, whose 0.999 quantile is about 74.8.
+        let n = 2_000_000;
+        let edges: Vec<f64> = (0..=40).map(|k| -4.0 + 0.2 * k as f64).collect();
+        let mut counts = [0usize; 42];
+        for x in standard_draws(n, 0xC41) {
+            counts[edges.partition_point(|&edge| edge <= x)] += 1;
+        }
+        let mut cdf = vec![0.0];
+        cdf.extend(edges.iter().map(|&edge| normal_cdf(edge)));
+        cdf.push(1.0);
+        let chi2: f64 = counts
+            .iter()
+            .zip(cdf.windows(2))
+            .map(|(&count, bin)| {
+                let expected = (bin[1] - bin[0]) * n as f64;
+                (count as f64 - expected).powi(2) / expected
+            })
+            .sum();
+        assert!(chi2 < 74.8, "chi-squared {chi2} over 41 degrees of freedom");
+    }
+
+    /// The realisation itself is pinned at its own layer: the first eight
+    /// samples of `awgn(8, 2.0, 0x5EED)`, bit for bit.
+    #[test]
+    fn awgn_realisation_is_pinned() {
+        const EXPECTED: [(u64, u64); 8] = [
+            (0x3FF6_7C6B_A3D9_5EF0, 0x3FFE_51FA_1610_210B),
+            (0x3FF7_1764_45D5_9885, 0x4009_37C6_C85F_58FE),
+            (0x3FF1_B253_1C11_7A1C, 0x3FB2_8989_10A9_D00E),
+            (0xBFDE_E859_6EB7_F8DF, 0xBFD9_970E_021A_499E),
+            (0x3FCA_7389_3AA3_076C, 0x3FF2_A2BF_5EB7_4BA6),
+            (0xC000_0BE5_696D_FA97, 0x3FE7_7F55_F6C4_D305),
+            (0x3FCD_876C_C5DD_45AD, 0xBFF6_36DA_0C5F_AAE0),
+            (0x3FDA_02E4_9A63_80D2, 0xBFEA_0DEC_EE3B_0498),
+        ];
+        let bits: Vec<(u64, u64)> = awgn(8, 2.0, 0x5EED)
+            .iter()
+            .map(|x| (x.re.to_bits(), x.im.to_bits()))
+            .collect();
+        assert_eq!(bits, EXPECTED);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise variance must be finite and non-negative")]
+    fn awgn_into_refuses_a_nan_variance() {
+        awgn_into(&mut [Cplx::ZERO; 4], f64::NAN, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "noise variance must be finite and non-negative")]
+    fn awgn_into_refuses_a_negative_variance() {
+        awgn_into(&mut [Cplx::ZERO; 4], -1.0, 1);
     }
 
     #[test]

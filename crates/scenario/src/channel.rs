@@ -10,7 +10,9 @@
 use crate::error::ScenarioError;
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::fixed::Q15;
-use cfd_dsp::signal::{awgn, frequency_shift, normalise_power, signal_power};
+use cfd_dsp::signal::{
+    frequency_shift, normalise_power, signal_power, standard_normal, GaussianNoise,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -291,22 +293,16 @@ impl ChannelStage {
         }
     }
 
-    fn apply(&self, samples: Vec<Cplx>, seed: u64) -> Vec<Cplx> {
+    fn apply(&self, mut samples: Vec<Cplx>, seed: u64) -> Vec<Cplx> {
         match self {
             ChannelStage::Awgn {
                 snr_db,
                 noise_power,
             } => {
-                let noise = awgn(samples.len(), *noise_power, seed);
-                let mut out = Vec::with_capacity(samples.len());
-                add_awgn(
-                    samples.iter().copied(),
-                    signal_power(&samples),
-                    (*snr_db, *noise_power),
-                    &noise,
-                    &mut out,
-                );
-                out
+                let power = signal_power(&samples);
+                let noise = GaussianNoise::new(*noise_power, seed);
+                combine_awgn(&mut samples, power, (*snr_db, *noise_power), noise);
+                samples
             }
             ChannelStage::CarrierOffset { normalised, phase } => {
                 frequency_shift(&samples, *normalised, *phase)
@@ -353,13 +349,11 @@ impl ChannelStage {
                     .map(|t| 10f64.powf(-(t as f64) * decay_db / 10.0))
                     .collect();
                 let weight_sum: f64 = weights.iter().sum();
-                let draws = awgn(*taps, 1.0, mix_seed(seed, 0xFA0E_0021));
-                let gains: Vec<Cplx> = draws
-                    .iter()
+                let gains: Vec<Cplx> = GaussianNoise::new(1.0, mix_seed(seed, 0xFA0E_0021))
                     .zip(weights.iter())
-                    .map(|(&g, &w)| g * (w / weight_sum).sqrt())
+                    .map(|(g, &w)| g * (w / weight_sum).sqrt())
                     .collect();
-                let faded: Vec<Cplx> = (0..samples.len())
+                let mut faded: Vec<Cplx> = (0..samples.len())
                     .map(|t| {
                         gains
                             .iter()
@@ -375,15 +369,12 @@ impl ChannelStage {
                 let energy: f64 = gains.iter().map(|h| h.norm_sqr()).sum();
                 let topup = ((1.0 - energy) * noise_power).max(0.0);
                 if topup > 0.0 {
-                    let floor = awgn(faded.len(), topup, mix_seed(seed, 0xFA0E_0022));
-                    faded
-                        .iter()
-                        .zip(floor.iter())
-                        .map(|(&s, &w)| s + w)
-                        .collect()
-                } else {
-                    faded
+                    let floor = GaussianNoise::new(topup, mix_seed(seed, 0xFA0E_0022));
+                    for (s, w) in faded.iter_mut().zip(floor) {
+                        *s += w;
+                    }
                 }
+                faded
             }
             ChannelStage::LogNormalShadowing {
                 sigma_db,
@@ -391,16 +382,16 @@ impl ChannelStage {
             } => {
                 // One dB-domain Gaussian draw per realisation, folded to
                 // attenuation (see the variant docs for why).
-                let normal = awgn(1, 2.0, mix_seed(seed, 0x5AAD_0057))[0].re;
+                let normal =
+                    standard_normal(&mut StdRng::seed_from_u64(mix_seed(seed, 0x5AAD_0057)));
                 let shadow_db = -(normal * sigma_db).abs();
                 let gain = 10f64.powf(shadow_db / 20.0);
                 let topup = (1.0 - gain * gain) * noise_power;
-                let floor = awgn(samples.len(), topup, mix_seed(seed, 0x5AAD_0058));
+                let floor = GaussianNoise::new(topup, mix_seed(seed, 0x5AAD_0058));
+                for (s, w) in samples.iter_mut().zip(floor) {
+                    *s = *s * gain + w;
+                }
                 samples
-                    .iter()
-                    .zip(floor.iter())
-                    .map(|(&s, &w)| s * gain + w)
-                    .collect()
             }
             ChannelStage::AdjacentChannelInterferer {
                 offset,
@@ -442,29 +433,43 @@ impl ChannelStage {
                 let hits: Vec<usize> = (0..samples.len())
                     .filter(|_| mask.gen_bool(*probability))
                     .collect();
-                let impulses = awgn(hits.len(), *impulse_power, mix_seed(seed, 0x1A4B_5C6D));
-                let mut out = samples;
-                for (&t, &impulse) in hits.iter().zip(impulses.iter()) {
-                    out[t] += impulse;
+                let impulses = GaussianNoise::new(*impulse_power, mix_seed(seed, 0x1A4B_5C6D));
+                for (&t, impulse) in hits.iter().zip(impulses) {
+                    samples[t] += impulse;
                 }
-                out
+                samples
             }
         }
     }
 }
 
-/// The [`ChannelStage::Awgn`] combine `s·gain + w`, written into `out`:
-/// `gain` scales a `signal` of average power `power` to `snr_db` over the
-/// `noise_power` floor, and is 1 for a zero-power signal, which just
-/// receives the noise floor. The one implementation behind the stage and
-/// behind the per-SNR combine of a
-/// [`TrialDraw`](crate::scenario::TrialDraw).
+/// The [`ChannelStage::Awgn`] combine over stored `noise`, written into
+/// `out` — the per-SNR combine of a
+/// [`TrialDraw`](crate::scenario::TrialDraw). It copies the signal into
+/// `out` and runs [`combine_awgn`] there, the same combine the stage
+/// applies in place as it draws the noise.
 pub(crate) fn add_awgn(
     signal: impl Iterator<Item = Cplx>,
     power: f64,
-    (snr_db, noise_power): (f64, f64),
+    awgn: (f64, f64),
     noise: &[Cplx],
     out: &mut Vec<Cplx>,
+) {
+    out.clear();
+    out.extend(signal.take(noise.len()));
+    combine_awgn(out, power, awgn, noise.iter().copied());
+}
+
+/// The [`ChannelStage::Awgn`] combine `s·gain + w`, in place over
+/// `samples`: `gain` scales a signal of average power `power` to `snr_db`
+/// over the `noise_power` floor, and is 1 for a zero-power signal, which
+/// just receives the noise floor. The one implementation behind the stage
+/// and behind [`add_awgn`].
+fn combine_awgn(
+    samples: &mut [Cplx],
+    power: f64,
+    (snr_db, noise_power): (f64, f64),
+    noise: impl Iterator<Item = Cplx>,
 ) {
     let gain = if power > 0.0 {
         let target = noise_power * 10f64.powf(snr_db / 10.0);
@@ -472,8 +477,9 @@ pub(crate) fn add_awgn(
     } else {
         1.0
     };
-    out.clear();
-    out.extend(signal.zip(noise).map(|(s, &w)| s * gain + w));
+    for (s, w) in samples.iter_mut().zip(noise) {
+        *s = *s * gain + w;
+    }
 }
 
 /// An ordered list of channel stages.

@@ -286,14 +286,23 @@ fn fusion_center_runs_in_sweeps_and_scheduler_channels() {
 }
 
 /// The quantified shadowing-margin claim (see README "Cooperative
-/// sensing"): at 0 dB SNR under 12 dB log-normal shadowing, a single
-/// shadowed CFD sensor calibrated to Pfa 0.1 detects less than half the
-/// occupied trials, while a 4-sensor OR-fused fleet — each member behind
-/// its own independent shadow realisation, thresholds re-calibrated to
-/// Pfa 0.1/4 so the fleet's false-alarm rate stays at or below the solo
-/// budget — recovers ≥ 0.9 Pd. Every number here is deterministic: the
-/// calibration, the trials and the per-sensor realisations are all
-/// seeded, and fused sweeps are worker-count invariant.
+/// sensing"): at 0 dB SNR under 12 dB log-normal shadowing, a 4-sensor
+/// OR-fused fleet — each member behind its own independent shadow
+/// realisation, thresholds re-calibrated to Pfa 0.1/4 — detects at least
+/// 0.25 more of the occupied trials than a single shadowed CFD sensor
+/// calibrated to Pfa 0.1, with both false-alarm rates within ±0.06 of
+/// the 0.1 budget and within 0.065 of each other.
+///
+/// The bounds are the expectation minus at least 3 binomial σ at these
+/// 400 trials. With these seeds at 8000 trials the single sensor sits at
+/// Pd 0.512 / Pfa 0.093 and the fleet at Pd 0.873 / Pfa 0.088 (a 0.36 Pd
+/// gain; σ of the gain ≈ 0.03, of each Pfa ≈ 0.015 and of their
+/// difference ≈ 0.021 at 400 trials).
+/// The sharper "single < 0.5, fleet ≥ 0.9" form is false in expectation
+/// on both the ziggurat noise and the noise generator it replaced. Every
+/// number here is deterministic: the calibration, the trials and the
+/// per-sensor realisations are all seeded, and fused sweeps are
+/// worker-count invariant.
 #[test]
 fn or_fusion_recovers_the_shadowing_margin() {
     let params = ScfParams::new(32, 7, 128).unwrap();
@@ -327,18 +336,21 @@ fn or_fusion_recovers_the_shadowing_margin() {
     let single_row = &table.rows[0];
     let fleet_row = &table.rows[1];
     assert!(
-        single_row.pd < 0.5,
-        "a single shadowed sensor must sit below 0.5 Pd here, got {}",
-        single_row.pd
-    );
-    assert!(
-        fleet_row.pd >= 0.9,
-        "the 4-sensor OR fleet must recover >= 0.9 Pd, got {}",
+        fleet_row.pd - single_row.pd >= 0.25,
+        "the 4-sensor OR fleet must gain >= 0.25 Pd over one shadowed sensor, got {} -> {}",
+        single_row.pd,
         fleet_row.pd
     );
+    for (row, name) in [(single_row, "single"), (fleet_row, "fleet")] {
+        assert!(
+            (row.pfa - target_pfa).abs() <= 0.06,
+            "{name} Pfa {} must match the {target_pfa} budget within 0.06",
+            row.pfa
+        );
+    }
     assert!(
-        fleet_row.pfa <= single_row.pfa,
-        "fleet Pfa {} must not exceed the solo budget {}",
+        (fleet_row.pfa - single_row.pfa).abs() <= 0.065,
+        "the fleet's Pfa {} must match the single sensor's {} within 0.065",
         fleet_row.pfa,
         single_row.pfa
     );

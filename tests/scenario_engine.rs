@@ -204,72 +204,73 @@ fn fingerprint(samples: &[Cplx]) -> u64 {
 /// +3 dB over trials 0–3 at seed 0x5EED, one fingerprint per
 /// `(preset, condition)` folding the four trials in order. A change to any
 /// generator, seed derivation or channel stage moves a fingerprint; such a
-/// change must re-pin this table explicitly.
+/// change must re-pin this table explicitly (last re-pinned when the
+/// Gaussian noise moved to the ziggurat generator).
 #[test]
 fn observe_realisations_are_pinned() {
     const EXPECTED: [(&str, [u64; 3]); 8] = [
         (
             "bpsk-awgn",
             [
-                0xD89E_7357_04DE_4941,
-                0xE818_226D_5F11_8BDE,
-                0x1581_6654_F2D9_FEA4,
+                0x8512_191E_D16F_8DED,
+                0xCD7C_CA75_4149_6F59,
+                0xB6E1_FDFB_DE18_0944,
             ],
         ),
         (
             "qpsk-offset",
             [
-                0x6AE4_4F9C_B459_867C,
-                0x3025_0965_8D5D_9527,
-                0x44F7_8321_BFB9_9F0C,
+                0x5FF5_87A3_8654_CE41,
+                0x80A6_EFB3_F8E8_A251,
+                0x6746_09C1_341A_DC3F,
             ],
         ),
         (
             "bpsk-two-ray",
             [
-                0x6AE4_4F9C_B459_867C,
-                0xFA59_4CAB_A06D_0434,
-                0x002A_C462_C5B4_75A1,
+                0x5FF5_87A3_8654_CE41,
+                0xC763_8E65_8586_0212,
+                0xC2AB_CFEC_0CC5_4C94,
             ],
         ),
         (
             "ofdm-pilot",
             [
-                0xD89E_7357_04DE_4941,
-                0x75F6_375F_F156_B31A,
-                0x05A7_60AD_527E_AE49,
+                0x8512_191E_D16F_8DED,
+                0xA778_3A4F_07C9_BDE2,
+                0x8090_4BE8_ED46_2BCF,
             ],
         ),
         (
             "bpsk-adc",
             [
-                0x0E94_542A_CDCA_89B1,
-                0x1AED_13AD_6745_9886,
-                0x7800_E8FE_5EA2_5FA3,
+                0xAD08_DF62_C752_BA38,
+                0x9377_5EB3_26CF_5927,
+                0x6A26_D68E_0844_3DEC,
             ],
         ),
         (
             "bpsk-impulsive",
             [
-                0x9743_AE6E_52AB_C1A7,
-                0x0624_4897_43BA_EBCC,
-                0x1F17_A593_AECA_6A61,
+                0x9446_7E94_1A5F_7863,
+                0x63BD_09CF_57A0_173F,
+                0x48E3_C5D0_D187_B0A7,
             ],
         ),
         (
             "bpsk-rayleigh-shadowed",
             [
-                0xF0EF_A999_F085_D5DC,
-                0xDCD0_C983_6BB4_E598,
-                0xC39D_D268_F613_C538,
+                0x2347_6569_A71D_3898,
+                0x042D_332C_068C_A88C,
+                0xFEC2_B15C_38FC_1102,
             ],
         ),
         (
             "ofdm-adjacent-interferer",
             [
-                0xCB6E_3E3B_6665_A8BB,
-                0x0459_EF6A_DA54_1826,
-                0x2328_E7D5_994B_0CE1,
+                0xC29E_BF5F_C41C_1569,
+                0xC752_4179_1A99_1384,
+                0x0495_CEC4_0BC7_C18E,
             ],
         ),
     ];

@@ -337,9 +337,11 @@ fn statistic_hash(decisions: &[Decision]) -> u64 {
 /// The streamed statistics of the service geometry (64-point FFT, ±15,
 /// 32 blocks, no plane cache, a refresh every 64 hops) are pinned bit for
 /// bit: 300 decisions over a BPSK burst in noise, fed one hop per push,
-/// hash to a value recorded before the incremental hop was fused. Any
-/// change to the per-hop arithmetic — retire, add, profile fold, phase
-/// frames — moves the hash.
+/// hash to a recorded value. It was first recorded before the incremental
+/// hop was fused, and re-recorded when the noise moved to the ziggurat
+/// generator with the DSCF, FFT and streaming code unchanged, so it pins
+/// the same per-hop arithmetic on the new noise. Any change to that
+/// arithmetic — retire, add, profile fold, phase frames — moves the hash.
 #[test]
 fn streamed_statistics_are_pinned() {
     let params = ScfParams::new(64, 15, 32).unwrap();
@@ -365,7 +367,7 @@ fn streamed_statistics_are_pinned() {
     }
     assert_eq!(streamed.len(), decisions);
     assert_eq!(sensor.exact_refreshes(), 5);
-    assert_eq!(statistic_hash(&streamed), 0xb395_b8c3_07da_b2d1);
+    assert_eq!(statistic_hash(&streamed), 0xd3a8_ecae_2b50_baa6);
 }
 
 /// A backend that captures what it reads on every hop: the observation's
