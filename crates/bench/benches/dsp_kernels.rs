@@ -3,13 +3,16 @@
 //! `¼K²` complex multiplications versus `½K·log2 K` for the FFT — 16× for
 //! K = 256), plus the `dscf_kernel` group comparing the eq.-3 golden model
 //! against the table-driven, symmetry-halved [`ScfEngine`] at the paper's
-//! 127×127 scale, and the `signal` group timing the ziggurat noise source
-//! that feeds every seeded observation.
+//! 127×127 scale, the `fft_plan` and `block_spectrum` groups timing plan
+//! construction and one staged eq.-2 spectrum (window, FFT, rotation),
+//! and the `signal` group timing the ziggurat noise source that feeds
+//! every seeded observation.
 
 use cfd_dsp::complex::Cplx;
-use cfd_dsp::fft::{fft, FftPlan};
+use cfd_dsp::fft::{block_spectrum_into, fft, FftPlan};
 use cfd_dsp::scf::{dscf_reference, ScfEngine, ScfMatrix, ScfParams};
 use cfd_dsp::signal::{awgn, awgn_into};
+use cfd_dsp::window::Window;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 use tiled_soc::config::{ExecutionMode, SocConfig};
@@ -258,6 +261,33 @@ fn bench_fft_plan(c: &mut Criterion) {
             plan.forward_in_place(&mut buf).unwrap();
         });
     });
+    // Plan construction: every `ScfEngine::new` builds one, so this row
+    // is part of each workload's set-up time.
+    group.bench_function("new_256", |b| b.iter(|| FftPlan::new(n).unwrap()));
+    group.finish();
+}
+
+/// One eq.-2 block spectrum as the DSCF engine stages it: Hann window,
+/// 256-point FFT and the absolute-time phase rotation (the start is not a
+/// multiple of the block length, so the rotation runs), into a reused
+/// buffer.
+fn bench_block_spectrum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("block_spectrum");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    let n = 256;
+    let signal = awgn(2 * n, 1.0, 257);
+    let plan = FftPlan::new(n).unwrap();
+    let window = Window::Hann.coefficients(n);
+    let mut out = Vec::with_capacity(n);
+    group.bench_function(BenchmarkId::from_parameter(n), |b| {
+        b.iter(|| {
+            block_spectrum_into(&signal, 100, &plan, &window, &mut out).unwrap();
+            out[0]
+        });
+    });
     group.finish();
 }
 
@@ -289,6 +319,7 @@ criterion_group!(
     bench_dscf_kernel,
     bench_soc_block,
     bench_fft_plan,
+    bench_block_spectrum,
     bench_signal
 );
 criterion_main!(benches);

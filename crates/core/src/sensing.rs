@@ -532,6 +532,79 @@ mod tests {
         assert!(refused(&result), "{result:?}");
     }
 
+    /// One NaN or infinite sample — in the real or the imaginary part, at
+    /// any position of a block — never reads as vacant: the software
+    /// `cfd` backend and the analytic `cfd-soc` session both refuse the
+    /// observation, and the fused profile's feature statistic is
+    /// non-finite. Covers every position of one block at K = 32 (the
+    /// FFT's radix-2 tail) and K = 64, and every 17th sample of a
+    /// paper-grid observation.
+    #[test]
+    fn poisoned_samples_never_read_vacant() {
+        use cfd_dsp::detector::feature_statistic_from_profile;
+        use cfd_dsp::scf::ScfEngine;
+        let cases = [
+            (CfdApplication::new(32, 7, 4).unwrap(), 1, 1),
+            (CfdApplication::new(64, 15, 4).unwrap(), 1, 1),
+            (CfdApplication::paper_with_blocks(2), 2, 17),
+        ];
+        let poisons = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for (application, guard, every) in cases {
+            let params = application.scf_params().unwrap();
+            let engine = ScfEngine::new(params.clone()).unwrap();
+            let mut cfd = CyclostationaryDetector::new(params.clone(), 0.35, guard).unwrap();
+            let mut soc =
+                SensingSession::new(application, &Platform::paper(), 0.35, guard).unwrap();
+            let clean = observation(true, 0.0, params.samples_needed(), 11);
+            let positions = if every == 1 {
+                0..params.fft_len
+            } else {
+                0..clean.len()
+            };
+            let mut profile = Vec::new();
+            for at in positions.step_by(every) {
+                for poison in poisons {
+                    for in_re in [true, false] {
+                        let mut samples = clean.clone();
+                        if in_re {
+                            samples[at].re = poison;
+                        } else {
+                            samples[at].im = poison;
+                        }
+                        let case = format!(
+                            "K {} at {at}, {poison} in {}",
+                            params.fft_len,
+                            if in_re { "re" } else { "im" }
+                        );
+                        let result = cfd.decide(&mut Observation::from_samples(samples.clone()));
+                        assert!(
+                            matches!(
+                                result,
+                                Err(CfdError::NonFiniteStatistic { backend: "cfd", .. })
+                            ),
+                            "{case}: {result:?}"
+                        );
+                        let result = soc.decide(&mut Observation::from_samples(samples.clone()));
+                        assert!(
+                            matches!(
+                                result,
+                                Err(CfdError::NonFiniteStatistic {
+                                    backend: "cfd-soc",
+                                    ..
+                                })
+                            ),
+                            "{case}: {result:?}"
+                        );
+                        let spectra = engine.compute_spectra(&samples).unwrap();
+                        engine.cyclic_profile_from_spectra_into(&spectra, &mut profile);
+                        let statistic = feature_statistic_from_profile(&profile, guard);
+                        assert!(!statistic.is_finite(), "{case}: statistic {statistic}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn session_survives_a_failed_batch() {
         let mut session = sensor();

@@ -12,17 +12,17 @@
 //!
 //! is a plain sum of per-block contribution terms — so a sliding window
 //! only ever changes by one block per hop. [`StreamingSensor`] exploits
-//! that: it keeps a ring of the window's block spectra (and, memory budget
-//! permitting, their per-block DSCF contribution planes). Retained blocks
-//! are never re-FFT'd and never re-accumulated; an incremental hop does
-//! this much work:
+//! that: it keeps a ring of the window's block spectra (and, when a plane
+//! budget is configured and fits, their per-block DSCF contribution
+//! planes). Retained blocks are never re-FFT'd and never re-accumulated;
+//! an incremental hop does this much work:
 //!
 //! 1. **one** FFT for the incoming block, into its ring slot;
 //! 2. **one** O(grid) pass over the half-grid accumulator. Without cached
-//!    planes (`plane_budget_bytes = 0`, or a window over budget) it is
-//!    [`ScfEngine::slide_block`], which retires the re-phased outgoing
-//!    block, adds the incoming one and folds the cyclic-domain profile
-//!    from the still-hot cells. With cached planes it is a plane
+//!    planes (`plane_budget_bytes = 0`, the default, or a window over
+//!    budget) it is [`ScfEngine::slide_block`], which retires the
+//!    re-phased outgoing block, adds the incoming one and folds the
+//!    cyclic-domain profile from the still-hot cells. With cached planes it is a plane
 //!    subtraction and addition, then a profile scan of the accumulator;
 //! 3. a constant-time hand-off of the window: the sample tape lives in the
 //!    sensor's [`Observation`] buffer, so the window is a view of it and
@@ -116,11 +116,16 @@ fn instruments() -> &'static StreamInstruments {
 /// use cfd_core::stream::StreamingConfig;
 /// use cfd_dsp::scf::ScfParams;
 ///
-/// let config = StreamingConfig::new(ScfParams::paper_256_with_blocks(8))
-///     .with_refresh_interval(32);
+/// let params = ScfParams::paper_256_with_blocks(8);
+/// let config = StreamingConfig::new(params.clone()).with_refresh_interval(32);
 /// assert_eq!(config.refresh_interval, 32);
-/// // The paper-scale window's contribution planes fit the default budget.
-/// assert!(config.caches_planes());
+/// // By default a hop retires its outgoing block with the fused slide
+/// // pass and caches no contribution planes.
+/// assert!(!config.caches_planes());
+/// // The plane cache is an opt-in: the paper-scale window's planes need
+/// // about 1 MiB.
+/// let cached = StreamingConfig::new(params).with_plane_budget(4 << 20);
+/// assert!(cached.caches_planes());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
@@ -150,9 +155,11 @@ impl StreamingConfig {
     /// orders of magnitude below the 1e-12 parity bound at paper scales).
     pub const DEFAULT_REFRESH_INTERVAL: usize = 64;
 
-    /// Default plane-cache budget: 64 MiB (a paper-scale 127×127/8 window
-    /// needs ~1 MiB; 511×511/8 needs ~16 MiB).
-    pub const DEFAULT_PLANE_BUDGET_BYTES: usize = 64 << 20;
+    /// Default plane-cache budget: none. The fused slide retire
+    /// ([`ScfEngine::slide_block`]) never loses to the plane subtraction
+    /// beyond noise and needs no plane memory; a budget opts in (a
+    /// paper-scale 127×127/8 window needs ~1 MiB, 511×511/8 ~16 MiB).
+    pub const DEFAULT_PLANE_BUDGET_BYTES: usize = 0;
 
     /// A configuration with the default refresh interval and plane budget.
     pub fn new(params: ScfParams) -> Self {

@@ -65,6 +65,7 @@ pub mod fixed;
 pub mod metrics;
 pub mod scf;
 pub mod signal;
+mod tier;
 pub mod window;
 
 /// Convenience re-exports of the most commonly used items.

@@ -20,6 +20,7 @@
 use crate::complex::Cplx;
 use crate::error::DspError;
 use crate::fft::{block_spectrum, block_spectrum_into, FftPlan};
+use crate::tier::{vector_tier, VectorTier};
 use crate::window::Window;
 use std::cell::RefCell;
 use std::fmt;
@@ -702,30 +703,6 @@ fn chain_step<const KIND: u8>(
 /// 64 KiB across the re + im planes.
 fn band_rows(half: usize, p: usize) -> usize {
     (4096 / half).clamp(4, 512).min(p)
-}
-
-/// The widest vector tier the host supports (checked once per call site;
-/// the feature-detection macro caches the CPUID probe).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum VectorTier {
-    Generic,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-fn vector_tier() -> VectorTier {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return VectorTier::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return VectorTier::Avx2;
-        }
-    }
-    VectorTier::Generic
 }
 
 /// Normalises and mirrors one output row: `row[m + a] = acc[a]/N` for
@@ -2187,10 +2164,10 @@ mod tests {
     }
 
     /// The fused batch profile folds each band while it is hot instead of
-    /// scanning the finalised matrix, and must not move a bit doing so —
-    /// on finite input and with a NaN or infinite sample poisoning the
-    /// spectra — on the paper grid, mid-size and wideband grids, and an
-    /// overlapping-block geometry.
+    /// scanning the finalised matrix, and must not move a bit doing so
+    /// (a NaN may differ in sign or payload) — on finite input and with a
+    /// NaN or infinite sample poisoning the spectra — on the paper grid,
+    /// mid-size and wideband grids, and an overlapping-block geometry.
     #[test]
     fn fused_profile_is_bitwise_equal_to_matrix_scan() {
         let grids = [
@@ -2199,8 +2176,15 @@ mod tests {
             ScfParams::new(64, 31, 5).unwrap(),
             ScfParams::new(512, 255, 3).unwrap(),
         ];
-        let same_bits = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        // An infinite sample reaches the DSCF as infinite bins, so the NaN
+        // is born inside it, and the fold and the scan negate and square
+        // it in different orders: two NaNs match whatever their sign or
+        // payload. Every other value stays bitwise.
+        let same_profile = |a: &[f64], b: &[f64]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
         };
         for params in grids {
             let engine = ScfEngine::new(params.clone()).unwrap();
@@ -2220,14 +2204,14 @@ mod tests {
                     params.grid_size(),
                     params.grid_size()
                 );
-                assert!(same_bits(&fused, &scanned), "{case}");
+                assert!(same_profile(&fused, &scanned), "{case}");
                 assert_eq!(poison.is_some(), fused.iter().any(|v| v.is_nan()), "{case}");
 
                 // Matrix and profile from one pass equal both single passes.
                 let mut both = ScfMatrix::zeros(1);
                 let mut profile = Vec::new();
                 engine.dscf_and_profile_from_spectra_into(&spectra, &mut both, &mut profile);
-                assert!(same_bits(&profile, &scanned), "{case}");
+                assert!(same_profile(&profile, &scanned), "{case}");
                 let cells = |m: &ScfMatrix| -> Vec<u64> {
                     m.as_slice()
                         .iter()
@@ -2346,16 +2330,17 @@ mod tests {
     /// fixed sequence of six adds and two retires reproduces recorded
     /// accumulator bits — on a 15×15 grid and on a 63×63 grid with
     /// overlapping blocks. The input is `awgn` noise: the hashes were
-    /// re-recorded when that noise moved to the ziggurat generator, with
+    /// re-recorded when that noise moved to the ziggurat generator, and
+    /// when the FFT that makes the spectra became radix-4, each time with
     /// this kernel unchanged, so they pin the same arithmetic on the new
-    /// noise.
+    /// spectra.
     #[test]
     fn retire_pass_is_pinned_bit_exactly() {
         let cases = [
-            (ScfParams::new(32, 7, 6).unwrap(), 0x97e0_762a_c315_2042),
+            (ScfParams::new(32, 7, 6).unwrap(), 0xa398_8f01_edb8_e08e),
             (
                 ScfParams::new(64, 31, 6).unwrap().with_stride(40),
-                0xf1da_9c37_d310_aa6d,
+                0xc213_f1e4_5316_2563,
             ),
         ];
         for (params, recorded) in cases {

@@ -204,8 +204,9 @@ fn fingerprint(samples: &[Cplx]) -> u64 {
 /// +3 dB over trials 0–3 at seed 0x5EED, one fingerprint per
 /// `(preset, condition)` folding the four trials in order. A change to any
 /// generator, seed derivation or channel stage moves a fingerprint; such a
-/// change must re-pin this table explicitly (last re-pinned when the
-/// Gaussian noise moved to the ziggurat generator).
+/// change must re-pin this table explicitly (the Gaussian noise moving to
+/// the ziggurat generator re-pinned every row; the radix-4 FFT re-pinned
+/// the two OFDM presets' occupied rows, whose synthesis runs `ifft`).
 #[test]
 fn observe_realisations_are_pinned() {
     const EXPECTED: [(&str, [u64; 3]); 8] = [
@@ -237,8 +238,8 @@ fn observe_realisations_are_pinned() {
             "ofdm-pilot",
             [
                 0x8512_191E_D16F_8DED,
-                0xA778_3A4F_07C9_BDE2,
-                0x8090_4BE8_ED46_2BCF,
+                0xD50F_034F_5D92_0BC0,
+                0xC698_D8C5_F4BB_4F44,
             ],
         ),
         (
@@ -269,8 +270,8 @@ fn observe_realisations_are_pinned() {
             "ofdm-adjacent-interferer",
             [
                 0xC29E_BF5F_C41C_1569,
-                0xC752_4179_1A99_1384,
-                0x0495_CEC4_0BC7_C18E,
+                0x472C_27EE_79FE_9A00,
+                0xD865_E8BA_6F79_3AF9,
             ],
         ),
     ];

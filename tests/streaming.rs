@@ -338,10 +338,11 @@ fn statistic_hash(decisions: &[Decision]) -> u64 {
 /// 32 blocks, no plane cache, a refresh every 64 hops) are pinned bit for
 /// bit: 300 decisions over a BPSK burst in noise, fed one hop per push,
 /// hash to a recorded value. It was first recorded before the incremental
-/// hop was fused, and re-recorded when the noise moved to the ziggurat
-/// generator with the DSCF, FFT and streaming code unchanged, so it pins
-/// the same per-hop arithmetic on the new noise. Any change to that
-/// arithmetic — retire, add, profile fold, phase frames — moves the hash.
+/// hop was fused, re-recorded when the noise moved to the ziggurat
+/// generator with the DSCF, FFT and streaming code unchanged, and again
+/// when the FFT became radix-4 with the noise, DSCF and streaming code
+/// unchanged. Any change to the per-hop arithmetic — FFT, retire, add,
+/// profile fold, phase frames — moves the hash.
 #[test]
 fn streamed_statistics_are_pinned() {
     let params = ScfParams::new(64, 15, 32).unwrap();
@@ -367,7 +368,7 @@ fn streamed_statistics_are_pinned() {
     }
     assert_eq!(streamed.len(), decisions);
     assert_eq!(sensor.exact_refreshes(), 5);
-    assert_eq!(statistic_hash(&streamed), 0xd3a8_ecae_2b50_baa6);
+    assert_eq!(statistic_hash(&streamed), 0x2ed7_36ab_e351_0f78);
 }
 
 /// A backend that captures what it reads on every hop: the observation's
