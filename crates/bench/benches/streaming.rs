@@ -11,7 +11,8 @@
 //!   the cost a non-streaming caller pays per hop;
 //! * `incremental_*` — a warm sensor pushed exactly one hop of samples
 //!   (1 FFT + fused add/retire + per-column re-base + finalize), the
-//!   rolling fast path. The refresh interval is pushed out of the
+//!   rolling fast path. The default config caches no planes, so this is
+//!   the fused slide retire. The refresh interval is pushed out of the
 //!   measured horizon so every iteration takes the incremental branch;
 //! * `refresh_*` — the same warm sensor with `R = 1`, so every hop pays
 //!   the exact re-accumulation: the bounded worst case a caller sees

@@ -17,8 +17,7 @@
 //! * [`block_spectrum`] — the windowed, time-shifted spectrum
 //!   `X_{n,v}` of eq. 2 (and [`block_spectrum_with_plan`] /
 //!   [`block_spectrum_into`], its allocation-conscious cores, which fold
-//!   the window into the FFT's first pass and the eq.-2 rotation into its
-//!   last),
+//!   the window into the FFT's first pass),
 //! * complexity helpers ([`fft_complex_multiplications`],
 //!   [`dscf_complex_multiplications`]) reproducing the Section 2 cost
 //!   comparison ("16× as many multiplications for a 256-point spectrum").
@@ -35,15 +34,18 @@
 //! `conj ∘ forward ∘ conj / N`: conjugation is exact, so it shares every
 //! twiddle with the forward transform.
 //!
-//! The body is compiled once per vector tier (generic, AVX2, AVX-512)
-//! and dispatched at run time. No tier enables FMA, so every tier gives
-//! the same bits and realisations stay host-independent.
+//! The body is compiled for the generic and AVX2 tiers and dispatched at
+//! run time; an AVX-512 host runs the AVX2 body (the quads are 4 lanes
+//! wide, and an AVX-512F copy timed no faster beyond run-to-run noise).
+//! No tier enables FMA, so every tier gives the same bits and
+//! realisations stay host-independent.
 
 use crate::complex::Cplx;
 use crate::error::DspError;
 use crate::tier::{vector_tier, VectorTier};
 use crate::window::Window;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::rc::Rc;
 use std::sync::OnceLock;
@@ -99,7 +101,7 @@ pub fn bit_reverse_permute(data: &mut [Cplx]) {
 /// * **one table of roots** — `phase_roots[r] = exp(-j·2π·r/len)`, the
 ///   plan's only `cis` evaluations. Every twiddle is an entry of it
 ///   (`exp(-j·2π·off/size) = phase_roots[off·len/size]`), and
-///   [`block_spectrum_into`] reads it for the absolute-time phase
+///   [`FftPlan::rotate_block_phase`] reads it for the absolute-time phase
 ///   rotation of eq. 2 with exact index reduction;
 /// * **staged twiddles** — per radix-4 pass, `W^j`, `W^{2j}` and `W^{3j}`
 ///   copied out of the root table into contiguous split re/im rows (and
@@ -168,8 +170,6 @@ fn loaded<const LOAD: u8>(x: Cplx, w: Option<f64>) -> Cplx {
 const STORE_PLAIN: u8 = 0;
 /// Conjugate and divide by `N` (the inverse transform's outer `conj`).
 const STORE_INVERSE: u8 = 1;
-/// Multiply bin `v` by `phase_roots[step·v mod N]` (eq.-2 rotation).
-const STORE_ROTATE: u8 = 2;
 
 /// What one transform reads and where it writes.
 enum Run<'a> {
@@ -177,12 +177,10 @@ enum Run<'a> {
     Forward(&'a mut [Cplx]),
     /// The inverse transform of `data` (with the `1/N`), in place.
     Inverse(&'a mut [Cplx]),
-    /// The transform of `block · window` into `out`, rotated by
-    /// `exp(-j·2π·step·v/N)` when `step != 0`.
+    /// The transform of `block · window` into `out`.
     Spectrum {
         block: &'a [Cplx],
         window: &'a [f64],
-        step: usize,
         out: &'a mut [Cplx],
     },
 }
@@ -308,6 +306,23 @@ fn quarters_mut<T>(values: &mut [T], len: usize) -> [&mut [T]; 4] {
     [q0, q1, q2, &mut q3[..len]]
 }
 
+/// Stores the four lanes of `y` into `out` through `STORE` (length `n`).
+#[inline(always)]
+fn store_quad<const STORE: u8>(out: &mut [Cplx; 4], y: Quad, n: usize) {
+    for (l, cell) in out.iter_mut().enumerate() {
+        *cell = stored::<STORE>(y.lane(l), n);
+    }
+}
+
+/// Output value `y` of a length-`n` transform as the last pass stores it.
+#[inline(always)]
+fn stored<const STORE: u8>(y: Cplx, n: usize) -> Cplx {
+    match STORE {
+        STORE_INVERSE => Cplx::new(y.re / n as f64, -y.im / n as f64),
+        _ => y,
+    }
+}
+
 impl FftPlan {
     /// Builds a plan for transforms of length `len`.
     ///
@@ -393,11 +408,11 @@ impl FftPlan {
             let work = &mut work[..2 * self.len];
             match tier {
                 // SAFETY: `vector_tier` / `supported_tiers` only return a
-                // tier whose feature was detected at run time.
+                // tier whose feature was detected at run time, and every
+                // AVX-512F processor implements AVX2 (rustc's `avx512f`
+                // target feature implies `avx2`).
                 #[cfg(target_arch = "x86_64")]
-                VectorTier::Avx512 => unsafe { self.run_avx512(run, work) },
-                #[cfg(target_arch = "x86_64")]
-                VectorTier::Avx2 => unsafe { self.run_avx2(run, work) },
+                VectorTier::Avx2 | VectorTier::Avx512 => unsafe { self.run_avx2(run, work) },
                 VectorTier::Generic => self.run_body(run, work),
             }
         });
@@ -412,39 +427,21 @@ impl FftPlan {
         self.run_body(run, work);
     }
 
-    /// [`FftPlan::run_body`] compiled for AVX-512F (the EVEX encodings
-    /// and 32 vector registers; the quads stay 4 lanes wide). No FMA, so
-    /// the bits are the generic body's.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn run_avx512(&self, run: Run<'_>, work: &mut [f64]) {
-        self.run_body(run, work);
-    }
-
     #[inline(always)]
     fn run_body(&self, run: Run<'_>, work: &mut [f64]) {
         let (re, im) = work.split_at_mut(self.len);
         match run {
             Run::Forward(data) => {
                 self.first_pass::<LOAD_PLAIN>(re, im, data, &[]);
-                self.finish::<STORE_PLAIN>(re, im, data, 0);
+                self.finish::<STORE_PLAIN>(re, im, data);
             }
             Run::Inverse(data) => {
                 self.first_pass::<LOAD_CONJ>(re, im, data, &[]);
-                self.finish::<STORE_INVERSE>(re, im, data, 0);
+                self.finish::<STORE_INVERSE>(re, im, data);
             }
-            Run::Spectrum {
-                block,
-                window,
-                step,
-                out,
-            } => {
+            Run::Spectrum { block, window, out } => {
                 self.first_pass::<LOAD_WINDOW>(re, im, block, window);
-                if step == 0 {
-                    self.finish::<STORE_PLAIN>(re, im, out, 0);
-                } else {
-                    self.finish::<STORE_ROTATE>(re, im, out, step);
-                }
+                self.finish::<STORE_PLAIN>(re, im, out);
             }
         }
     }
@@ -528,13 +525,7 @@ impl FftPlan {
     /// the last pass (radix-4, or the radix-2 tail when `log2 N` is odd)
     /// storing into `out` through `STORE`.
     #[inline(always)]
-    fn finish<const STORE: u8>(
-        &self,
-        re: &mut [f64],
-        im: &mut [f64],
-        out: &mut [Cplx],
-        step: usize,
-    ) {
+    fn finish<const STORE: u8>(&self, re: &mut [f64], im: &mut [f64], out: &mut [Cplx]) {
         let n = self.len;
         let mut tw = self.twiddles.as_chunks::<4>().0;
         let (rq, iq) = (re.as_chunks_mut::<4>().0, im.as_chunks_mut::<4>().0);
@@ -563,18 +554,18 @@ impl FftPlan {
         let out_quads = out.as_chunks_mut::<4>().0;
         if n >= 8 && n.trailing_zeros() % 2 == 1 {
             // The radix-2 tail: y[j] = x[j] ± W^j·x[j + N/2].
-            let (half, m) = (n / 2, n / 8);
+            let m = n / 8;
             let ([r0, r1], [i0, i1]) = (rows::<_, 2>(rq, m), rows::<_, 2>(iq, m));
             let [wr, wi] = rows::<_, 2>(tw, m);
             let (lo, hi) = out_quads.split_at_mut(m);
             for j in 0..m {
                 let x = Quad::at(r0, i0, j);
                 let t = Quad::at(r1, i1, j).mul(Quad::at(wr, wi, j));
-                self.store_quad::<STORE>(&mut lo[j], 4 * j, x.add(t), step);
-                self.store_quad::<STORE>(&mut hi[j], 4 * j + half, x.sub(t), step);
+                store_quad::<STORE>(&mut lo[j], x.add(t), n);
+                store_quad::<STORE>(&mut hi[j], x.sub(t), n);
             }
         } else if n >= 16 {
-            let (h, w) = (4 * m, rows::<_, 6>(tw, m));
+            let w = rows::<_, 6>(tw, m);
             let (r, i) = (rows::<_, 4>(rq, m), rows::<_, 4>(iq, m));
             let mut o = quarters_mut(out_quads, m);
             for j in 0..m {
@@ -583,34 +574,15 @@ impl FftPlan {
                     q[t] = Quad::at(r[t], i[t], j);
                 }
                 let y = butterfly4(q, &w, j);
-                for (t, o) in o.iter_mut().enumerate() {
-                    self.store_quad::<STORE>(&mut o[j], 4 * j + t * h, y[t], step);
+                for (o, y) in o.iter_mut().zip(y) {
+                    store_quad::<STORE>(&mut o[j], y, n);
                 }
             }
         } else {
             // Lengths 1, 2 and 4: the first pass was the whole transform.
             for (v, cell) in out.iter_mut().enumerate() {
-                *cell = self.stored::<STORE>(v, Cplx::new(re[v], im[v]), step);
+                *cell = stored::<STORE>(Cplx::new(re[v], im[v]), n);
             }
-        }
-    }
-
-    /// Stores the four lanes of `y` as output bins `v..v + 4`.
-    #[inline(always)]
-    fn store_quad<const STORE: u8>(&self, out: &mut [Cplx; 4], v: usize, y: Quad, step: usize) {
-        for (l, cell) in out.iter_mut().enumerate() {
-            *cell = self.stored::<STORE>(v + l, y.lane(l), step);
-        }
-    }
-
-    /// Output bin `v` of value `y` as the last pass stores it.
-    #[inline(always)]
-    fn stored<const STORE: u8>(&self, v: usize, y: Cplx, step: usize) -> Cplx {
-        let n = self.len;
-        match STORE {
-            STORE_INVERSE => Cplx::new(y.re / n as f64, -y.im / n as f64),
-            STORE_ROTATE => y * self.phase_roots[(step * v) & (n - 1)],
-            _ => y,
         }
     }
 
@@ -654,10 +626,10 @@ impl FftPlan {
     ///
     /// The exponent index `start·v` is reduced modulo `len` incrementally
     /// (no multiplication, no `%` in the loop, no large-argument
-    /// `cos`/`sin`), so the rotation is exact for any block start. It is
-    /// the same per-bin multiply [`block_spectrum_into`] folds into the
-    /// FFT's last pass, so rotating a raw (`start = 0`) spectrum gives
-    /// the bits of the spectrum computed at `start`.
+    /// `cos`/`sin`), so the rotation is exact for any block start.
+    /// [`block_spectrum_into`] applies it after the transform, so rotating
+    /// a raw (`start = 0`) spectrum gives the bits of the spectrum
+    /// computed at `start`.
     ///
     /// # Panics
     ///
@@ -680,11 +652,10 @@ impl FftPlan {
 }
 
 thread_local! {
-    /// Per-thread cache of plans, indexed by `log2` of the transform
-    /// length. Plans are immutable once built, so sharing them via `Rc` is
-    /// free; keeping the cache thread-local avoids any locking on the hot
-    /// path, and indexing by `log2` avoids hashing.
-    static PLAN_CACHE: RefCell<Vec<Option<Rc<FftPlan>>>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread cache of plans, keyed by transform length. Plans are
+    /// immutable once built, so sharing them via `Rc` is free; keeping the
+    /// cache thread-local avoids any locking on the hot path.
+    static PLAN_CACHE: RefCell<HashMap<usize, Rc<FftPlan>>> = RefCell::new(HashMap::new());
 }
 
 /// Returns this thread's cached [`FftPlan`] for `len`, building (and
@@ -694,20 +665,12 @@ thread_local! {
 ///
 /// Returns [`DspError::NotPowerOfTwo`] if `len` is not a power of two.
 pub fn cached_plan(len: usize) -> Result<Rc<FftPlan>, DspError> {
-    if !is_power_of_two(len) {
-        return Err(DspError::NotPowerOfTwo { length: len });
-    }
-    let slot = len.trailing_zeros() as usize;
     PLAN_CACHE.with(|cache| {
-        if let Some(Some(plan)) = cache.borrow().get(slot) {
+        if let Some(plan) = cache.borrow().get(&len) {
             return Ok(Rc::clone(plan));
         }
         let plan = Rc::new(FftPlan::new(len)?);
-        let mut cache = cache.borrow_mut();
-        if cache.len() <= slot {
-            cache.resize(slot + 1, None);
-        }
-        cache[slot] = Some(Rc::clone(&plan));
+        cache.borrow_mut().insert(len, Rc::clone(&plan));
         Ok(plan)
     })
 }
@@ -841,10 +804,9 @@ pub fn block_spectrum_with_plan(
 /// reuse the spectrum allocation instead of reallocating per block.
 ///
 /// The window multiply (`x[k]·w[k]`) runs in the FFT's bit-reversed
-/// first-pass loads and the eq.-2 rotation in its last-pass stores (only
-/// when `start % K ≠ 0`). Both are the same per-element operations as a
-/// separate window pass and [`FftPlan::rotate_block_phase`], so the
-/// spectrum has the bits of window, then FFT, then rotate.
+/// first-pass loads — the same per-element operation as a separate window
+/// pass, so the spectrum has the bits of window, then FFT — and
+/// [`FftPlan::rotate_block_phase`] applies the eq.-2 rotation after it.
 ///
 /// # Errors
 ///
@@ -880,9 +842,9 @@ pub fn block_spectrum_into(
     plan.run(Run::Spectrum {
         block: &signal[start..start + block_len],
         window: window_coeffs,
-        step: start % block_len,
         out,
     });
+    plan.rotate_block_phase(start, out);
     Ok(())
 }
 
@@ -1134,7 +1096,7 @@ mod tests {
     }
 
     /// Every vector tier the host runs computes the same bits: forward,
-    /// inverse and the windowed, rotated block spectrum, at every length
+    /// inverse and the windowed block spectrum, at every length
     /// from 1 to 4096 (odd `log2` lengths take the radix-2 tail).
     #[test]
     fn fft_tiers_are_bitwise_equal() {
@@ -1155,7 +1117,6 @@ mod tests {
                     Run::Spectrum {
                         block: &signal[n / 2..n / 2 + n],
                         window: &window,
-                        step: (n / 2 + 3) % n,
                         out: &mut spectrum,
                     },
                 );
@@ -1205,9 +1166,9 @@ mod tests {
         }
     }
 
-    /// The window and the eq.-2 rotation folded into the FFT's first and
-    /// last passes give the bits of the separate passes: window, forward
-    /// transform, then [`FftPlan::rotate_block_phase`].
+    /// The window folded into the FFT's first pass gives the bits of the
+    /// separate passes: window, forward transform, then
+    /// [`FftPlan::rotate_block_phase`].
     #[test]
     fn block_spectrum_folds_keep_the_separate_passes_bits() {
         for n in [1usize, 2, 4, 8, 32, 64, 256] {

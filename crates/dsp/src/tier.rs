@@ -2,7 +2,8 @@
 //! by the FFT ([`crate::fft`]) and the DSCF segment kernel ([`crate::scf`]).
 //!
 //! Each kernel has one `#[inline(always)]` body and thin
-//! `#[target_feature]` wrappers that compile it for AVX2 or AVX-512.
+//! `#[target_feature]` wrappers that compile it for AVX2 (the FFT) or for
+//! AVX2 and AVX-512 (the DSCF kernel).
 //! Only those features are enabled — never `fma` — and rustc emits plain
 //! IEEE multiplies and adds with no fast-math flags, so every tier
 //! performs the same operations in the same order and gives the same

@@ -146,7 +146,9 @@ proptest! {
     /// A CFD backend streamed hop-by-hop decides like the same backend
     /// deciding batchwise on each window: bit-identical statistic at
     /// refresh hops, ≤ 1e-9 in between, and the verdict agrees whenever
-    /// the statistic is not within drift of the threshold.
+    /// the statistic is not within drift of the threshold — with cached
+    /// planes (plane subtraction, then an accumulator profile scan) and
+    /// without (the fused slide).
     #[test]
     fn streaming_decisions_match_the_batch_detector(
         seed in 0u64..1000,
@@ -167,30 +169,40 @@ proptest! {
         let blocks = window + decisions - 1;
         let signal = awgn((blocks - 1) * hop + fft_len, 1.0, seed);
 
-        let config = StreamingConfig::new(params.clone()).with_refresh_interval(refresh);
-        let cfd = CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
-        let mut sensor = StreamingSensor::new(config, cfd).unwrap();
-        let streamed = sensor.push(&signal).unwrap();
-        prop_assert_eq!(streamed.len(), decisions);
+        for plane_budget in [usize::MAX, 0] {
+            let config = StreamingConfig::new(params.clone())
+                .with_refresh_interval(refresh)
+                .with_plane_budget(plane_budget);
+            let cfd = CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
+            let mut sensor = StreamingSensor::new(config, cfd).unwrap();
+            prop_assert_eq!(sensor.caches_planes(), plane_budget > 0);
+            let streamed = sensor.push(&signal).unwrap();
+            prop_assert_eq!(streamed.len(), decisions);
 
-        let mut batch_backend = CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
-        let mut observation = Observation::new();
-        for (d, decision) in streamed.iter().enumerate() {
-            let win = &signal[d * hop..d * hop + params.samples_needed()];
-            observation.load(win);
-            let batch = batch_backend.decide(&mut observation).unwrap();
-            prop_assert_eq!(decision.threshold, batch.threshold);
-            if d % refresh == 0 {
-                prop_assert_eq!(
-                    decision.statistic.to_bits(), batch.statistic.to_bits(),
-                    "refresh hop {} statistic must be bit-identical", d
-                );
-                prop_assert_eq!(decision.verdict, batch.verdict);
-            } else {
-                let drift = (decision.statistic - batch.statistic).abs();
-                prop_assert!(drift <= 1e-9, "hop {d}: statistic drift {drift:e}");
-                if (batch.statistic - threshold).abs() > 1e-6 {
+            let mut batch_backend =
+                CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
+            let mut observation = Observation::new();
+            for (d, decision) in streamed.iter().enumerate() {
+                let win = &signal[d * hop..d * hop + params.samples_needed()];
+                observation.load(win);
+                let batch = batch_backend.decide(&mut observation).unwrap();
+                prop_assert_eq!(decision.threshold, batch.threshold);
+                if d % refresh == 0 {
+                    prop_assert_eq!(
+                        decision.statistic.to_bits(), batch.statistic.to_bits(),
+                        "budget {}, refresh hop {} statistic must be bit-identical",
+                        plane_budget, d
+                    );
                     prop_assert_eq!(decision.verdict, batch.verdict);
+                } else {
+                    let drift = (decision.statistic - batch.statistic).abs();
+                    prop_assert!(
+                        drift <= 1e-9,
+                        "budget {plane_budget}, hop {d}: statistic drift {drift:e}"
+                    );
+                    if (batch.statistic - threshold).abs() > 1e-6 {
+                        prop_assert_eq!(decision.verdict, batch.verdict);
+                    }
                 }
             }
         }
