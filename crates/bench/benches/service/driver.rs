@@ -27,10 +27,9 @@ use cfd_scenario::service_traffic::{ServiceTraffic, TrafficEvent};
 
 /// The per-channel sensing geometry of the service benchmarks: a 31×31
 /// cyclic grid (64-point band, ±15 offsets) integrated over a 32-block
-/// window. Thousands of these run concurrently, so the subscriptions use
-/// a zero plane budget — ~0.15 MB/channel of ring + tape + accumulator
-/// state, and the retire path recomputes-and-subtracts instead of
-/// caching per-block planes. The long window is what the streaming path
+/// window. Thousands of these run concurrently at ~0.15 MB/channel of
+/// ring + tape + accumulator state; each hop retires its outgoing block
+/// in the fused slide pass. The long window is what the streaming path
 /// monetises: the naive baseline re-runs all 32 blocks per decision, the
 /// sensor touches one.
 pub fn service_params() -> ScfParams {
@@ -94,7 +93,7 @@ pub fn run_scheduler(channels: usize, events: &[TrafficEvent], workers: usize) -
     for channel in 0..channels as u64 {
         builder = builder.subscribe(ChannelSubscription::new(
             channel,
-            StreamingConfig::new(params.clone()).with_plane_budget(0),
+            StreamingConfig::new(params.clone()),
             detector(&params),
             CountingSink::default(),
         ));

@@ -10,10 +10,9 @@
 //!   full window (window FFTs + window accumulate passes + finalize),
 //!   the cost a non-streaming caller pays per hop;
 //! * `incremental_*` — a warm sensor pushed exactly one hop of samples
-//!   (1 FFT + fused add/retire + per-column re-base + finalize), the
-//!   rolling fast path. The default config caches no planes, so this is
-//!   the fused slide retire. The refresh interval is pushed out of the
-//!   measured horizon so every iteration takes the incremental branch;
+//!   (1 FFT + the fused slide retire/add/profile pass), the rolling fast
+//!   path. The refresh interval is pushed out of the measured horizon so
+//!   every iteration takes the incremental branch;
 //! * `refresh_*` — the same warm sensor with `R = 1`, so every hop pays
 //!   the exact re-accumulation: the bounded worst case a caller sees
 //!   once per refresh interval.
@@ -27,14 +26,12 @@
 //!
 //! Two more groups:
 //!
-//! * `streaming_retire` — the two retire strategies of an incremental
-//!   hop on one warm sensor: `planes_*` subtracts a cached contribution
-//!   plane, `slide_*` (plane budget 0) recomputes the outgoing block in
-//!   the fused slide pass. At the service grid (31×31/32) and the paper
-//!   grid (127×127/8).
+//! * `streaming_retire` — `slide_*`: the incremental hop's fused slide
+//!   retire on one warm sensor, at the service grid (31×31/32) and the
+//!   paper grid (127×127/8).
 //! * `streaming_service` — `service_geometry_1024ch`: 1024 warm sensors
-//!   at the service geometry (64-point FFT, ±15, 32 blocks, plane budget
-//!   0, default refresh interval), pushed one hop each in round-robin
+//!   at the service geometry (64-point FFT, ±15, 32 blocks, default
+//!   refresh interval), pushed one hop each in round-robin
 //!   order. Each sensor's state is cache-cold when its hop arrives, as in
 //!   a many-channel service; the single-sensor rows above cannot see that
 //!   cost.
@@ -114,8 +111,8 @@ fn bench_streaming_decide(c: &mut Criterion) {
     group.finish();
 }
 
-/// The plane-vs-slide geometries: the service grid (31×31, 32 blocks)
-/// and the paper grid (127×127, 8 blocks).
+/// The retire geometries: the service grid (31×31, 32 blocks) and the
+/// paper grid (127×127, 8 blocks).
 const RETIRE_SCALES: [(&str, usize, usize, usize); 2] =
     [("31x31", 64, 15, 32), ("127x127", 256, 63, 8)];
 
@@ -127,20 +124,15 @@ fn bench_retire_strategies(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500));
     for (label, fft_len, max_offset, blocks) in RETIRE_SCALES {
         let params = ScfParams::new(fft_len, max_offset, blocks).unwrap();
-        for (strategy, plane_budget) in [("planes", usize::MAX), ("slide", 0)] {
-            group.bench_function(format!("{strategy}_{label}_{blocks}blocks"), |b| {
-                let config = StreamingConfig::new(params.clone())
-                    .with_refresh_interval(usize::MAX)
-                    .with_plane_budget(plane_budget);
-                let (mut sensor, hop) = warm_sensor(config);
-                assert_eq!(sensor.caches_planes(), plane_budget > 0);
-                let mut out = Vec::with_capacity(1);
-                b.iter(|| {
-                    out.clear();
-                    sensor.push_into(&hop, &mut out).unwrap();
-                });
+        group.bench_function(format!("slide_{label}_{blocks}blocks"), |b| {
+            let config = StreamingConfig::new(params.clone()).with_refresh_interval(usize::MAX);
+            let (mut sensor, hop) = warm_sensor(config);
+            let mut out = Vec::with_capacity(1);
+            b.iter(|| {
+                out.clear();
+                sensor.push_into(&hop, &mut out).unwrap();
             });
-        }
+        });
     }
     group.finish();
 }
@@ -153,7 +145,7 @@ fn bench_service_geometry(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
     let params = ScfParams::new(64, 15, 32).unwrap();
-    let config = StreamingConfig::new(params.clone()).with_plane_budget(0);
+    let config = StreamingConfig::new(params.clone());
     // Built once: the harness calls the body many times, and every call
     // keeps cycling through the same warm fleet.
     let mut sensors: Vec<_> = (0..CHANNELS)

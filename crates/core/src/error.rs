@@ -41,6 +41,13 @@ pub enum CfdError {
         /// Position of the first non-finite sample within the hop.
         index: usize,
     },
+    /// A scheduler worker has stopped (its thread returned or panicked),
+    /// so its shard accepts no more hops or parks. The worker's panic, if
+    /// any, is re-raised by `SensingScheduler::join`.
+    WorkerStopped {
+        /// The stopped worker's shard index.
+        shard: usize,
+    },
 }
 
 impl fmt::Display for CfdError {
@@ -62,6 +69,9 @@ impl fmt::Display for CfdError {
             CfdError::NonFiniteSample { index } => {
                 write!(f, "sample {index} of the hop is not finite")
             }
+            CfdError::WorkerStopped { shard } => {
+                write!(f, "the worker of shard {shard} has stopped")
+            }
         }
     }
 }
@@ -75,7 +85,8 @@ impl Error for CfdError {
             CfdError::Soc(e) => Some(e),
             CfdError::InvalidParameter { .. }
             | CfdError::NonFiniteStatistic { .. }
-            | CfdError::NonFiniteSample { .. } => None,
+            | CfdError::NonFiniteSample { .. }
+            | CfdError::WorkerStopped { .. } => None,
         }
     }
 }

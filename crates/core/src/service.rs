@@ -375,14 +375,15 @@ impl IngressQueue {
         }
     }
 
-    /// Applies the backpressure policy until a slot is free: blocks, or
-    /// sheds the oldest queued **hop** (park controls survive; if only
-    /// controls are queued, even `DropOldest` blocks).
+    /// Applies the backpressure policy until a slot is free or the queue
+    /// is closed: blocks, or sheds the oldest queued **hop** (park
+    /// controls survive; if only controls are queued, even `DropOldest`
+    /// blocks).
     fn make_room<'a>(
         &self,
         mut state: std::sync::MutexGuard<'a, QueueState>,
     ) -> std::sync::MutexGuard<'a, QueueState> {
-        while state.items.len() >= self.capacity {
+        while state.items.len() >= self.capacity && !state.closed {
             let shed = match self.policy {
                 Backpressure::Block => None,
                 Backpressure::DropOldest => state
@@ -404,32 +405,43 @@ impl IngressQueue {
         state
     }
 
-    fn push_hop(&self, channel: ChannelId, samples: &[Cplx], occupancy: &AtomicU64) {
-        let state = self.state.lock().expect("ingress queue poisoned");
-        let mut state = self.make_room(state);
-        let mut buffer = state.pool.pop().unwrap_or_default();
-        buffer.clear();
-        buffer.extend_from_slice(samples);
-        state.items.push_back(IngressItem::Hop {
-            channel,
-            samples: buffer,
-        });
-        drop(state);
-        instruments()
-            .queue_occupancy
-            .set(occupancy.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
-        self.not_empty.notify_one();
+    fn push_hop(&self, channel: ChannelId, samples: &[Cplx], occupancy: &AtomicU64) -> bool {
+        self.enqueue(occupancy, |state| {
+            let mut buffer = state.pool.pop().unwrap_or_default();
+            buffer.clear();
+            buffer.extend_from_slice(samples);
+            IngressItem::Hop {
+                channel,
+                samples: buffer,
+            }
+        })
     }
 
-    fn push_park(&self, channel: ChannelId, occupancy: &AtomicU64) {
+    fn push_park(&self, channel: ChannelId, occupancy: &AtomicU64) -> bool {
+        self.enqueue(occupancy, |_| IngressItem::Park { channel })
+    }
+
+    /// Makes room under the backpressure policy, then queues the item
+    /// `make` builds. Returns `false`, queuing nothing, once the queue is
+    /// closed: its worker has stopped and will never drain it.
+    fn enqueue(
+        &self,
+        occupancy: &AtomicU64,
+        make: impl FnOnce(&mut QueueState) -> IngressItem,
+    ) -> bool {
         let state = self.state.lock().expect("ingress queue poisoned");
         let mut state = self.make_room(state);
-        state.items.push_back(IngressItem::Park { channel });
+        if state.closed {
+            return false;
+        }
+        let item = make(&mut state);
+        state.items.push_back(item);
         drop(state);
         instruments()
             .queue_occupancy
             .set(occupancy.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
         self.not_empty.notify_one();
+        true
     }
 
     /// Blocks until at least one item is queued, then drains the whole
@@ -474,10 +486,28 @@ impl IngressQueue {
         }
     }
 
+    /// Closes the queue and wakes every waiter. Runs on an unwinding
+    /// worker too ([`CloseOnExit`]), so it tolerates a poisoned lock
+    /// rather than panicking inside a panic.
     fn close(&self) {
-        self.state.lock().expect("ingress queue poisoned").closed = true;
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
+    }
+}
+
+/// Held by a worker thread for its whole life: closes the worker's shard
+/// queue when the thread exits, by returning or by unwinding from a
+/// panicking backend, so a producer blocked on the full queue wakes and
+/// gets [`CfdError::WorkerStopped`] instead of waiting forever.
+struct CloseOnExit(Arc<IngressQueue>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -710,10 +740,10 @@ impl ServiceBuilder {
                 config.queue_capacity,
                 config.backpressure,
             ));
-            let worker_queue = Arc::clone(&queue);
+            let worker_queue = CloseOnExit(Arc::clone(&queue));
             let worker_shared = Arc::clone(&shared);
             handles.push(thread::spawn(move || {
-                worker_loop(&worker_queue, shard_subscriptions, &worker_shared)
+                worker_loop(&worker_queue.0, shard_subscriptions, &worker_shared)
             }));
             queues.push(queue);
         }
@@ -785,14 +815,16 @@ impl SensingScheduler {
     ///
     /// # Errors
     ///
-    /// [`CfdError::InvalidParameter`] when `channel` was never subscribed.
+    /// [`CfdError::InvalidParameter`] when `channel` was never subscribed;
+    /// [`CfdError::WorkerStopped`] when its worker has stopped (a
+    /// panicking backend), also for a producer that was blocked on the
+    /// full queue when it stopped. The hop is then not counted as pushed.
     pub fn push(&self, channel: ChannelId, samples: &[Cplx]) -> Result<(), CfdError> {
-        let shard = self.shard_of(channel).ok_or(CfdError::InvalidParameter {
-            name: "channel",
-            message: format!("channel {channel} is not subscribed"),
-        })?;
+        let shard = self.subscribed_shard(channel)?;
+        if !self.queues[shard].push_hop(channel, samples, &self.shared.occupancy) {
+            return Err(CfdError::WorkerStopped { shard });
+        }
         self.pushed.fetch_add(1, Ordering::Relaxed);
-        self.queues[shard].push_hop(channel, samples, &self.shared.occupancy);
         Ok(())
     }
 
@@ -803,14 +835,22 @@ impl SensingScheduler {
     ///
     /// # Errors
     ///
-    /// [`CfdError::InvalidParameter`] when `channel` was never subscribed.
+    /// [`CfdError::InvalidParameter`] when `channel` was never subscribed;
+    /// [`CfdError::WorkerStopped`] when its worker has stopped.
     pub fn park(&self, channel: ChannelId) -> Result<(), CfdError> {
-        let shard = self.shard_of(channel).ok_or(CfdError::InvalidParameter {
+        let shard = self.subscribed_shard(channel)?;
+        if !self.queues[shard].push_park(channel, &self.shared.occupancy) {
+            return Err(CfdError::WorkerStopped { shard });
+        }
+        Ok(())
+    }
+
+    /// `channel`'s shard, or the structured error for an unsubscribed one.
+    fn subscribed_shard(&self, channel: ChannelId) -> Result<usize, CfdError> {
+        self.shard_of(channel).ok_or(CfdError::InvalidParameter {
             name: "channel",
             message: format!("channel {channel} is not subscribed"),
-        })?;
-        self.queues[shard].push_park(channel, &self.shared.occupancy);
-        Ok(())
+        })
     }
 
     /// Closes the ingress, drains every queued hop and joins the workers.

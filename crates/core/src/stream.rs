@@ -12,18 +12,15 @@
 //!
 //! is a plain sum of per-block contribution terms — so a sliding window
 //! only ever changes by one block per hop. [`StreamingSensor`] exploits
-//! that: it keeps a ring of the window's block spectra (and, when a plane
-//! budget is configured and fits, their per-block DSCF contribution
-//! planes). Retained blocks are never re-FFT'd and never re-accumulated;
-//! an incremental hop does this much work:
+//! that: it keeps a ring of the window's block spectra. Retained blocks
+//! are never re-FFT'd and never re-accumulated; an incremental hop does
+//! this much work:
 //!
 //! 1. **one** FFT for the incoming block, into its ring slot;
-//! 2. **one** O(grid) pass over the half-grid accumulator. Without cached
-//!    planes (`plane_budget_bytes = 0`, the default, or a window over
-//!    budget) it is [`ScfEngine::slide_block`], which retires the
-//!    re-phased outgoing block, adds the incoming one and folds the
-//!    cyclic-domain profile from the still-hot cells. With cached planes it is a plane
-//!    subtraction and addition, then a profile scan of the accumulator;
+//! 2. **one** O(grid) pass over the half-grid accumulator,
+//!    [`ScfEngine::slide_block`], which retires the re-phased outgoing
+//!    block, adds the incoming one and folds the cyclic-domain profile
+//!    from the still-hot cells;
 //! 3. a constant-time hand-off of the window: the sample tape lives in the
 //!    sensor's [`Observation`] buffer, so the window is a view of it and
 //!    no sample is copied;
@@ -108,7 +105,9 @@ fn instruments() -> &'static StreamInstruments {
     })
 }
 
-/// Configuration of a [`StreamingSensor`].
+/// Configuration of a [`StreamingSensor`]: the window geometry and the
+/// exact-refresh interval. Every incremental hop retires its outgoing
+/// block with the fused slide pass ([`ScfEngine::slide_block`]).
 ///
 /// # Examples
 ///
@@ -119,13 +118,7 @@ fn instruments() -> &'static StreamInstruments {
 /// let params = ScfParams::paper_256_with_blocks(8);
 /// let config = StreamingConfig::new(params.clone()).with_refresh_interval(32);
 /// assert_eq!(config.refresh_interval, 32);
-/// // By default a hop retires its outgoing block with the fused slide
-/// // pass and caches no contribution planes.
-/// assert!(!config.caches_planes());
-/// // The plane cache is an opt-in: the paper-scale window's planes need
-/// // about 1 MiB.
-/// let cached = StreamingConfig::new(params).with_plane_budget(4 << 20);
-/// assert!(cached.caches_planes());
+/// assert_eq!(config.params, params);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
@@ -138,16 +131,6 @@ pub struct StreamingConfig {
     /// drift of the hops in between. The first decision of a window is
     /// always exact. Must be ≥ 1; `1` means every hop is exact.
     pub refresh_interval: usize,
-    /// Memory budget for cached per-block contribution planes. When the
-    /// whole window's planes fit
-    /// ([`ScfAccumulator::bytes_for`]`(max_offset) · num_blocks` bytes),
-    /// retiring a block is a pure O(grid) plane subtraction; otherwise the
-    /// hop recomputes the outgoing contribution from its ring spectrum in
-    /// the same pass that adds the incoming block and folds the profile
-    /// ([`ScfEngine::slide_block`]: still O(grid), roughly twice the
-    /// arithmetic of the plane subtraction, but one walk over the
-    /// accumulator instead of three).
-    pub plane_budget_bytes: usize,
 }
 
 impl StreamingConfig {
@@ -155,18 +138,11 @@ impl StreamingConfig {
     /// orders of magnitude below the 1e-12 parity bound at paper scales).
     pub const DEFAULT_REFRESH_INTERVAL: usize = 64;
 
-    /// Default plane-cache budget: none. The fused slide retire
-    /// ([`ScfEngine::slide_block`]) never loses to the plane subtraction
-    /// beyond noise and needs no plane memory; a budget opts in (a
-    /// paper-scale 127×127/8 window needs ~1 MiB, 511×511/8 ~16 MiB).
-    pub const DEFAULT_PLANE_BUDGET_BYTES: usize = 0;
-
-    /// A configuration with the default refresh interval and plane budget.
+    /// A configuration with the default refresh interval.
     pub fn new(params: ScfParams) -> Self {
         StreamingConfig {
             params,
             refresh_interval: Self::DEFAULT_REFRESH_INTERVAL,
-            plane_budget_bytes: Self::DEFAULT_PLANE_BUDGET_BYTES,
         }
     }
 
@@ -176,18 +152,12 @@ impl StreamingConfig {
         self
     }
 
-    /// Sets the plane-cache memory budget in bytes (`0` disables the
-    /// plane cache, forcing the recompute-and-subtract retire path).
-    pub fn with_plane_budget(mut self, bytes: usize) -> Self {
-        self.plane_budget_bytes = bytes;
+    /// Does nothing: the per-block contribution-plane cache this budget
+    /// sized is gone, and every hop retires through the fused slide pass.
+    /// Kept only so existing callers still compile; it will be removed.
+    #[deprecated(note = "the plane cache is gone; every hop uses the fused slide retire")]
+    pub fn with_plane_budget(self, _bytes: usize) -> Self {
         self
-    }
-
-    /// Whether the per-block contribution planes of a full window fit the
-    /// configured budget.
-    pub fn caches_planes(&self) -> bool {
-        ScfAccumulator::bytes_for(self.params.max_offset).saturating_mul(self.params.num_blocks)
-            <= self.plane_budget_bytes
     }
 }
 
@@ -306,7 +276,6 @@ pub struct StreamingSensor<B: SensingBackend> {
     backend: B,
     engine: ScfEngine,
     config: StreamingConfig,
-    cache_planes: bool,
     tape: SampleTape,
     /// Block `i`'s **raw** (unrotated) spectrum lives in
     /// `ring[i % num_blocks]`; the eq.-2 phase is applied per use, since
@@ -315,15 +284,11 @@ pub struct StreamingSensor<B: SensingBackend> {
     /// Scratch for the incoming block's re-phased spectrum (the per-hop
     /// absolute-time frame).
     rotated: Vec<Cplx>,
-    /// Scratch for the outgoing block's re-phased spectrum on the fused
-    /// slide (recompute-retire) path.
+    /// Scratch for the outgoing block's re-phased spectrum (the fused
+    /// slide's retire operand).
     outgoing: Vec<Cplx>,
     /// Scratch ring of window-relative re-phased spectra for refreshes.
     refresh_ring: Vec<Vec<Cplx>>,
-    /// Per-block contribution planes in the absolute-time frame, same
-    /// slot discipline as `ring` (empty when the plane cache is disabled
-    /// or over budget).
-    planes: Vec<ScfAccumulator>,
     /// The rolling un-normalised window accumulation, in the
     /// absolute-time frame.
     acc: ScfAccumulator,
@@ -358,20 +323,17 @@ impl<B: SensingBackend> StreamingSensor<B> {
             });
         }
         let engine = ScfEngine::new(config.params.clone())?;
-        let cache_planes = config.caches_planes();
         let acc = engine.accumulator();
         let frame_acc = engine.accumulator();
         Ok(StreamingSensor {
             backend,
             engine,
             config,
-            cache_planes,
             tape: SampleTape::default(),
             ring: Vec::new(),
             rotated: Vec::new(),
             outgoing: Vec::new(),
             refresh_ring: Vec::new(),
-            planes: Vec::new(),
             acc,
             frame_acc,
             materialize: true,
@@ -400,14 +362,6 @@ impl<B: SensingBackend> StreamingSensor<B> {
     /// Mutable access to the wrapped backend.
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
-    }
-
-    /// Whether retiring uses cached per-block contribution planes (window
-    /// fits [`StreamingConfig::plane_budget_bytes`]) or recomputes the
-    /// outgoing contribution from its ring spectrum in the fused slide
-    /// pass ([`ScfEngine::slide_block`]).
-    pub fn caches_planes(&self) -> bool {
-        self.cache_planes
     }
 
     /// Blocks cut from the stream so far.
@@ -511,7 +465,6 @@ impl<B: SensingBackend> StreamingSensor<B> {
         self.rotated.clear();
         self.outgoing.clear();
         self.refresh_ring.clear();
-        self.planes.clear();
         self.acc.reset();
         self.frame_acc.reset();
         self.materialize = true;
@@ -523,18 +476,18 @@ impl<B: SensingBackend> StreamingSensor<B> {
 
     /// [`StreamingSensor::reset`] for the idle/duty-cycle path: forgets the
     /// stream but **keeps every buffer allocation** — the ring spectra,
-    /// contribution planes, refresh scratch and rotation scratch stay at
-    /// capacity, so a parked channel costs no steady-state allocation when
-    /// its next activity burst re-warms it.
+    /// refresh scratch and rotation scratch stay at capacity, so a parked
+    /// channel costs no steady-state allocation when its next activity
+    /// burst re-warms it.
     ///
-    /// Keeping stale ring/plane/accumulator *contents* is safe by the same
-    /// slot discipline the hot path relies on: a slot's spectrum is fully
+    /// Keeping stale ring/accumulator *contents* is safe by the same slot
+    /// discipline the hot path relies on: a slot's spectrum is fully
     /// overwritten before any read ([`ScfEngine::block_spectrum_into`] and
-    /// [`ScfEngine::rotate_spectrum_into`] clear-then-extend), a slot's
-    /// plane is rebuilt from scratch ([`ScfEngine::accumulate_window`]
-    /// starts its first chain from literal zero), and the first decision
-    /// after a warm-up is always an exact refresh that re-sums the whole
-    /// ring before adopting it into the rolling accumulator.
+    /// [`ScfEngine::rotate_spectrum_into`] clear-then-extend), and the
+    /// first decision after a warm-up is always an exact refresh that
+    /// re-sums the whole ring from literal zero
+    /// ([`ScfEngine::accumulate_window`]) before adopting it into the
+    /// rolling accumulator.
     pub fn park(&mut self) {
         self.tape.clear();
         self.materialize = true;
@@ -571,22 +524,18 @@ impl<B: SensingBackend> StreamingSensor<B> {
             (((block % k) * (hop % k)) % k) as usize
         };
 
-        // 1. Retire the outgoing block's cached plane, or re-phase its
-        //    spectrum for the fused slide, before its slot is overwritten.
-        //    The re-phased spectrum is bit-identical to the one its add
-        //    used (same raw bits, same table rotation), so the subtraction
-        //    cancels the old contribution exactly.
+        // 1. Re-phase the outgoing block's spectrum for the fused slide,
+        //    before its slot is overwritten. The re-phased spectrum is
+        //    bit-identical to the one its add used (same raw bits, same
+        //    table rotation), so the subtraction cancels the old
+        //    contribution exactly.
         if incremental {
-            if self.cache_planes {
-                self.acc.sub_assign(&self.planes[slot]);
-            } else {
-                let outgoing = self.next_block - window as u64;
-                self.engine.rotate_spectrum_into(
-                    &self.ring[slot],
-                    abs_phase(outgoing),
-                    &mut self.outgoing,
-                );
-            }
+            let outgoing = self.next_block - window as u64;
+            self.engine.rotate_spectrum_into(
+                &self.ring[slot],
+                abs_phase(outgoing),
+                &mut self.outgoing,
+            );
         }
 
         // 2. One FFT for the incoming block, into its (reused) ring slot
@@ -598,21 +547,13 @@ impl<B: SensingBackend> StreamingSensor<B> {
         self.engine
             .block_spectrum_into(block_samples, 0, &mut self.ring[slot])?;
 
-        // 3. Re-phase the incoming block into the absolute-time frame and
-        //    cache its contribution plane for a later O(grid) retire.
-        if self.cache_planes || incremental {
+        // 3. Re-phase the incoming block into the absolute-time frame.
+        if incremental {
             self.engine.rotate_spectrum_into(
                 &self.ring[slot],
                 abs_phase(self.next_block),
                 &mut self.rotated,
             );
-        }
-        if self.cache_planes {
-            if self.planes.len() <= slot {
-                self.planes.push(self.engine.accumulator());
-            }
-            self.engine
-                .accumulate_window(&[self.rotated.as_slice()], &mut self.planes[slot]);
         }
         instruments().ring_occupancy.set(self.ring.len() as f64);
         if !decision_hop {
@@ -623,10 +564,9 @@ impl<B: SensingBackend> StreamingSensor<B> {
         // the phase frame this hop's matrix must be finalised in.
         let d = self.next_block + 1 - window as u64;
 
-        // 4. Integrate the window: re-sum the re-phased ring exactly with
-        //    the batch kernel's fused passes, or add the new cached plane
-        //    to the rolling absolute-frame sum (the recompute path slides
-        //    in step 5, folding the profile in the same pass).
+        // 4. On a refresh hop, re-sum the re-phased ring exactly with the
+        //    batch kernel's fused passes (an incremental hop slides in
+        //    step 5, folding the profile in the same pass).
         if refresh {
             let refresh_timer = instruments().refresh_ns.start_timer();
             let oldest = (slot + 1) % window;
@@ -646,9 +586,6 @@ impl<B: SensingBackend> StreamingSensor<B> {
             self.exact_refreshes += 1;
             instruments().exact_refreshes.increment();
         } else {
-            if self.cache_planes {
-                self.acc.add_assign(&self.planes[slot]);
-            }
             self.incremental_hops += 1;
             instruments().incremental_hops.increment();
         }
@@ -659,17 +596,15 @@ impl<B: SensingBackend> StreamingSensor<B> {
         //    (normalised + mirrored) matrix, so any backend decides as if
         //    batch-driven. The profile source never depends on the
         //    materialise mode: `frame_acc` at exact refreshes
-        //    (bit-identical to the batch matrix scan), the rolling
-        //    absolute-frame `acc` otherwise (ulp-level phase-rotation
-        //    residue, bounded like the matrix drift by the refresh
-        //    interval).
+        //    (bit-identical to the batch matrix scan), the slide's fold of
+        //    the rolling absolute-frame `acc` otherwise (ulp-level
+        //    phase-rotation residue, bounded like the matrix drift by the
+        //    refresh interval).
         let engine = &self.engine;
         let observation = self.tape.observe(d * hop, needed);
         observation.install_cyclic_profile(engine.params(), |profile| {
             if refresh {
                 engine.cyclic_profile_from_accumulator(&self.frame_acc, window, profile);
-            } else if self.cache_planes {
-                engine.cyclic_profile_from_accumulator(&self.acc, window, profile);
             } else {
                 engine.slide_block(
                     &self.outgoing,
@@ -739,7 +674,6 @@ impl<B: SensingBackend> fmt::Debug for StreamingSensor<B> {
             .field("backend", &self.backend.label())
             .field("params", self.engine.params())
             .field("refresh_interval", &self.config.refresh_interval)
-            .field("caches_planes", &self.cache_planes)
             .field("blocks_ingested", &self.next_block)
             .field("decisions", &self.decisions)
             .finish_non_exhaustive()
@@ -831,39 +765,47 @@ mod tests {
     /// Parking forgets the stream (next push re-warms, decisions restart
     /// from a fresh window) while reusing the warm buffers: decisions after
     /// a park are bit-identical to a fresh sensor fed the same stream —
-    /// stale ring/plane/accumulator contents never leak into them.
+    /// stale ring/accumulator contents never leak into them.
     #[test]
     fn park_restarts_the_stream_with_warm_buffers() {
-        for plane_budget in [usize::MAX, 0] {
-            let params = ScfParams::new(32, 7, 4).unwrap();
-            let config = StreamingConfig::new(params.clone())
-                .with_refresh_interval(3)
-                .with_plane_budget(plane_budget);
-            let backend = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
-            let mut parked = StreamingSensor::new(config.clone(), backend.clone()).unwrap();
+        let params = ScfParams::new(32, 7, 4).unwrap();
+        let config = StreamingConfig::new(params.clone()).with_refresh_interval(3);
+        let backend = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+        let mut parked = StreamingSensor::new(config.clone(), backend.clone()).unwrap();
 
-            // First burst: 7 blocks → 4 decisions, then park mid-window.
-            let burst_a = awgn(7 * params.fft_len, 1.0, 11);
-            assert_eq!(parked.push(&burst_a).unwrap().len(), 4);
-            parked.park();
-            assert_eq!(parked.decisions_emitted(), 0);
-            assert_eq!(parked.blocks_ingested(), 0);
+        // First burst: 7 blocks → 4 decisions, then park mid-window.
+        let burst_a = awgn(7 * params.fft_len, 1.0, 11);
+        assert_eq!(parked.push(&burst_a).unwrap().len(), 4);
+        parked.park();
+        assert_eq!(parked.decisions_emitted(), 0);
+        assert_eq!(parked.blocks_ingested(), 0);
 
-            // Second burst through the parked (warm) sensor vs a fresh one.
-            let burst_b = awgn(9 * params.fft_len, 1.0, 13);
-            let warm = parked.push(&burst_b).unwrap();
-            let mut fresh = StreamingSensor::new(config, backend.clone()).unwrap();
-            let cold = fresh.push(&burst_b).unwrap();
-            assert_eq!(warm.len(), 6);
-            assert_eq!(warm.len(), cold.len());
-            for (hop, (w, c)) in warm.iter().zip(&cold).enumerate() {
-                assert_eq!(
-                    w.statistic.to_bits(),
-                    c.statistic.to_bits(),
-                    "budget {plane_budget}, hop {hop}: parked sensor must match a fresh one"
-                );
-                assert_eq!(w.verdict, c.verdict);
-            }
+        // Second burst through the parked (warm) sensor vs a fresh one.
+        let burst_b = awgn(9 * params.fft_len, 1.0, 13);
+        let warm = parked.push(&burst_b).unwrap();
+        let mut fresh = StreamingSensor::new(config, backend.clone()).unwrap();
+        let cold = fresh.push(&burst_b).unwrap();
+        assert_eq!(warm.len(), 6);
+        assert_eq!(warm.len(), cold.len());
+        for (hop, (w, c)) in warm.iter().zip(&cold).enumerate() {
+            assert_eq!(
+                w.statistic.to_bits(),
+                c.statistic.to_bits(),
+                "hop {hop}: parked sensor must match a fresh one"
+            );
+            assert_eq!(w.verdict, c.verdict);
         }
+    }
+
+    /// The plane budget no longer configures anything: the deprecated
+    /// setter returns the configuration unchanged.
+    #[test]
+    #[allow(deprecated)]
+    fn with_plane_budget_is_a_no_op() {
+        let params = ScfParams::new(32, 7, 4).unwrap();
+        assert_eq!(
+            StreamingConfig::new(params.clone()).with_plane_budget(usize::MAX),
+            StreamingConfig::new(params)
+        );
     }
 }

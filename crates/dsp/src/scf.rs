@@ -362,7 +362,8 @@ impl ScfMatrix {
     /// the end; `sqrt` is monotone and correctly rounded, so the result is
     /// the square root of the largest squared magnitude — one rounding of
     /// the true `|S|` rather than `hypot`'s, at a third of the cost. A
-    /// column holding a NaN cell profiles to NaN.
+    /// column holding a NaN cell profiles to [`f64::NAN`], whatever the
+    /// cell's NaN sign or payload.
     pub fn cyclic_profile_into(&self, profile: &mut Vec<f64>) {
         // One pass over the flat row-major buffer (rows = f, columns = a)
         // instead of P² bounds-checked `at()` lookups.
@@ -379,7 +380,7 @@ impl ScfMatrix {
             }
         }
         for best in profile.iter_mut() {
-            *best = best.sqrt();
+            *best = profile_root(*best);
         }
     }
 
@@ -741,12 +742,27 @@ fn fold_profile_rows(acc_re: &[f64], acc_im: &[f64], scale: f64, best: &mut [f64
     }
 }
 
+/// One profile value from a column's largest `|S|²`: its square root, and
+/// every NaN written as [`f64::NAN`]. An infinite sample makes its NaN
+/// inside the DSCF, and the fold and the matrix scan reach it through
+/// different negations and squares, so its sign bit would depend on the
+/// path (and, for a commuted add, on codegen). Both profile builders end
+/// here, so they agree bit for bit on every input.
+#[inline(always)]
+fn profile_root(best: f64) -> f64 {
+    if best.is_nan() {
+        f64::NAN
+    } else {
+        best.sqrt()
+    }
+}
+
 /// Completes a profile whose `[m..]` half holds the folded `|S|²` maxima:
-/// one square root per column, then the `a < 0` half mirrored.
+/// one [`profile_root`] per column, then the `a < 0` half mirrored.
 fn finish_profile(profile: &mut [f64], m: usize) {
     let (neg, pos) = profile.split_at_mut(m);
     for best in pos.iter_mut() {
-        *best = best.sqrt();
+        *best = profile_root(*best);
     }
     for (j, cell) in neg.iter_mut().enumerate() {
         *cell = pos[m - j];
@@ -880,58 +896,10 @@ impl ScfAccumulator {
         self.max_offset
     }
 
-    /// Heap bytes held by the two half-grid planes of an accumulator for
-    /// `max_offset` — what a ring of cached per-block contribution planes
-    /// costs per block, for memory-budget decisions made before allocating.
-    pub fn bytes_for(max_offset: usize) -> usize {
-        let p = 2 * max_offset + 1;
-        let half = max_offset + 1;
-        2 * p * half * std::mem::size_of::<f64>()
-    }
-
     /// Zeroes both planes (allocation kept).
     pub fn reset(&mut self) {
         self.acc_re.fill(0.0);
         self.acc_im.fill(0.0);
-    }
-
-    /// Adds another accumulation cell-by-cell (`self += other`) — how a
-    /// cached per-block contribution plane is folded into the window sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two accumulators have different `max_offset`.
-    pub fn add_assign(&mut self, other: &ScfAccumulator) {
-        assert_eq!(
-            self.max_offset, other.max_offset,
-            "cannot combine DSCF accumulators of different sizes"
-        );
-        for (a, b) in self.acc_re.iter_mut().zip(&other.acc_re) {
-            *a += b;
-        }
-        for (a, b) in self.acc_im.iter_mut().zip(&other.acc_im) {
-            *a += b;
-        }
-    }
-
-    /// Subtracts another accumulation cell-by-cell (`self -= other`) — how
-    /// a cached per-block contribution plane is retired from the window
-    /// sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two accumulators have different `max_offset`.
-    pub fn sub_assign(&mut self, other: &ScfAccumulator) {
-        assert_eq!(
-            self.max_offset, other.max_offset,
-            "cannot combine DSCF accumulators of different sizes"
-        );
-        for (a, b) in self.acc_re.iter_mut().zip(&other.acc_re) {
-            *a -= b;
-        }
-        for (a, b) in self.acc_im.iter_mut().zip(&other.acc_im) {
-            *a -= b;
-        }
     }
 }
 
@@ -2106,37 +2074,6 @@ mod tests {
         assert_eq!(zeroed.max_magnitude(), 0.0);
     }
 
-    /// Cached per-block contribution planes (single-block
-    /// `accumulate_window` + `add_assign`/`sub_assign`) track the direct
-    /// segment passes.
-    #[test]
-    fn contribution_planes_compose_like_segment_passes() {
-        let params = ScfParams::new(32, 7, 4).unwrap();
-        let engine = ScfEngine::new(params.clone()).unwrap();
-        let signal = awgn(params.samples_needed(), 1.0, 13);
-        let spectra = engine.compute_spectra(&signal).unwrap();
-
-        let mut direct = engine.accumulator();
-        let mut planes = engine.accumulator();
-        let mut plane = engine.accumulator();
-        for block in &spectra {
-            engine.accumulate_block(block, &mut direct);
-            engine.accumulate_window(&[block.as_slice()], &mut plane);
-            planes.add_assign(&plane);
-        }
-        let mut a = ScfMatrix::zeros(params.max_offset);
-        let mut b = ScfMatrix::zeros(params.max_offset);
-        engine.finalize_accumulator(&direct, 4, &mut a);
-        engine.finalize_accumulator(&planes, 4, &mut b);
-        assert!(a.max_abs_difference(&b) <= 1e-12);
-        assert!(ScfAccumulator::bytes_for(params.max_offset) > 0);
-
-        engine.accumulate_window(&[spectra[3].as_slice()], &mut plane);
-        planes.sub_assign(&plane);
-        planes.reset();
-        assert_eq!(planes, engine.accumulator());
-    }
-
     /// The accumulator-side profile scan replicates the finalize
     /// arithmetic, so it matches finalize-then-scan bit-for-bit — the
     /// guarantee the streaming fast path's exact-refresh hops rest on.
@@ -2165,10 +2102,11 @@ mod tests {
 
     /// The fused batch profile folds each band while it is hot instead of
     /// scanning the finalised matrix, and must not move a bit doing so
-    /// (a NaN may differ from the scan's in sign or payload; the one-pass
-    /// profile equals the fused one to the bit) — on finite input and with a
-    /// NaN or infinite sample poisoning the spectra — on the paper grid,
-    /// mid-size and wideband grids, and an overlapping-block geometry.
+    /// (both write a NaN column as the one canonical `f64::NAN`; the
+    /// one-pass profile equals the fused one to the bit) — on finite input
+    /// and with a NaN or infinite sample poisoning the spectra — on the
+    /// paper grid, mid-size and wideband grids, and an overlapping-block
+    /// geometry.
     #[test]
     fn fused_profile_is_bitwise_equal_to_matrix_scan() {
         let grids = [
@@ -2179,16 +2117,6 @@ mod tests {
         ];
         let same_bits = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        // An infinite sample reaches the DSCF as infinite bins, so the NaN
-        // is born inside it, and the fold and the scan negate and square
-        // it in different orders: two NaNs match whatever their sign or
-        // payload. Every other value stays bitwise.
-        let same_profile = |a: &[f64], b: &[f64]| {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b)
-                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
         };
         for params in grids {
             let engine = ScfEngine::new(params.clone()).unwrap();
@@ -2208,7 +2136,7 @@ mod tests {
                     params.grid_size(),
                     params.grid_size()
                 );
-                assert!(same_profile(&fused, &scanned), "{case}");
+                assert!(same_bits(&fused, &scanned), "{case}");
                 assert_eq!(poison.is_some(), fused.iter().any(|v| v.is_nan()), "{case}");
 
                 // Matrix and profile from one pass equal both single passes.

@@ -19,7 +19,11 @@
 //!   the delta is race-free under parallel libtest threads);
 //! * **shard stability** — [`shard_for`] is pinned to literal values (the
 //!   SplitMix64 finaliser is stable across runs, platforms and
-//!   subscription order) and [`SensingScheduler::shard_of`] agrees.
+//!   subscription order) and [`SensingScheduler::shard_of`] agrees;
+//! * **a dead worker never hangs a producer** — when a backend panics,
+//!   a `Block` producer waiting on the worker's full queue gets
+//!   [`CfdError::WorkerStopped`] within a bounded time, and `join`
+//!   re-raises the panic.
 
 use cfd_core::backend::{Decision, Observation, SensingBackend};
 use cfd_core::error::CfdError;
@@ -31,6 +35,9 @@ use cfd_dsp::detector::CyclostationaryDetector;
 use cfd_dsp::scf::ScfParams;
 use cfd_scenario::service_traffic::{ActivityModel, ServiceTraffic, TrafficEvent};
 use proptest::prelude::*;
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 /// Drives the synthesized events through a scheduler and returns each
 /// channel's decisions, in hop order.
@@ -336,4 +343,87 @@ fn shard_placement_is_stable() {
     }
     a.join().unwrap();
     b.join().unwrap();
+}
+
+/// A backend whose first decision reports that it has started, waits for
+/// the test to open a gate, then panics.
+#[derive(Debug, Clone)]
+struct PanickingBackend {
+    entered: mpsc::Sender<()>,
+    gate: Arc<Mutex<mpsc::Receiver<()>>>,
+}
+
+impl SensingBackend for PanickingBackend {
+    fn label(&self) -> String {
+        "panicking".into()
+    }
+
+    fn decide(&mut self, _observation: &mut Observation) -> Result<Decision, CfdError> {
+        self.entered
+            .send(())
+            .expect("the producer waits for the decision");
+        let gate = self.gate.lock().expect("one worker holds the gate");
+        gate.recv().expect("the producer opens the gate");
+        panic!("backend panicked in decide");
+    }
+}
+
+/// A worker whose backend panics closes its shard queue as it unwinds.
+/// The one worker is held inside its first `decide` while the producer
+/// fills the two-slot `Block` queue, then panics; the producer's next
+/// push into the full queue must return `WorkerStopped` for that shard
+/// instead of blocking forever (bounded by a 1 s channel timeout), and
+/// `join` re-raises the worker's panic.
+#[test]
+fn a_panicking_backend_does_not_hang_a_blocking_producer() {
+    let params = ScfParams::new(32, 7, 4).unwrap();
+    let config = ServiceConfig::new(1)
+        .with_queue_capacity(2)
+        .with_backpressure(Backpressure::Block);
+    let (entered_tx, entered) = mpsc::channel();
+    let (open, gate) = mpsc::channel();
+    let backend = PanickingBackend {
+        entered: entered_tx,
+        gate: Arc::new(Mutex::new(gate)),
+    };
+    let scheduler = SensingScheduler::builder(config)
+        .subscribe(ChannelSubscription::new(
+            0,
+            StreamingConfig::new(params),
+            backend,
+            DecisionLog::new(),
+        ))
+        .spawn()
+        .unwrap();
+    let (done, outcome) = mpsc::channel();
+    let producer = std::thread::spawn(move || {
+        let hop = cfd_dsp::signal::awgn(32, 1.0, 7);
+        // The fourth hop completes the window: the worker is then inside
+        // `decide` with nothing else queued.
+        for _ in 0..4 {
+            scheduler.push(0, &hop).unwrap();
+        }
+        entered.recv().unwrap();
+        // Fill the queue, let the backend panic, and push into the full
+        // queue that the worker will never drain again.
+        scheduler.push(0, &hop).unwrap();
+        scheduler.push(0, &hop).unwrap();
+        open.send(()).unwrap();
+        let pushed = scheduler.push(0, &hop);
+        let parked = scheduler.park(0);
+        done.send((pushed, parked, scheduler)).unwrap();
+    });
+    let (pushed, parked, scheduler) = outcome
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the producer must not hang on a dead worker");
+    producer.join().expect("the producer returns");
+    assert_eq!(pushed, Err(CfdError::WorkerStopped { shard: 0 }));
+    assert_eq!(parked, Err(CfdError::WorkerStopped { shard: 0 }));
+    assert_eq!(scheduler.pushed(), 6, "a refused hop is not counted");
+    let joined = std::panic::catch_unwind(AssertUnwindSafe(|| scheduler.join()));
+    let panic = joined.expect_err("join re-raises the worker's panic");
+    assert_eq!(
+        panic.downcast_ref::<&str>(),
+        Some(&"backend panicked in decide")
+    );
 }

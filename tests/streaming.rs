@@ -6,9 +6,7 @@
 //!   `hop < block` overlap and the `window == 1` edge), every matrix a
 //!   [`StreamingSensor`] installs is within 1e-12 of the batch
 //!   [`ScfEngine`] over exactly the same window of samples, and
-//!   **bitwise** equal on exact-refresh hops (`hop index % R == 0`) —
-//!   in both retire modes (cached contribution planes and
-//!   recompute-and-subtract);
+//!   **bitwise** equal on exact-refresh hops (`hop index % R == 0`);
 //! * **decision identity** — a [`CyclostationaryDetector`] driven through
 //!   `StreamingSensor` produces the same statistic as the same detector
 //!   deciding batchwise on the same windows (bit-identical at refresh
@@ -64,14 +62,10 @@ impl SensingBackend for MatrixProbe {
 fn stream_captures(
     params: &ScfParams,
     refresh: usize,
-    plane_budget: usize,
     signal: &[Cplx],
 ) -> Vec<(Vec<Cplx>, ScfMatrix)> {
-    let config = StreamingConfig::new(params.clone())
-        .with_refresh_interval(refresh)
-        .with_plane_budget(plane_budget);
+    let config = StreamingConfig::new(params.clone()).with_refresh_interval(refresh);
     let mut sensor = StreamingSensor::new(config, MatrixProbe::new(params.clone())).unwrap();
-    assert_eq!(sensor.caches_planes(), plane_budget > 0);
     sensor.push(signal).unwrap();
     let hops = sensor.decisions_emitted();
     assert_eq!(
@@ -90,8 +84,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every streamed matrix vs the batch engine over the same window:
-    /// ≤ 1e-12 on rolling hops, bitwise on exact-refresh hops, in both
-    /// retire modes.
+    /// ≤ 1e-12 on rolling hops (the fused slide retire), bitwise on
+    /// exact-refresh hops.
     #[test]
     fn streaming_matches_batch_at_every_hop(
         seed in 0u64..1000,
@@ -114,31 +108,21 @@ proptest! {
         let engine = ScfEngine::new(params.clone()).unwrap();
         let mut batch = ScfMatrix::zeros(max_offset);
 
-        // Cached-plane retire vs recompute-and-subtract retire: same
-        // stream, both checked against batch, hop for hop.
-        let with_planes = stream_captures(&params, refresh, usize::MAX, &signal);
-        let without_planes = stream_captures(&params, refresh, 0, &signal);
-        prop_assert_eq!(with_planes.len(), decisions);
-        prop_assert_eq!(without_planes.len(), decisions);
-
-        for (mode, captures) in [("planes", &with_planes), ("recompute", &without_planes)] {
-            for (d, (samples, streamed)) in captures.iter().enumerate() {
-                // The installed window is exactly the d-th hop's samples.
-                let expected = &signal[d * hop..d * hop + params.samples_needed()];
-                prop_assert_eq!(samples.as_slice(), expected);
-                engine.compute_into(expected, &mut batch).unwrap();
-                if d % refresh == 0 {
-                    prop_assert_eq!(
-                        streamed.as_slice(), batch.as_slice(),
-                        "{} mode, refresh hop {} must be bitwise", mode, d
-                    );
-                } else {
-                    let drift = streamed.max_abs_difference(&batch);
-                    prop_assert!(
-                        drift <= 1e-12,
-                        "{mode} mode, hop {d}: drift {drift:e} exceeds 1e-12"
-                    );
-                }
+        let captures = stream_captures(&params, refresh, &signal);
+        prop_assert_eq!(captures.len(), decisions);
+        for (d, (samples, streamed)) in captures.iter().enumerate() {
+            // The installed window is exactly the d-th hop's samples.
+            let expected = &signal[d * hop..d * hop + params.samples_needed()];
+            prop_assert_eq!(samples.as_slice(), expected);
+            engine.compute_into(expected, &mut batch).unwrap();
+            if d % refresh == 0 {
+                prop_assert_eq!(
+                    streamed.as_slice(), batch.as_slice(),
+                    "refresh hop {} must be bitwise", d
+                );
+            } else {
+                let drift = streamed.max_abs_difference(&batch);
+                prop_assert!(drift <= 1e-12, "hop {d}: drift {drift:e} exceeds 1e-12");
             }
         }
     }
@@ -146,9 +130,7 @@ proptest! {
     /// A CFD backend streamed hop-by-hop decides like the same backend
     /// deciding batchwise on each window: bit-identical statistic at
     /// refresh hops, ≤ 1e-9 in between, and the verdict agrees whenever
-    /// the statistic is not within drift of the threshold — with cached
-    /// planes (plane subtraction, then an accumulator profile scan) and
-    /// without (the fused slide).
+    /// the statistic is not within drift of the threshold.
     #[test]
     fn streaming_decisions_match_the_batch_detector(
         seed in 0u64..1000,
@@ -169,40 +151,34 @@ proptest! {
         let blocks = window + decisions - 1;
         let signal = awgn((blocks - 1) * hop + fft_len, 1.0, seed);
 
-        for plane_budget in [usize::MAX, 0] {
-            let config = StreamingConfig::new(params.clone())
-                .with_refresh_interval(refresh)
-                .with_plane_budget(plane_budget);
-            let cfd = CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
-            let mut sensor = StreamingSensor::new(config, cfd).unwrap();
-            prop_assert_eq!(sensor.caches_planes(), plane_budget > 0);
-            let streamed = sensor.push(&signal).unwrap();
-            prop_assert_eq!(streamed.len(), decisions);
+        let config = StreamingConfig::new(params.clone()).with_refresh_interval(refresh);
+        let cfd = CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
+        let mut sensor = StreamingSensor::new(config, cfd).unwrap();
+        let streamed = sensor.push(&signal).unwrap();
+        prop_assert_eq!(streamed.len(), decisions);
 
-            let mut batch_backend =
-                CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
-            let mut observation = Observation::new();
-            for (d, decision) in streamed.iter().enumerate() {
-                let win = &signal[d * hop..d * hop + params.samples_needed()];
-                observation.load(win);
-                let batch = batch_backend.decide(&mut observation).unwrap();
-                prop_assert_eq!(decision.threshold, batch.threshold);
-                if d % refresh == 0 {
-                    prop_assert_eq!(
-                        decision.statistic.to_bits(), batch.statistic.to_bits(),
-                        "budget {}, refresh hop {} statistic must be bit-identical",
-                        plane_budget, d
-                    );
+        let mut batch_backend =
+            CyclostationaryDetector::new(params.clone(), threshold, 1).unwrap();
+        let mut observation = Observation::new();
+        for (d, decision) in streamed.iter().enumerate() {
+            let win = &signal[d * hop..d * hop + params.samples_needed()];
+            observation.load(win);
+            let batch = batch_backend.decide(&mut observation).unwrap();
+            prop_assert_eq!(decision.threshold, batch.threshold);
+            if d % refresh == 0 {
+                prop_assert_eq!(
+                    decision.statistic.to_bits(), batch.statistic.to_bits(),
+                    "refresh hop {} statistic must be bit-identical", d
+                );
+                prop_assert_eq!(decision.verdict, batch.verdict);
+            } else {
+                let drift = (decision.statistic - batch.statistic).abs();
+                prop_assert!(
+                    drift <= 1e-9,
+                    "hop {d}: statistic drift {drift:e}"
+                );
+                if (batch.statistic - threshold).abs() > 1e-6 {
                     prop_assert_eq!(decision.verdict, batch.verdict);
-                } else {
-                    let drift = (decision.statistic - batch.statistic).abs();
-                    prop_assert!(
-                        drift <= 1e-9,
-                        "budget {plane_budget}, hop {d}: statistic drift {drift:e}"
-                    );
-                    if (batch.statistic - threshold).abs() > 1e-6 {
-                        prop_assert_eq!(decision.verdict, batch.verdict);
-                    }
                 }
             }
         }
@@ -347,7 +323,7 @@ fn statistic_hash(decisions: &[Decision]) -> u64 {
 }
 
 /// The streamed statistics of the service geometry (64-point FFT, ±15,
-/// 32 blocks, no plane cache, a refresh every 64 hops) are pinned bit for
+/// 32 blocks, a refresh every 64 hops) are pinned bit for
 /// bit: 300 decisions over a BPSK burst in noise, fed one hop per push,
 /// hash to a recorded value. It was first recorded before the incremental
 /// hop was fused, re-recorded when the noise moved to the ziggurat
@@ -358,12 +334,9 @@ fn statistic_hash(decisions: &[Decision]) -> u64 {
 #[test]
 fn streamed_statistics_are_pinned() {
     let params = ScfParams::new(64, 15, 32).unwrap();
-    let config = StreamingConfig::new(params.clone())
-        .with_refresh_interval(64)
-        .with_plane_budget(0);
+    let config = StreamingConfig::new(params.clone()).with_refresh_interval(64);
     let detector = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
     let mut sensor = StreamingSensor::new(config, detector).unwrap();
-    assert!(!sensor.caches_planes());
     let decisions = 300;
     let blocks = params.num_blocks + decisions - 1;
     let signal = SignalBuilder::new(blocks * params.block_stride)
@@ -405,7 +378,7 @@ impl SensingBackend for WindowProbe {
 /// (which cross many tape compactions), a `park` mid-window and a `reset`
 /// mid-window. On every hop the backend's samples equal the batch window
 /// verbatim and the spectra it computes from them are bit-equal to
-/// `compute_spectra` on that window, in both retire modes.
+/// `compute_spectra` on that window.
 #[test]
 fn window_view_survives_ragged_pushes() {
     let params = ScfParams::new(32, 7, 4).unwrap().with_stride(24);
@@ -413,53 +386,49 @@ fn window_view_survives_ragged_pushes() {
     let needed = params.samples_needed();
     let engine = ScfEngine::new(params.clone()).unwrap();
     let sizes = [1, 7, hop, 3 * hop + 5];
-    for plane_budget in [usize::MAX, 0] {
-        let config = StreamingConfig::new(params.clone())
-            .with_refresh_interval(5)
-            .with_plane_budget(plane_budget);
-        let probe = WindowProbe {
-            engine: engine.clone(),
-            captured: Vec::new(),
-        };
-        let mut sensor = StreamingSensor::new(config, probe).unwrap();
-        // Three stream segments: the first ends in a park, the second in
-        // a reset, each mid-window; every segment restarts at sample 0.
-        for (segment, seed) in [61u64, 62, 63].into_iter().enumerate() {
-            let signal = awgn(needed + 40 * hop + 11, 1.0, seed);
-            let mut fed = 0;
-            for size in sizes.iter().cycle() {
-                let end = (fed + size).min(signal.len());
-                sensor.push(&signal[fed..end]).unwrap();
-                fed = end;
-                if fed == signal.len() {
-                    break;
-                }
+    let config = StreamingConfig::new(params.clone()).with_refresh_interval(5);
+    let probe = WindowProbe {
+        engine: engine.clone(),
+        captured: Vec::new(),
+    };
+    let mut sensor = StreamingSensor::new(config, probe).unwrap();
+    // Three stream segments: the first ends in a park, the second in
+    // a reset, each mid-window; every segment restarts at sample 0.
+    for (segment, seed) in [61u64, 62, 63].into_iter().enumerate() {
+        let signal = awgn(needed + 40 * hop + 11, 1.0, seed);
+        let mut fed = 0;
+        for size in sizes.iter().cycle() {
+            let end = (fed + size).min(signal.len());
+            sensor.push(&signal[fed..end]).unwrap();
+            fed = end;
+            if fed == signal.len() {
+                break;
             }
-            let captured = std::mem::take(&mut sensor.backend_mut().captured);
-            assert_eq!(captured.len(), 41, "segment {segment}");
-            for (d, (samples, spectra)) in captured.iter().enumerate() {
-                let window = &signal[d * hop..d * hop + needed];
-                assert_eq!(samples.as_slice(), window, "segment {segment}, hop {d}");
-                let batch = engine.compute_spectra(window).unwrap();
-                for (streamed, batch) in spectra.iter().zip(&batch) {
-                    let bits = |block: &[Cplx]| {
-                        block
-                            .iter()
-                            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
-                            .collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(streamed), bits(batch), "segment {segment}, hop {d}");
-                }
-                assert_eq!(spectra.len(), batch.len());
+        }
+        let captured = std::mem::take(&mut sensor.backend_mut().captured);
+        assert_eq!(captured.len(), 41, "segment {segment}");
+        for (d, (samples, spectra)) in captured.iter().enumerate() {
+            let window = &signal[d * hop..d * hop + needed];
+            assert_eq!(samples.as_slice(), window, "segment {segment}, hop {d}");
+            let batch = engine.compute_spectra(window).unwrap();
+            for (streamed, batch) in spectra.iter().zip(&batch) {
+                let bits = |block: &[Cplx]| {
+                    block
+                        .iter()
+                        .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(streamed), bits(batch), "segment {segment}, hop {d}");
             }
-            // End the segment mid-window: half a window more, then forget.
-            sensor.push(&awgn(needed / 2, 1.0, seed + 10)).unwrap();
-            sensor.backend_mut().captured.clear();
-            if segment == 0 {
-                sensor.park();
-            } else {
-                sensor.reset();
-            }
+            assert_eq!(spectra.len(), batch.len());
+        }
+        // End the segment mid-window: half a window more, then forget.
+        sensor.push(&awgn(needed / 2, 1.0, seed + 10)).unwrap();
+        sensor.backend_mut().captured.clear();
+        if segment == 0 {
+            sensor.park();
+        } else {
+            sensor.reset();
         }
     }
 }
