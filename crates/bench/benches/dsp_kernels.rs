@@ -63,16 +63,21 @@ fn bench_dscf(c: &mut Criterion) {
 /// `engine_into` row — reuses one matrix allocation across iterations the
 /// way a Monte-Carlo sweep does. Output is bit-identical to the reference.
 ///
-/// SIMD-restructure record (PR 4, this container, `engine`/`engine_into`):
-/// the zip-based accumulation measured 137/132 µs; the prescribed
-/// `f64::mul_add` split regressed to 817/778 µs (no FMA in the default
-/// x86-64 target features, so every `mul_add` became a libm call); the
-/// adopted form — indexed, zip-free, re/im split into two independent
-/// chains of plain ops — measures 134–153 µs across runs (parity within
-/// this container's noise) while preserving bit-identity. The loop is
-/// gather-bound (`block[index]` loads from precomputed tables), so real
-/// SIMD gains need contiguous re-blocking of the operands, not just loop
-/// shape.
+/// Register-resident row-kernel record (2-vCPU AVX-512 Xeon, medians of 3
+/// alternated runs of the split-row kernel's bench binary and this one):
+/// `profile_from_spectra_127x127_8blocks` 71.7 → 44.1 µs,
+/// `engine_into_127x127_8blocks` 105.2 → 76.3 µs,
+/// `engine_into_511x511_8blocks` 1 288 → 1 205 µs and
+/// `engine_into_1023x1023_8blocks` 5 004 → 4 781 µs. Separate processes
+/// on this shared host swing by tens of percent, so the steadier measure
+/// is one process linking both kernels with the calls alternated: there
+/// the profile pass at 127×127×8 runs 1.53× faster on the AVX-512 tier
+/// and 1.25× on the AVX2 tier (faster in 31 of 31 pairs). Every row is
+/// one unit-stride run over padded operand planes and each accumulator
+/// is loaded and stored once per pass; the rate is still well above what
+/// the 16 flops per cell and block cost at two vector FP ports, and the
+/// operand loads are the likely remainder (each row's window starts one
+/// bin later, so most wide loads straddle a cache line).
 fn bench_dscf_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("dscf_kernel");
     group
@@ -93,22 +98,28 @@ fn bench_dscf_kernel(c: &mut Criterion) {
         let mut scratch = ScfMatrix::zeros(params.max_offset);
         b.iter(|| engine.compute_into(&signal, &mut scratch).unwrap());
     });
+    // The roc and fusion hot path on its own: the cyclic profile folded
+    // straight out of precomputed spectra — no FFT, no matrix.
+    let spectra = engine.compute_spectra(&signal).unwrap();
+    group.bench_function("profile_from_spectra_127x127_8blocks", |b| {
+        let mut profile = Vec::new();
+        b.iter(|| {
+            engine.cyclic_profile_from_spectra_into(&spectra, &mut profile);
+            profile[0]
+        });
+    });
     // Wideband grids past the paper's scale (ROADMAP item 2): 511×511 over
     // 1024-point spectra and 1023×1023 over 2048-point spectra, 8
     // integration steps each (the accumulate-heavy regime the unit-stride
     // rework targets). The eq.-3 reference is benched at 511×511 for
     // context but omitted at 1023×1023, where it would dominate the bench
     // wall-clock; bit-identity at both scales (and at random ones) is
-    // pinned by tests/unit_stride.rs instead.
-    //
-    // Unit-stride record (PR 7, this container, back-to-back
-    // min-of-batches): at 511×511/8 blocks the spectra-fed kernel went
-    // from 2307–2511 µs (PR-4 gather-table engine) to 824–1072 µs —
-    // 2.4–3.0× depending on the DRAM-bandwidth window (this 1-core VM's
-    // fill floor drifts ±65% between sessions). The accumulate phase
-    // itself runs at ~0.5 ns per point-block (the FP-port floor for 4
-    // split-form chains); what remains is the DRAM-bound finalize, so the
-    // ratio grows with integration depth, not with more SIMD.
+    // pinned by tests/unit_stride.rs instead. Here the row kernel gains
+    // least (1.13× on AVX-512, 1.05× on AVX2, in-process pairs at
+    // 511×511): a whole row's operand windows over 8 blocks no longer stay
+    // in L1 from one row to the next (a prototype walking rows in strips
+    // of 64 offsets measured 1.53× and 1.27× there), and the DRAM-bound
+    // finalize of the P×P output adds on top.
     for (label, fft_len, max_offset) in [("511x511", 1024usize, 255usize), ("1023x1023", 2048, 511)]
     {
         let params = ScfParams::new(fft_len, max_offset, 8).unwrap();

@@ -39,10 +39,10 @@ fn accumulate_ns() -> &'static cfd_telemetry::Histogram {
     ACCUMULATE_NS.get_or_init(|| cfd_telemetry::histogram("dsp.scf.accumulate_ns"))
 }
 
-/// Contiguous operand runs executed per accumulation call (always-live, like
-/// the cache counters): `segments-per-grid × blocks` per call. A row splits
-/// into more than one run only where an operand wraps past bin `K−1`, so
-/// this counter exposes how contiguous the unit-stride decomposition is.
+/// Row runs executed per accumulation pass (always-live, like the cache
+/// counters): `rows × blocks` per pass. Every row is one unwrapped run over
+/// each staged block (the padded planes copy the wrap in), so this counts
+/// the kernel's work in row-blocks.
 fn segment_runs() -> &'static cfd_telemetry::Counter {
     static SEGMENT_RUNS: OnceLock<cfd_telemetry::Counter> = OnceLock::new();
     SEGMENT_RUNS.get_or_init(|| cfd_telemetry::counter("dsp.scf.segment_runs"))
@@ -131,8 +131,8 @@ impl ScfParams {
                 message: "must be at least 1".into(),
             });
         }
-        // Spectral indices are mapped through `centred_bin`'s i32 domain and
-        // the engine's u32 segment tables; a wider FFT cannot be indexed.
+        // Spectral indices are mapped through `centred_bin`'s i32 domain; a
+        // wider FFT cannot be indexed.
         if self.fft_len > i32::MAX as usize {
             return Err(DspError::InvalidParameter {
                 name: "fft_len",
@@ -495,51 +495,44 @@ pub fn dscf_from_spectra(spectra: &[Vec<Cplx>], params: &ScfParams) -> ScfMatrix
     matrix
 }
 
-/// One contiguous run of a half-grid row's accumulation.
-///
-/// For `len` consecutive offsets starting at `a = out`, the direct operand
-/// reads `block[plus + i]` and the conjugated operand reads `rev[rev + i]`,
-/// where `rev` is the index-reversed block (`rev[t] = block[(K−t) mod K]`) —
-/// both forward unit-stride. Segments never cross a wrap of either operand,
-/// so the slices they window are plain contiguous windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RowSegment {
-    /// First offset `a` of the run (column relative to `a = 0`).
-    out: u32,
-    /// Number of consecutive offsets in the run.
-    len: u32,
-    /// Start of the direct-operand window: `plus + i = (bin(f) + a) mod K`.
-    plus: u32,
-    /// Start of the conjugate-operand window in the reversed block:
-    /// `rev + i = (bin(−f) + a) mod K`.
-    rev: u32,
-}
+/// The widest chunk any tier's row body walks (AVX-512: two registers per
+/// plane). Every staged block row is padded by this much past the longest
+/// run, so the last chunk of a row loads a full chunk in range.
+const MAX_CHUNK: usize = 16;
 
 /// The staged block spectra in split re/im planes: the direct copy and the
-/// index-reversed copy `rev[t] = block[(K−t) mod K]`, `k` bins per block,
-/// so the segment loops are pure vertical `f64` operations the vectorised
-/// kernel turns into packed loads and adds.
+/// index-reversed copy `rev[t] = block[(K−t) mod K]`, one padded row of
+/// `width = K + M + 1 + MAX_CHUNK` values per block with the wrap copied
+/// in (`plane[t] = plane[t mod K]`). A half-grid row reads both operands
+/// forward from its start bin for `M + 1` offsets, so with the wrap copied
+/// every row is one unwrapped run, and every chunk of it is in range.
 #[derive(Default)]
 struct OperandPlanes {
+    width: usize,
+    blocks: usize,
     plus_re: Vec<f64>,
     plus_im: Vec<f64>,
     rev_re: Vec<f64>,
     rev_im: Vec<f64>,
 }
 
-/// The four operand windows (direct re/im, reversed re/im) of one block
-/// over one segment, each `len` values long.
-type SegOperands<'a> = (&'a [f64], &'a [f64], &'a [f64], &'a [f64]);
-
 impl OperandPlanes {
-    /// Stages `blocks`. Every batch and incremental pass stages through
-    /// here, so every path reads operands with exactly the same values.
+    /// Stages `blocks` for runs of `half` offsets. Every batch and
+    /// incremental pass stages through here, so every path reads operands
+    /// with exactly the same values.
     ///
     /// # Panics
     ///
     /// Panics if any block is shorter than `k`.
-    fn stage<'a>(&mut self, k: usize, blocks: impl ExactSizeIterator<Item = &'a [Cplx]>) {
+    fn stage<'a>(
+        &mut self,
+        k: usize,
+        half: usize,
+        blocks: impl ExactSizeIterator<Item = &'a [Cplx]>,
+    ) {
+        let width = k + half + MAX_CHUNK;
         let n = blocks.len();
+        (self.width, self.blocks) = (width, n);
         for plane in [
             &mut self.plus_re,
             &mut self.plus_im,
@@ -547,7 +540,7 @@ impl OperandPlanes {
             &mut self.rev_im,
         ] {
             plane.clear();
-            plane.resize(n * k, 0.0);
+            plane.resize(n * width, 0.0);
         }
         for (b, block) in blocks.enumerate() {
             assert!(
@@ -555,33 +548,36 @@ impl OperandPlanes {
                 "block spectrum shorter ({}) than fft_len ({k})",
                 block.len()
             );
-            let block = &block[..k];
-            let base = b * k;
-            for (t, value) in block.iter().enumerate() {
-                self.plus_re[base + t] = value.re;
-                self.plus_im[base + t] = value.im;
+            let row = b * width..(b + 1) * width;
+            let (pr, pi) = (
+                &mut self.plus_re[row.clone()],
+                &mut self.plus_im[row.clone()],
+            );
+            let (rr, ri) = (&mut self.rev_re[row.clone()], &mut self.rev_im[row]);
+            for (t, x) in block[..k].iter().enumerate() {
+                (pr[t], pi[t]) = (x.re, x.im);
+                // `K` is a power of two (the FFT plan requires one).
+                let r = (k - t) & (k - 1);
+                (rr[r], ri[r]) = (x.re, x.im);
             }
-            self.rev_re[base] = block[0].re;
-            self.rev_im[base] = block[0].im;
-            for t in 1..k {
-                self.rev_re[base + t] = block[k - t].re;
-                self.rev_im[base + t] = block[k - t].im;
+            for plane in [pr, pi, rr, ri] {
+                for t in k..width {
+                    plane[t] = plane[t - k];
+                }
             }
         }
     }
 
-    /// Block `b`'s operand windows over `seg`.
-    #[inline(always)]
-    fn segment(&self, b: usize, k: usize, seg: &RowSegment) -> SegOperands<'_> {
-        let len = seg.len as usize;
-        let plus = b * k + seg.plus as usize;
-        let rev = b * k + seg.rev as usize;
-        (
-            &self.plus_re[plus..][..len],
-            &self.plus_im[plus..][..len],
-            &self.rev_re[rev..][..len],
-            &self.rev_im[rev..][..len],
-        )
+    /// Each staged block's four padded rows: direct re/im, reversed re/im.
+    /// Cloning the iterator is free, so a pass builds it once and walks a
+    /// clone per chunk; every row it yields is exactly `width` long, which
+    /// lets the compiler hoist a chunk's bounds checks out of the block
+    /// chain.
+    fn block_rows(&self) -> impl Iterator<Item = [&[f64]; 4]> + Clone + '_ {
+        let w = self.width;
+        let (xr, xi) = (self.plus_re.chunks_exact(w), self.plus_im.chunks_exact(w));
+        let (yr, yi) = (self.rev_re.chunks_exact(w), self.rev_im.chunks_exact(w));
+        (xr.zip(xi).zip(yr.zip(yi))).map(|((xr, xi), (yr, yi))| [xr, xi, yr, yi])
     }
 }
 
@@ -601,9 +597,9 @@ thread_local! {
     static SCF_SCRATCH: RefCell<ScfScratch> = RefCell::new(ScfScratch::default());
 }
 
-/// Segment-pass kinds, a const parameter of the kernel so each kind
-/// compiles to its own branch-free loop. An `INIT_PASS` overwrites the
-/// accumulators: its first chain starts from the literal `0.0` instead of
+/// Pass kinds, a const parameter of the row body so each kind compiles
+/// to its own branch-free chain. An `INIT_PASS` overwrites the
+/// accumulators: its chain starts from the literal `0.0` instead of
 /// loading them, so a batch band needs no clearing memset. The chain
 /// `0.0 + t₀ + …` is exactly what a zero-filled slab would have computed
 /// (the compiler cannot and does not fold `0.0 + t₀` — it would change the
@@ -627,77 +623,154 @@ const SUB_PASS: u8 = 2;
 /// two separate passes' while every cell is loaded and stored once.
 const SLIDE_PASS: u8 = 3;
 
-/// One unit-stride pass over a segment, accumulating `B` blocks per point
-/// with the accumulator held in registers across the unrolled block chain
-/// (the inner loop over a const-length array is fully unrolled), so each
-/// accumulator value is loaded and stored once per chain instead of once
-/// per block. The per-point expression is the reference's product — four
-/// products, two single-rounded sums per block, chained onto the
-/// accumulator in block order — so the summation tree is exactly the one
-/// [`dscf_reference`] builds (`f64::mul_add` was measured here and
+/// `L` values of `plane` from `at`, as one fixed-size chunk.
+#[inline(always)]
+fn chunk<const L: usize>(plane: &[f64], at: usize) -> [f64; L] {
+    let mut values = [0.0; L];
+    values.copy_from_slice(&plane[at..at + L]);
+    values
+}
+
+/// One `L`-wide chunk of a row run, chained over every staged block in
+/// registers: `(re, im)` enter as the chunk's accumulators and leave with
+/// every block's term applied in block order (a slide's first block, the
+/// outgoing one, subtracted). The per-point expression is the reference's
+/// product — four products, two single-rounded sums per block, chained
+/// onto the accumulator in block order — so the summation tree is exactly
+/// the one [`dscf_reference`] builds (`f64::mul_add` was measured here and
 /// rejected: without FMA in the target feature set it lowers to a libm
 /// call per point, 6× slower, and with FMA it would change the rounding).
 #[inline(always)]
-fn seg_pass<const KIND: u8, const B: usize>(
-    ar: &mut [f64],
-    ai: &mut [f64],
-    ops: &[SegOperands<'_>; B],
-) {
-    let len = ar.len();
-    let ai = &mut ai[..len];
-    for i in 0..len {
-        let (mut re, mut im) = if KIND == INIT_PASS {
-            (0.0, 0.0)
-        } else {
-            (ar[i], ai[i])
-        };
-        for (j, &(xr, xi, yr, yi)) in ops.iter().enumerate() {
-            let t_re = xr[i] * yr[i] + xi[i] * yi[i];
-            let t_im = xi[i] * yr[i] - xr[i] * yi[i];
-            // A slide's first staged block is the outgoing one.
-            if KIND == SUB_PASS || (KIND == SLIDE_PASS && j == 0) {
-                re -= t_re;
-                im -= t_im;
+fn chain_chunk<'a, const KIND: u8, const L: usize>(
+    (mut re, mut im): ([f64; L], [f64; L]),
+    blocks: impl Iterator<Item = [&'a [f64]; 4]>,
+    plus: usize,
+    rev: usize,
+) -> ([f64; L], [f64; L]) {
+    for (b, [xr, xi, yr, yi]) in blocks.enumerate() {
+        let (xr, xi) = (chunk::<L>(xr, plus), chunk::<L>(xi, plus));
+        let (yr, yi) = (chunk::<L>(yr, rev), chunk::<L>(yi, rev));
+        let subtract = KIND == SUB_PASS || (KIND == SLIDE_PASS && b == 0);
+        for l in 0..L {
+            let t_re = xr[l] * yr[l] + xi[l] * yi[l];
+            let t_im = xi[l] * yr[l] - xr[l] * yi[l];
+            if subtract {
+                re[l] -= t_re;
+                im[l] -= t_im;
             } else {
-                re += t_re;
-                im += t_im;
+                re[l] += t_re;
+                im[l] += t_im;
             }
         }
-        ar[i] = re;
-        ai[i] = im;
+    }
+    (re, im)
+}
+
+/// The one row body behind every pass kind, caller and tier: row `f`'s
+/// `a ≥ 0` accumulators `ar`/`ai` over the run starting at direct bin
+/// `plus = bin(f)` and reversed bin `rev = bin(−f)`, walked in `L`-wide
+/// chunks with each chunk's accumulators held in registers across all
+/// staged blocks, then one partial tail chunk (its spare lanes read the
+/// padding and are dropped).
+#[inline(always)]
+fn row_body<'a, const KIND: u8, const L: usize>(
+    ar: &mut [f64],
+    ai: &mut [f64],
+    blocks: impl Iterator<Item = [&'a [f64]; 4]> + Clone,
+    plus: usize,
+    rev: usize,
+) {
+    let half = ar.len();
+    let full = half - half % L;
+    for o in (0..full).step_by(L) {
+        let acc = if KIND == INIT_PASS {
+            ([0.0; L], [0.0; L])
+        } else {
+            (chunk::<L>(ar, o), chunk::<L>(ai, o))
+        };
+        let (re, im) = chain_chunk::<KIND, L>(acc, blocks.clone(), plus + o, rev + o);
+        ar[o..o + L].copy_from_slice(&re);
+        ai[o..o + L].copy_from_slice(&im);
+    }
+    if full < half {
+        let tail = half - full;
+        let mut acc = ([0.0; L], [0.0; L]);
+        if KIND != INIT_PASS {
+            acc.0[..tail].copy_from_slice(&ar[full..]);
+            acc.1[..tail].copy_from_slice(&ai[full..]);
+        }
+        let (re, im) = chain_chunk::<KIND, L>(acc, blocks, plus + full, rev + full);
+        ar[full..].copy_from_slice(&re[..tail]);
+        ai[full..].copy_from_slice(&im[..tail]);
     }
 }
 
-/// The block chain of a segment: runs the next chain starting at block
-/// `b` of the `n` staged blocks — four while at least four remain, then
-/// two, then one — and returns the block after it. Per accumulator the
-/// blocks arrive strictly ascending whatever the chain lengths, so every
-/// pass kind and every call pattern builds the same per-cell sum.
+/// Runs [`row_body`] over `rows` of an `M = m`, `K = k` grid into
+/// accumulator planes laid out `(row − rows.start)·(m + 1) + a`.
 #[inline(always)]
-fn chain_step<const KIND: u8>(
-    ar: &mut [f64],
-    ai: &mut [f64],
-    ops: &OperandPlanes,
-    n: usize,
-    b: usize,
+fn rows_body<const KIND: u8, const L: usize>(
     k: usize,
-    seg: &RowSegment,
-) -> usize {
-    let op = |block: usize| ops.segment(block, k, seg);
-    match n - b {
-        4.. => {
-            seg_pass::<KIND, 4>(ar, ai, &[op(b), op(b + 1), op(b + 2), op(b + 3)]);
-            b + 4
-        }
-        2 | 3 => {
-            seg_pass::<KIND, 2>(ar, ai, &[op(b), op(b + 1)]);
-            b + 2
-        }
-        _ => {
-            seg_pass::<KIND, 1>(ar, ai, &[op(b)]);
-            b + 1
-        }
+    m: usize,
+    rows: std::ops::Range<usize>,
+    ops: &OperandPlanes,
+    acc_re: &mut [f64],
+    acc_im: &mut [f64],
+) {
+    debug_assert!(L <= MAX_CHUNK);
+    let half = m + 1;
+    let n = ops.blocks;
+    debug_assert!(KIND != INIT_PASS || n >= 1, "init requires a staged block");
+    debug_assert!(
+        KIND != SLIDE_PASS || n == 2,
+        "a slide stages exactly two blocks"
+    );
+    // `K` is a power of two (the FFT plan requires one), so `mod K` is a
+    // mask.
+    let mask = k - 1;
+    let blocks = ops.block_rows();
+    let planes = acc_re
+        .chunks_exact_mut(half)
+        .zip(acc_im.chunks_exact_mut(half));
+    for (row, (ar, ai)) in rows.zip(planes) {
+        // Row `f = row − M` starts at `bin(f)` and `bin(−f)`.
+        let plus = (row + k - m) & mask;
+        let rev = (m + k - row) & mask;
+        row_body::<KIND, L>(ar, ai, blocks.clone(), plus, rev);
     }
+}
+
+/// [`rows_body`] compiled for AVX2: 8-wide chunks, two 4-wide registers
+/// per plane. Only `avx2` is enabled — never `fma` — so the bits are the
+/// generic body's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rows_avx2<const KIND: u8>(
+    k: usize,
+    m: usize,
+    rows: std::ops::Range<usize>,
+    ops: &OperandPlanes,
+    acc_re: &mut [f64],
+    acc_im: &mut [f64],
+) {
+    rows_body::<KIND, 8>(k, m, rows, ops, acc_re, acc_im);
+}
+
+/// [`rows_body`] compiled for AVX-512: 16-wide chunks, two 8-wide
+/// registers per plane. Like the AVX2 copy this cannot change the
+/// arithmetic: rustc emits plain IEEE multiplies and adds with no
+/// fast-math flags, so the backend may not contract them into FMAs
+/// whatever the feature set offers — wider registers only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn rows_avx512<const KIND: u8>(
+    k: usize,
+    m: usize,
+    rows: std::ops::Range<usize>,
+    ops: &OperandPlanes,
+    acc_re: &mut [f64],
+    acc_im: &mut [f64],
+) {
+    rows_body::<KIND, 16>(k, m, rows, ops, acc_re, acc_im);
 }
 
 /// Rows per cache band of a `p`-row, `half`-column accumulator: about
@@ -903,8 +976,8 @@ impl ScfAccumulator {
     }
 }
 
-/// The fast software DSCF kernel: segment-decomposed, unit-stride,
-/// symmetry-halved, and allocation-reusing.
+/// The fast software DSCF kernel: one unit-stride run per row, every block
+/// chained in registers, symmetry-halved, and allocation-reusing.
 ///
 /// [`dscf_reference`] is deliberately a transliteration of eq. 3, and its
 /// hot loop pays for that honesty at every one of the `P²` grid points:
@@ -919,19 +992,22 @@ impl ScfAccumulator {
 ///   through [`block_spectrum_with_plan`](crate::fft::block_spectrum_with_plan), the same code path
 ///   [`block_spectrum`] uses, so engine spectra are bit-identical to the
 ///   golden model's);
-/// * a run-length decomposition of every half-grid row into contiguous
-///   `RowSegment`s: along a row (fixed `f`, `a` ascending) the direct
-///   operand walks `bin(f), bin(f)+1, …` and the conjugate operand walks
-///   `bin(f−a)` — *descending*, but forward through the index-reversed
-///   block `rev[t] = block[(K−t) mod K]`. Each sequence is consecutive
-///   modulo `K`, so a row needs at most two segments (one wrap of one
-///   operand: the direct run wraps only for `f < 0`, the reversed run only
-///   for `f > 0`) and the inner loop is pure unit stride — no gather
-///   tables, no modular arithmetic, no per-point panic machinery;
-/// * row-band × block cache blocking: the accumulation iterates bands of
-///   rows in an outer loop and blocks inside, so a band of accumulator
-///   rows stays in L1/L2 while each staged block spectrum streams through
-///   it once;
+/// * one unwrapped run per half-grid row: along a row (fixed `f`, `a`
+///   ascending) the direct operand walks `bin(f), bin(f)+1, …` and the
+///   conjugate operand walks `bin(f−a)` — *descending*, but forward
+///   through the index-reversed block `rev[t] = block[(K−t) mod K]`. Each
+///   sequence is consecutive modulo `K`, and every block is staged once
+///   into padded planes with the wrap copied in, so a row is a single
+///   unit-stride run from `(bin(f), bin(−f))` — no gather tables, no
+///   modular arithmetic, no per-point panic machinery;
+/// * every block chained in registers: one row body walks the run in
+///   fixed-width chunks (16 values on AVX-512, 8 on AVX2, 4 otherwise)
+///   and keeps each chunk's accumulators in registers across all staged
+///   blocks, so each accumulator is loaded and stored once per pass, like
+///   the paper's systolic PEs, which keep `S_f^a` local for all `N`
+///   blocks;
+/// * row bands: the batch accumulation hands each band of finished rows
+///   to the finaliser or the profile fold while it is still cache-hot;
 /// * row-major accumulation with the `a < 0` half mirrored once at the end
 ///   by conjugation, halving the multiply count (for a 127×127 grid:
 ///   127·64 = 8 128 products per block instead of 16 129).
@@ -970,11 +1046,6 @@ pub struct ScfEngine {
     params: ScfParams,
     plan: FftPlan,
     window_coeffs: Vec<f64>,
-    /// The flattened per-row run decomposition of the `a ≥ 0` half-grid;
-    /// row `r` owns `segments[row_bounds[r]..row_bounds[r+1]]`.
-    segments: Vec<RowSegment>,
-    /// `P + 1` offsets into `segments` delimiting each row's runs.
-    row_bounds: Vec<u32>,
     /// This grid's `dsp.scf.accumulate_ns.g{P}` histogram, resolved on the
     /// first batch accumulation with telemetry enabled (clones share it).
     grid_accumulate_ns: OnceLock<cfd_telemetry::Histogram>,
@@ -989,9 +1060,8 @@ impl PartialEq for ScfEngine {
 }
 
 impl ScfEngine {
-    /// Builds an engine for `params`, precomputing the FFT plan, window
-    /// coefficients and the per-row segment decomposition of the `a ≥ 0`
-    /// half-grid.
+    /// Builds an engine for `params`, precomputing the FFT plan and the
+    /// window coefficients.
     ///
     /// # Errors
     ///
@@ -1001,43 +1071,10 @@ impl ScfEngine {
         params.validate()?;
         let plan = FftPlan::new(params.fft_len)?;
         let window_coeffs = params.window.coefficients(params.fft_len);
-        let m = params.max_offset as i32;
-        let k = params.fft_len;
-        let half = params.max_offset + 1;
-        let p = params.grid_size();
-        // For row `f`, offset `a`: the direct operand is
-        // `block[(bin(f) + a) mod K]` and the conjugate operand is
-        // `rev[(bin(−f) + a) mod K]` (both advance by one per offset).
-        // Cut the row wherever either start-plus-offset reaches `K`; with
-        // `2M < K` at most one operand wraps per row, so rows decompose
-        // into at most two runs.
-        let mut segments = Vec::with_capacity(2 * p);
-        let mut row_bounds = Vec::with_capacity(p + 1);
-        row_bounds.push(0u32);
-        for f in -m..=m {
-            let mut a = 0usize;
-            let mut plus = centred_bin(f, k);
-            let mut rev = centred_bin(-f, k);
-            while a < half {
-                let len = (half - a).min(k - plus).min(k - rev);
-                segments.push(RowSegment {
-                    out: a as u32,
-                    len: len as u32,
-                    plus: plus as u32,
-                    rev: rev as u32,
-                });
-                a += len;
-                plus = (plus + len) % k;
-                rev = (rev + len) % k;
-            }
-            row_bounds.push(segments.len() as u32);
-        }
         Ok(ScfEngine {
             params,
             plan,
             window_coeffs,
-            segments,
-            row_bounds,
             grid_accumulate_ns: OnceLock::new(),
         })
     }
@@ -1218,7 +1255,7 @@ impl ScfEngine {
 
     /// The unit-stride row-band loop behind every batch entry point (spectra
     /// pre-validated, non-empty): stages every block once, then runs the
-    /// segment pass band by band and hands each finished band to `sink` —
+    /// row pass band by band and hands each finished band to `sink` —
     /// its row range, the band's `a ≥ 0` accumulator planes (`half` values
     /// per row) and the scratch row buffer — while the band is still
     /// cache-hot.
@@ -1232,12 +1269,12 @@ impl ScfEngine {
         let half = self.params.max_offset + 1;
         scratch
             .operands
-            .stage(self.params.fft_len, spectra.iter().map(Vec::as_slice));
-        // Row-band × block cache blocking: the accumulator slab covers only
-        // one band of rows (~64 KiB across the re + im planes), stays hot
-        // while every staged block streams through it, and is handed to
-        // the sink before the next band reuses it — so the accumulator
-        // traffic never round-trips through memory at any grid size.
+            .stage(self.params.fft_len, half, spectra.iter().map(Vec::as_slice));
+        // Row bands: the accumulator slab covers only one band of rows
+        // (~64 KiB across the re + im planes), is written once by the row
+        // pass and handed to the sink while still cache-hot, before the
+        // next band reuses it — so the accumulator traffic never
+        // round-trips through memory at any grid size.
         let band_rows = band_rows(half, p);
         for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
             plane.clear();
@@ -1250,116 +1287,40 @@ impl ScfEngine {
             let band_end = (band_start + band_rows).min(p);
             let len = (band_end - band_start) * half;
             let (acc_re, acc_im) = (&mut scratch.acc_re[..len], &mut scratch.acc_im[..len]);
-            // No slab clearing: each row's segments tile `[0, half)`
-            // exactly, and the init pass writes every cell.
-            self.segment_pass::<INIT_PASS>(band_start..band_end, &scratch.operands, acc_re, acc_im);
+            // No slab clearing: the init pass writes every cell.
+            let (band, ops) = (band_start..band_end, &scratch.operands);
+            self.rows_pass::<INIT_PASS>(vector_tier(), band, ops, acc_re, acc_im);
             sink(band_start..band_end, acc_re, acc_im, &mut scratch.row_buf);
             band_start = band_end;
         }
     }
 
-    /// The one segment-MAC kernel behind every batch and incremental
-    /// entry point: runs every segment of `rows` over all blocks staged in
-    /// `ops` — forward unit-stride passes, blocks fused innermost in
-    /// [`chain_step`]'s chains — into accumulator planes laid out
-    /// `(row − rows.start)·half + a`, through the widest vector tier the
-    /// host supports. The staged values are exact copies and the
-    /// per-accumulator order is blocks-ascending with the reference's
-    /// product expression, so the accumulation is bit-identical to
-    /// [`dscf_reference`]'s. Counts its runs in `dsp.scf.segment_runs`.
-    fn segment_pass<const KIND: u8>(
+    /// The one DSCF kernel behind every batch and incremental entry point:
+    /// runs each row of `rows` as one unwrapped run over all blocks staged
+    /// in `ops` (blocks chained innermost in registers) into accumulator
+    /// planes laid out `(row − rows.start)·half + a`, through vector tier
+    /// `tier`. The staged values are exact copies and the per-accumulator
+    /// order is blocks-ascending with the reference's product expression,
+    /// so the accumulation is bit-identical to [`dscf_reference`]'s on
+    /// every tier. Counts its runs in `dsp.scf.segment_runs`.
+    fn rows_pass<const KIND: u8>(
         &self,
+        tier: VectorTier,
         rows: std::ops::Range<usize>,
         ops: &OperandPlanes,
         acc_re: &mut [f64],
         acc_im: &mut [f64],
     ) {
-        let blocks = ops.plus_re.len() / self.params.fft_len;
-        let runs = self.row_bounds[rows.end] - self.row_bounds[rows.start];
-        segment_runs().add(u64::from(runs) * blocks as u64);
-        match vector_tier() {
-            // SAFETY: each arm is gated on runtime detection of its feature.
+        let (k, m) = (self.params.fft_len, self.params.max_offset);
+        segment_runs().add((rows.len() * ops.blocks) as u64);
+        match tier {
+            // SAFETY: `vector_tier` / `supported_tiers` only return a tier
+            // whose feature was detected at run time.
             #[cfg(target_arch = "x86_64")]
-            VectorTier::Avx512 => unsafe {
-                self.segment_pass_avx512::<KIND>(rows, ops, acc_re, acc_im)
-            },
+            VectorTier::Avx512 => unsafe { rows_avx512::<KIND>(k, m, rows, ops, acc_re, acc_im) },
             #[cfg(target_arch = "x86_64")]
-            VectorTier::Avx2 => unsafe {
-                self.segment_pass_avx2::<KIND>(rows, ops, acc_re, acc_im)
-            },
-            VectorTier::Generic => self.segment_pass_body::<KIND>(rows, ops, acc_re, acc_im),
-        }
-    }
-
-    /// [`ScfEngine::segment_pass_body`] compiled for AVX2 (4-wide `f64`
-    /// lanes instead of SSE2's 2). Only `avx2` is enabled — not `fma` — so
-    /// the generated code performs exactly the IEEE multiplies and adds of
-    /// the generic kernel and the results stay bit-identical; the dispatch
-    /// is purely a throughput choice made at run time.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn segment_pass_avx2<const KIND: u8>(
-        &self,
-        rows: std::ops::Range<usize>,
-        ops: &OperandPlanes,
-        acc_re: &mut [f64],
-        acc_im: &mut [f64],
-    ) {
-        self.segment_pass_body::<KIND>(rows, ops, acc_re, acc_im);
-    }
-
-    /// [`ScfEngine::segment_pass_body`] compiled for AVX-512 (8-wide `f64`
-    /// lanes). Like the AVX2 copy this cannot change the arithmetic: rustc
-    /// emits plain IEEE multiplies and adds with no fast-math flags, so the
-    /// backend may not contract them into FMAs whatever the feature set
-    /// offers — wider registers only.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn segment_pass_avx512<const KIND: u8>(
-        &self,
-        rows: std::ops::Range<usize>,
-        ops: &OperandPlanes,
-        acc_re: &mut [f64],
-        acc_im: &mut [f64],
-    ) {
-        self.segment_pass_body::<KIND>(rows, ops, acc_re, acc_im);
-    }
-
-    #[inline(always)]
-    fn segment_pass_body<const KIND: u8>(
-        &self,
-        rows: std::ops::Range<usize>,
-        ops: &OperandPlanes,
-        acc_re: &mut [f64],
-        acc_im: &mut [f64],
-    ) {
-        let half = self.params.max_offset + 1;
-        let k = self.params.fft_len;
-        let n = ops.plus_re.len() / k;
-        debug_assert!(KIND != INIT_PASS || n >= 1, "init requires a staged block");
-        debug_assert!(
-            KIND != SLIDE_PASS || n == 2,
-            "a slide stages exactly two blocks"
-        );
-        for row in rows.clone() {
-            let base = (row - rows.start) * half;
-            let bounds = self.row_bounds[row] as usize..self.row_bounds[row + 1] as usize;
-            for seg in &self.segments[bounds] {
-                let len = seg.len as usize;
-                let ar = &mut acc_re[base + seg.out as usize..][..len];
-                let ai = &mut acc_im[base + seg.out as usize..][..len];
-                let mut b = 0;
-                if KIND == INIT_PASS {
-                    b = chain_step::<INIT_PASS>(ar, ai, ops, n, b, k, seg);
-                }
-                while b < n {
-                    b = match KIND {
-                        SUB_PASS => chain_step::<SUB_PASS>(ar, ai, ops, n, b, k, seg),
-                        SLIDE_PASS => chain_step::<SLIDE_PASS>(ar, ai, ops, n, b, k, seg),
-                        _ => chain_step::<ADD_PASS>(ar, ai, ops, n, b, k, seg),
-                    };
-                }
-            }
+            VectorTier::Avx2 => unsafe { rows_avx2::<KIND>(k, m, rows, ops, acc_re, acc_im) },
+            VectorTier::Generic => rows_body::<KIND, 4>(k, m, rows, ops, acc_re, acc_im),
         }
     }
 
@@ -1504,23 +1465,35 @@ impl ScfEngine {
     }
 
     /// Adds one block spectrum's contribution
-    /// `X_{f+a}·conj(X_{f−a})` to `acc`, running the engine's per-row
-    /// segments as unit-stride SIMD passes — O(grid), independent of the
-    /// window length.
-    ///
-    /// Adding `N` blocks one at a time onto a fresh accumulator and
-    /// finalising is **bit-identical** to the batch
-    /// [`ScfEngine::dscf_from_spectra_into`]: per accumulator cell the
-    /// blocks arrive in the same order with the same product expression,
-    /// and the batch kernel's fused 4/2/1 chains do not change that
-    /// per-cell addition tree.
+    /// `X_{f+a}·conj(X_{f−a})` to `acc` — O(grid), independent of the
+    /// window length: the one-block case of
+    /// [`ScfEngine::accumulate_blocks`].
     ///
     /// # Panics
     ///
     /// Panics if `block` is shorter than `fft_len` or if `acc` was built
     /// for a different grid.
     pub fn accumulate_block(&self, block: &[Cplx], acc: &mut ScfAccumulator) {
-        self.accumulator_pass::<ADD_PASS>(std::iter::once(block), acc);
+        self.accumulate_blocks(&[block], acc);
+    }
+
+    /// Adds every block's contribution to `acc` in one pass over the grid,
+    /// each cell loaded and stored once with the blocks chained onto it in
+    /// registers.
+    ///
+    /// **Bit-identical** to adding the blocks one at a time in order, and
+    /// (onto a fresh accumulator, after
+    /// [`ScfEngine::finalize_accumulator`]) to the batch
+    /// [`ScfEngine::dscf_from_spectra_into`]: per accumulator cell the
+    /// blocks arrive in the same order with the same product expression.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any block is shorter than `fft_len` or if `acc` was built
+    /// for a different grid.
+    pub fn accumulate_blocks<B: AsRef<[Cplx]>>(&self, blocks: &[B], acc: &mut ScfAccumulator) {
+        let blocks = blocks.iter().map(AsRef::as_ref);
+        self.accumulator_pass::<ADD_PASS>(vector_tier(), blocks, acc);
     }
 
     /// Subtracts one block spectrum's contribution from `acc` — the retire
@@ -1535,7 +1508,7 @@ impl ScfEngine {
     /// Panics if `block` is shorter than `fft_len` or if `acc` was built
     /// for a different grid.
     pub fn retire_block(&self, block: &[Cplx], acc: &mut ScfAccumulator) {
-        self.accumulator_pass::<SUB_PASS>(std::iter::once(block), acc);
+        self.accumulator_pass::<SUB_PASS>(vector_tier(), std::iter::once(block), acc);
     }
 
     /// Slides a window accumulation by one block and folds its cyclic
@@ -1576,31 +1549,33 @@ impl ScfEngine {
         let band_rows = band_rows(half, p);
         SCF_SCRATCH.with(|scratch| {
             let operands = &mut scratch.borrow_mut().operands;
-            operands.stage(self.params.fft_len, [outgoing, incoming].into_iter());
+            operands.stage(self.params.fft_len, half, [outgoing, incoming].into_iter());
             for band_start in (0..p).step_by(band_rows) {
                 let band = band_start..(band_start + band_rows).min(p);
                 let cells = band.start * half..band.end * half;
                 let (ar, ai) = (&mut acc.acc_re[cells.clone()], &mut acc.acc_im[cells]);
-                self.segment_pass::<SLIDE_PASS>(band, operands, ar, ai);
+                self.rows_pass::<SLIDE_PASS>(vector_tier(), band, operands, ar, ai);
                 fold_profile_rows(ar, ai, scale, &mut profile[m..]);
             }
         });
         finish_profile(profile, m);
     }
 
-    /// Stages `blocks` and runs one segment pass of `KIND` over the whole
-    /// grid of `acc`.
+    /// Stages `blocks` and runs one row pass of `KIND` through `tier` over
+    /// the whole grid of `acc`.
     fn accumulator_pass<'a, const KIND: u8>(
         &self,
+        tier: VectorTier,
         blocks: impl ExactSizeIterator<Item = &'a [Cplx]>,
         acc: &mut ScfAccumulator,
     ) {
         self.check_grid(acc);
         SCF_SCRATCH.with(|scratch| {
             let operands = &mut scratch.borrow_mut().operands;
-            operands.stage(self.params.fft_len, blocks);
+            operands.stage(self.params.fft_len, self.params.max_offset + 1, blocks);
             let rows = 0..self.params.grid_size();
-            self.segment_pass::<KIND>(rows, operands, &mut acc.acc_re, &mut acc.acc_im);
+            let (ar, ai) = (&mut acc.acc_re, &mut acc.acc_im);
+            self.rows_pass::<KIND>(tier, rows, operands, ar, ai);
         });
     }
 
@@ -1612,8 +1587,9 @@ impl ScfEngine {
         );
     }
 
-    /// Overwrites `acc` with the full accumulation over `blocks` using the
-    /// fused 4/2/1 block chains — the exact-refresh pass of a streaming
+    /// Overwrites `acc` with the full accumulation over `blocks` in one
+    /// pass, every block chained onto each cell in registers — the
+    /// exact-refresh pass of a streaming
     /// sensor, and **bit-identical** (after
     /// [`ScfEngine::finalize_accumulator`] with `num_blocks =
     /// blocks.len()`) to the batch [`ScfEngine::dscf_from_spectra_into`]
@@ -1631,7 +1607,8 @@ impl ScfEngine {
             self.check_grid(acc);
             acc.reset();
         } else {
-            self.accumulator_pass::<INIT_PASS>(blocks.iter().map(AsRef::as_ref), acc);
+            let blocks = blocks.iter().map(AsRef::as_ref);
+            self.accumulator_pass::<INIT_PASS>(vector_tier(), blocks, acc);
         }
     }
 
@@ -2016,9 +1993,9 @@ mod tests {
         assert!(spectral_coherence(&scf, 4, 0) > 0.99);
     }
 
-    /// Both incremental accumulation orders — block-at-a-time adds and the
-    /// fused window re-sum — finalise to the exact bits of the batch
-    /// kernel, including with overlapping blocks.
+    /// Every incremental accumulation order — block-at-a-time adds,
+    /// multi-block adds and the fused window re-sum — finalises to the
+    /// exact bits of the batch kernel, including with overlapping blocks.
     #[test]
     fn incremental_accumulation_is_bitwise_equal_to_batch() {
         let params = ScfParams::new(32, 7, 6).unwrap().with_stride(24);
@@ -2035,6 +2012,12 @@ mod tests {
         let mut one_at_a_time = ScfMatrix::zeros(params.max_offset);
         engine.finalize_accumulator(&acc, spectra.len(), &mut one_at_a_time);
         assert_eq!(one_at_a_time.as_slice(), batch.as_slice());
+
+        // Several blocks per add pass chain the same per-cell sums.
+        let mut in_two_passes = engine.accumulator();
+        engine.accumulate_blocks(&spectra[..2], &mut in_two_passes);
+        engine.accumulate_blocks(&spectra[2..], &mut in_two_passes);
+        assert_eq!(in_two_passes, acc);
 
         // The fused re-sum overwrites whatever the accumulator held.
         let refs: Vec<&[Cplx]> = spectra.iter().map(|b| b.as_slice()).collect();
@@ -2229,6 +2212,129 @@ mod tests {
                     fused_profile.iter().any(|v| v.is_nan()),
                     "a poisoned block must reach the profile"
                 );
+            }
+        }
+    }
+
+    /// `acc`'s bits, re plane then im plane.
+    fn acc_bits(acc: &ScfAccumulator) -> Vec<u64> {
+        acc.acc_re
+            .iter()
+            .chain(&acc.acc_im)
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The bits of `values` with every NaN, whatever its sign or payload,
+    /// written as `f64::NAN`.
+    fn nan_blind(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v };
+        values.into_iter().map(|v| canonical(v).to_bits()).collect()
+    }
+
+    /// A copy of `start` after one `KIND` pass over `staged` through `tier`.
+    fn tier_pass<const KIND: u8>(
+        engine: &ScfEngine,
+        tier: VectorTier,
+        start: &ScfAccumulator,
+        staged: &[&[Cplx]],
+    ) -> ScfAccumulator {
+        let mut acc = start.clone();
+        engine.accumulator_pass::<KIND>(tier, staged.iter().copied(), &mut acc);
+        acc
+    }
+
+    /// `start` with the eq.-3 term `X_{f+a}·conj(X_{f−a})` of each of
+    /// `blocks` applied to every `a ≥ 0` cell in block order, written with
+    /// [`dscf_from_spectra`]'s `Cplx` expression; block `j` is subtracted
+    /// when `subtract(j)`.
+    fn eq3_applied(
+        start: &ScfAccumulator,
+        blocks: &[&[Cplx]],
+        subtract: impl Fn(usize) -> bool,
+    ) -> ScfAccumulator {
+        let mut acc = start.clone();
+        let (m, k) = (start.max_offset as i32, blocks[0].len());
+        let half = start.max_offset + 1;
+        for f in -m..=m {
+            for a in 0..=m {
+                let cell = (f + m) as usize * half + a as usize;
+                let mut v = Cplx::new(acc.acc_re[cell], acc.acc_im[cell]);
+                for (j, block) in blocks.iter().enumerate() {
+                    let t = block[centred_bin(f + a, k)] * block[centred_bin(f - a, k)].conj();
+                    v = if subtract(j) { v - t } else { v + t };
+                }
+                (acc.acc_re[cell], acc.acc_im[cell]) = (v.re, v.im);
+            }
+        }
+        acc
+    }
+
+    /// Every vector tier the host runs computes the generic tier's bits
+    /// for every pass kind — init, add, subtract and slide — and all of
+    /// them the eq.-3 bits: on 1, 2, 5 and 17 staged blocks, on grids whose
+    /// `M + 1` leaves a tail chunk for every chunk width (including a
+    /// row shorter than one chunk), on the wrap-heavy `M = K/2 − 1`, and
+    /// with a NaN and an Inf in the last bins of one block (bins the
+    /// padded planes copy past the wrap). Tiers are compared strictly
+    /// bitwise; against eq. 3, whose `conj` negates a NaN's sign, a NaN
+    /// cell must be NaN and every other cell bit-equal.
+    #[test]
+    fn dscf_tiers_are_bitwise_equal() {
+        use crate::tier::supported_tiers;
+        let grids = [(16, 2), (16, 7), (32, 12), (64, 20), (64, 31), (256, 63)];
+        for (k, m) in grids {
+            let engine = ScfEngine::new(ScfParams::new(k, m, 1).unwrap()).unwrap();
+            for n in [1usize, 2, 5, 17] {
+                for poison in [false, true] {
+                    let mut spectra: Vec<Vec<Cplx>> = (0..=n)
+                        .map(|b| awgn(k, 1.0, (1000 * k + b) as u64))
+                        .collect();
+                    if poison {
+                        spectra[n / 2][k - 1] = Cplx::new(f64::NAN, 0.5);
+                        spectra[n / 2][k - 2] = Cplx::new(0.25, f64::INFINITY);
+                    }
+                    let blocks: Vec<&[Cplx]> = spectra.iter().map(Vec::as_slice).collect();
+                    let (window, slide) = (&blocks[..n], [blocks[0], blocks[n]]);
+                    // Init over the window, add it again, subtract it, and
+                    // slide the init by one block.
+                    let run = |tier: VectorTier| {
+                        let init =
+                            tier_pass::<INIT_PASS>(&engine, tier, &engine.accumulator(), window);
+                        let add = tier_pass::<ADD_PASS>(&engine, tier, &init, window);
+                        let sub = tier_pass::<SUB_PASS>(&engine, tier, &add, window);
+                        let slid = tier_pass::<SLIDE_PASS>(&engine, tier, &init, &slide);
+                        [init, add, sub, slid]
+                    };
+                    let case = format!("K {k}, M {m}, {n} blocks, poison {poison}");
+                    let generic = run(VectorTier::Generic);
+                    for tier in supported_tiers() {
+                        for (pass, want) in run(tier).iter().zip(&generic) {
+                            assert_eq!(acc_bits(pass), acc_bits(want), "{case}, {tier:?}");
+                        }
+                    }
+
+                    let [init, add, sub, slid] = &generic;
+                    assert_eq!(poison, init.acc_re.iter().any(|v| v.is_nan()), "{case}");
+                    let mut matrix = ScfMatrix::zeros(m);
+                    engine.finalize_accumulator(init, n, &mut matrix);
+                    let owned: Vec<Vec<Cplx>> = window.iter().map(|b| b.to_vec()).collect();
+                    let reference = dscf_from_spectra(&owned, &ScfParams::new(k, m, n).unwrap());
+                    let cells =
+                        |scf: &ScfMatrix| nan_blind(scf.iter().flat_map(|(_, _, c)| [c.re, c.im]));
+                    assert_eq!(cells(&matrix), cells(&reference), "{case}, init");
+                    let expected = [
+                        (add, eq3_applied(init, window, |_| false)),
+                        (sub, eq3_applied(add, window, |_| true)),
+                        (slid, eq3_applied(init, &slide, |j| j == 0)),
+                    ];
+                    let planes = |acc: &ScfAccumulator| {
+                        nan_blind(acc.acc_re.iter().chain(&acc.acc_im).copied())
+                    };
+                    for (pass, want) in expected {
+                        assert_eq!(planes(pass), planes(&want), "{case}");
+                    }
+                }
             }
         }
     }

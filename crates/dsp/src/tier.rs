@@ -1,5 +1,5 @@
 //! Run-time selection of the widest vector tier the host supports, shared
-//! by the FFT ([`crate::fft`]) and the DSCF segment kernel ([`crate::scf`]).
+//! by the FFT ([`crate::fft`]) and the DSCF row kernel ([`crate::scf`]).
 //!
 //! Each kernel has one `#[inline(always)]` body and thin
 //! `#[target_feature]` wrappers that compile it for AVX2 (the FFT) or for

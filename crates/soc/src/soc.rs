@@ -115,16 +115,14 @@ struct AnalyticPath {
 
 impl AnalyticPath {
     /// Adds `blocks` to the accumulation, or restarts it from them when
-    /// `fresh`. A fresh run takes the engine's fused window pass (every
-    /// accumulator cell loaded once for all blocks); either way the bits
-    /// equal adding the blocks one at a time in order.
+    /// `fresh`: one pass over the grid either way, every accumulator cell
+    /// visited once for all blocks, and the bits equal adding the blocks
+    /// one at a time in order.
     fn accumulate(engine: &ScfEngine, acc: &mut ScfAccumulator, blocks: &[Vec<Cplx>], fresh: bool) {
         if fresh {
             engine.accumulate_window(blocks, acc);
         } else {
-            for block in blocks {
-                engine.accumulate_block(block, acc);
-            }
+            engine.accumulate_blocks(blocks, acc);
         }
     }
 }

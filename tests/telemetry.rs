@@ -142,7 +142,7 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
     assert_eq!(table_serial, table_disabled);
 
     // --- 4. Unit-stride instruments (PR 7): the sweep above ran the
-    // segment-decomposed engine, so the segment-run counter advanced and
+    // engine's row kernel, so the row-run counter advanced and
     // the per-scale accumulate histogram for its 15x15 grid exists -------
     let seg_counter = |s: &MetricsSnapshot| s.counter("dsp.scf.segment_runs").unwrap_or(0);
     assert!(

@@ -1,10 +1,11 @@
 //! Pins the unit-stride DSCF rework (PR 7) against the eq.-3 golden model:
 //!
-//! * the segment-decomposed, cache-blocked [`ScfEngine`] must equal
-//!   [`dscf_reference`] **bitwise** over random `fft_len × max_offset ×
-//!   blocks × stride` geometries — including offsets at the validity
-//!   boundary (`2M = K/2 - 1`-adjacent), where the `f±a` runs wrap the
-//!   mod-K seam and every row splits into multiple segments;
+//! * the [`ScfEngine`], one unit-stride run per row over padded operand
+//!   planes, must equal [`dscf_reference`] **bitwise** over random
+//!   `fft_len × max_offset × blocks × stride` geometries — including
+//!   offsets at the validity boundary (`M = K/2 − 1`), where the `f±a`
+//!   runs of every row cross the mod-K seam and read the wrap the padded
+//!   planes copy in;
 //! * the analytic SoC, which accumulates through the same engine, must
 //!   equal [`dscf_reference`] **bitwise** on 1–17 tiles, including
 //!   platforms with more tiles than DSCF columns (entirely idle tiles) and
@@ -43,8 +44,8 @@ proptest! {
     /// The re-blocked engine vs the eq.-3 reference, bit for bit, over
     /// random geometries including overlapping blocks (`stride <
     /// fft_len`). `max_offset` is drawn up to the validity limit, so a
-    /// share of the cases have rows whose `f±a` runs wrap the mod-K seam
-    /// and decompose into more than one contiguous segment.
+    /// share of the cases have rows whose `f±a` runs cross the mod-K seam
+    /// and read the wrap copied into the padded operand planes.
     #[test]
     fn engine_is_bit_identical_to_reference(
         seed in 0u64..1000,
@@ -68,7 +69,7 @@ proptest! {
     }
 
     /// Rows at the maximum valid offset (`2M = K - 2`, every row wrapping)
-    /// stay exact too — the segment cutter's worst case.
+    /// stay exact too — the most wrap the padded planes carry.
     #[test]
     fn engine_is_exact_at_the_wrap_heavy_boundary(
         seed in 0u64..1000,
