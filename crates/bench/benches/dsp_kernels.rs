@@ -78,6 +78,15 @@ fn bench_dscf(c: &mut Criterion) {
 /// the 16 flops per cell and block cost at two vector FP ports, and the
 /// operand loads are the likely remainder (each row's window starts one
 /// bin later, so most wide loads straddle a cache line).
+///
+/// Register-fold record (same host and method, against the kernel that
+/// stored every band and folded it in a separate baseline-SSE2 pass):
+/// `profile_from_spectra_127x127_8blocks` 46.1 → 32.1 µs,
+/// `profile_from_spectra_127x127_1block` 20.3 → 5.4 µs and
+/// `profile_from_accumulator_127x127` 10.0 → 2.6 µs; the matrix rows are
+/// within noise. In the one-process A/B the profile pass runs 1.32×
+/// (8 blocks) and 3.2× (1 block) faster on the AVX-512 tier and 1.19×
+/// and 2.0× on the AVX2 tier, faster in 11 of 11 pairs each.
 fn bench_dscf_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("dscf_kernel");
     group
@@ -99,12 +108,28 @@ fn bench_dscf_kernel(c: &mut Criterion) {
         b.iter(|| engine.compute_into(&signal, &mut scratch).unwrap());
     });
     // The roc and fusion hot path on its own: the cyclic profile folded
-    // straight out of precomputed spectra — no FFT, no matrix.
+    // straight out of precomputed spectra — no FFT, no matrix. The 1-block
+    // row is where the profile fold weighed most before it moved into the
+    // row kernel's registers.
     let spectra = engine.compute_spectra(&signal).unwrap();
-    group.bench_function("profile_from_spectra_127x127_8blocks", |b| {
+    for (label, blocks) in [("8blocks", 8), ("1block", 1)] {
+        let spectra = &spectra[..blocks];
+        group.bench_function(format!("profile_from_spectra_127x127_{label}"), |b| {
+            let mut profile = Vec::new();
+            b.iter(|| {
+                engine.cyclic_profile_from_spectra_into(spectra, &mut profile);
+                profile[0]
+            });
+        });
+    }
+    // The streaming exact-refresh decision: the profile folded off a
+    // finished window accumulator, loaded once and never stored.
+    let mut acc = engine.accumulator();
+    engine.accumulate_window(&spectra, &mut acc);
+    group.bench_function("profile_from_accumulator_127x127", |b| {
         let mut profile = Vec::new();
         b.iter(|| {
-            engine.cyclic_profile_from_spectra_into(&spectra, &mut profile);
+            engine.cyclic_profile_from_accumulator(&acc, spectra.len(), &mut profile);
             profile[0]
         });
     });

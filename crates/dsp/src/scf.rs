@@ -582,9 +582,9 @@ impl OperandPlanes {
 }
 
 /// Reusable per-thread staging of the accumulation kernel: the operand
-/// planes, one row-band of accumulators (re/im split like the operands)
-/// and one output row. Thread-local rather than per-engine because
-/// [`ScfEngine`] is shared immutably across sweep workers.
+/// planes and, sized only by passes that write a matrix, one row-band of
+/// accumulators (re/im split like the operands) and one output row.
+/// Thread-local because [`ScfEngine`] is shared across sweep workers.
 #[derive(Default)]
 struct ScfScratch {
     operands: OperandPlanes,
@@ -666,21 +666,45 @@ fn chain_chunk<'a, const KIND: u8, const L: usize>(
     (re, im)
 }
 
+/// The one profile fold of every pass and tier: folds the first
+/// `best.len()` finished `a ≥ 0` cells `re`/`im` (unnormalised, consecutive
+/// offsets) into the running per-offset maxima `best` of `|S|²`. Each
+/// square replicates the finalised cell (`(ar·s)² + (ai·s)²`, also its
+/// conjugate mirror's bits) and the select is the matrix scan's predicate
+/// ([`ScfMatrix::cyclic_profile_into`]): with rows ascending, a NaN sticks.
+#[inline(always)]
+fn fold_cells(best: &mut [f64], re: &[f64], im: &[f64], scale: f64) {
+    for ((best, &re), &im) in best.iter_mut().zip(re).zip(im) {
+        let (re, im) = (re * scale, im * scale);
+        let magnitude = re * re + im * im;
+        *best = if magnitude > *best || magnitude.is_nan() {
+            magnitude
+        } else {
+            *best
+        };
+    }
+}
+
+/// The profile side of a pass: the `1/N` scale and the running `|S|²`
+/// maxima of the `a ≥ 0` columns.
+type ProfileFold<'a> = (f64, &'a mut [f64]);
+
 /// The one row body behind every pass kind, caller and tier: row `f`'s
-/// `a ≥ 0` accumulators `ar`/`ai` over the run starting at direct bin
+/// `half` cells `a ∈ 0..=M` over the run starting at direct bin
 /// `plus = bin(f)` and reversed bin `rev = bin(−f)`, walked in `L`-wide
 /// chunks with each chunk's accumulators held in registers across all
 /// staged blocks, then one partial tail chunk (its spare lanes read the
-/// padding and are dropped).
+/// padding and are dropped). Each finished chunk is stored into `ar`/`ai`
+/// when `STORE` (only an `INIT_PASS` skips it, reading no accumulator) and
+/// folded from the same registers into `fold`.
 #[inline(always)]
-fn row_body<'a, const KIND: u8, const L: usize>(
-    ar: &mut [f64],
-    ai: &mut [f64],
+fn row_body<'a, const KIND: u8, const STORE: bool, const L: usize>(
+    half: usize,
+    (ar, ai): (&mut [f64], &mut [f64]),
     blocks: impl Iterator<Item = [&'a [f64]; 4]> + Clone,
-    plus: usize,
-    rev: usize,
+    (plus, rev): (usize, usize),
+    mut fold: Option<&mut ProfileFold<'_>>,
 ) {
-    let half = ar.len();
     let full = half - half % L;
     for o in (0..full).step_by(L) {
         let acc = if KIND == INIT_PASS {
@@ -689,8 +713,13 @@ fn row_body<'a, const KIND: u8, const L: usize>(
             (chunk::<L>(ar, o), chunk::<L>(ai, o))
         };
         let (re, im) = chain_chunk::<KIND, L>(acc, blocks.clone(), plus + o, rev + o);
-        ar[o..o + L].copy_from_slice(&re);
-        ai[o..o + L].copy_from_slice(&im);
+        if STORE {
+            ar[o..o + L].copy_from_slice(&re);
+            ai[o..o + L].copy_from_slice(&im);
+        }
+        if let Some((scale, best)) = &mut fold {
+            fold_cells(&mut best[o..o + L], &re, &im, *scale);
+        }
     }
     if full < half {
         let tail = half - full;
@@ -700,83 +729,100 @@ fn row_body<'a, const KIND: u8, const L: usize>(
             acc.1[..tail].copy_from_slice(&ai[full..]);
         }
         let (re, im) = chain_chunk::<KIND, L>(acc, blocks, plus + full, rev + full);
-        ar[full..].copy_from_slice(&re[..tail]);
-        ai[full..].copy_from_slice(&im[..tail]);
+        if STORE {
+            ar[full..].copy_from_slice(&re[..tail]);
+            ai[full..].copy_from_slice(&im[..tail]);
+        }
+        if let Some((scale, best)) = fold {
+            fold_cells(&mut best[full..half], &re, &im, *scale);
+        }
     }
 }
 
-/// Runs [`row_body`] over `rows` of an `M = m`, `K = k` grid into
-/// accumulator planes laid out `(row − rows.start)·(m + 1) + a`.
-#[inline(always)]
-fn rows_body<const KIND: u8, const L: usize>(
-    k: usize,
-    m: usize,
-    rows: std::ops::Range<usize>,
-    ops: &OperandPlanes,
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-) {
-    debug_assert!(L <= MAX_CHUNK);
-    let half = m + 1;
-    let n = ops.blocks;
-    debug_assert!(KIND != INIT_PASS || n >= 1, "init requires a staged block");
-    debug_assert!(
-        KIND != SLIDE_PASS || n == 2,
-        "a slide stages exactly two blocks"
-    );
-    // `K` is a power of two (the FFT plan requires one), so `mod K` is a
-    // mask.
-    let mask = k - 1;
-    let blocks = ops.block_rows();
-    let planes = acc_re
-        .chunks_exact_mut(half)
-        .zip(acc_im.chunks_exact_mut(half));
-    for (row, (ar, ai)) in rows.zip(planes) {
-        // Row `f = row − M` starts at `bin(f)` and `bin(−f)`.
-        let plus = (row + k - m) & mask;
-        let rev = (m + k - row) & mask;
-        row_body::<KIND, L>(ar, ai, blocks.clone(), plus, rev);
+/// A kernel body compiled once per vector tier, at its chunk width `L`.
+trait TierKernel {
+    fn run<const L: usize>(self);
+}
+
+/// Runs `kernel` through vector tier `tier`: 4-wide chunks generic, 8 on
+/// AVX2 and 16 on AVX-512 (two registers per plane). Only `avx2` or
+/// `avx512f` is enabled — never `fma` — and rustc emits plain IEEE
+/// multiplies and adds with no fast-math flags, so the backend may not
+/// contract them into FMAs: every tier gives the generic tier's bits.
+fn run_on_tier(tier: VectorTier, kernel: impl TierKernel) {
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2(kernel: impl TierKernel) {
+        kernel.run::<8>();
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn avx512(kernel: impl TierKernel) {
+        kernel.run::<16>();
+    }
+    match tier {
+        // SAFETY: `vector_tier` / `supported_tiers` only return a tier
+        // whose feature was detected at run time.
+        #[cfg(target_arch = "x86_64")]
+        VectorTier::Avx512 => unsafe { avx512(kernel) },
+        #[cfg(target_arch = "x86_64")]
+        VectorTier::Avx2 => unsafe { avx2(kernel) },
+        VectorTier::Generic => kernel.run::<4>(),
     }
 }
 
-/// [`rows_body`] compiled for AVX2: 8-wide chunks, two 4-wide registers
-/// per plane. Only `avx2` is enabled — never `fma` — so the bits are the
-/// generic body's.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn rows_avx2<const KIND: u8>(
-    k: usize,
-    m: usize,
+/// One row pass of `KIND`: [`row_body`] over `rows` of a `(K, M)` grid.
+struct RowsPass<'a, const KIND: u8, const STORE: bool> {
+    grid: (usize, usize),
     rows: std::ops::Range<usize>,
-    ops: &OperandPlanes,
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-) {
-    rows_body::<KIND, 8>(k, m, rows, ops, acc_re, acc_im);
+    ops: &'a OperandPlanes,
+    /// Laid out `(row − rows.start)·(M + 1) + a`; empty unless `STORE`.
+    acc: (&'a mut [f64], &'a mut [f64]),
+    fold: Option<ProfileFold<'a>>,
 }
 
-/// [`rows_body`] compiled for AVX-512: 16-wide chunks, two 8-wide
-/// registers per plane. Like the AVX2 copy this cannot change the
-/// arithmetic: rustc emits plain IEEE multiplies and adds with no
-/// fast-math flags, so the backend may not contract them into FMAs
-/// whatever the feature set offers — wider registers only.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn rows_avx512<const KIND: u8>(
-    k: usize,
-    m: usize,
-    rows: std::ops::Range<usize>,
-    ops: &OperandPlanes,
-    acc_re: &mut [f64],
-    acc_im: &mut [f64],
-) {
-    rows_body::<KIND, 16>(k, m, rows, ops, acc_re, acc_im);
+impl<const KIND: u8, const STORE: bool> TierKernel for RowsPass<'_, KIND, STORE> {
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        let ((k, m), ops, (acc_re, acc_im), mut fold) = (self.grid, self.ops, self.acc, self.fold);
+        debug_assert!(L <= MAX_CHUNK);
+        let half = m + 1;
+        let n = ops.blocks;
+        debug_assert!(STORE || KIND == INIT_PASS, "only an init skips the store");
+        debug_assert!(KIND != INIT_PASS || n >= 1, "init requires a staged block");
+        debug_assert!(
+            KIND != SLIDE_PASS || n == 2,
+            "a slide stages exactly two blocks"
+        );
+        // `K` is a power of two (the FFT plan requires one), so `mod K` is
+        // a mask.
+        let mask = k - 1;
+        let blocks = ops.block_rows();
+        // A pass that stores nothing reads and writes no accumulator cell.
+        let len = if STORE { half } else { 0 };
+        for (i, row) in self.rows.enumerate() {
+            // Row `f = row − M` starts at `bin(f)` and `bin(−f)`.
+            let run = ((row + k - m) & mask, (m + k - row) & mask);
+            let acc = (&mut acc_re[i * len..][..len], &mut acc_im[i * len..][..len]);
+            row_body::<KIND, STORE, L>(half, acc, blocks.clone(), run, fold.as_mut());
+        }
+    }
 }
 
-/// Rows per cache band of a `p`-row, `half`-column accumulator: about
-/// 64 KiB across the re + im planes.
-fn band_rows(half: usize, p: usize) -> usize {
-    (4096 / half).clamp(4, 512).min(p)
+/// The accumulator-only profile: every row, ascending, through
+/// [`fold_cells`] (vectorised at the tier's width), nothing stored.
+struct AccumulatorFold<'a>(&'a ScfAccumulator, ProfileFold<'a>);
+
+impl TierKernel for AccumulatorFold<'_> {
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        let AccumulatorFold(acc, (scale, best)) = self;
+        let half = best.len();
+        let (re, im) = (acc.acc_re.chunks_exact(half), acc.acc_im.chunks_exact(half));
+        for (ar, ai) in re.zip(im) {
+            fold_cells(best, ar, ai, scale);
+        }
+    }
 }
 
 /// Normalises and mirrors one output row: `row[m + a] = acc[a]/N` for
@@ -792,26 +838,6 @@ fn finalize_row_scalar(row_vals: &mut [Cplx], ar: &[f64], ai: &[f64], m: usize, 
     for (j, cell) in neg.iter_mut().enumerate() {
         let a = m - j;
         *cell = Cplx::new(ar[a] * scale, -(ai[a] * scale));
-    }
-}
-
-/// Folds finished `a ≥ 0` accumulator rows (`best.len()` values per row,
-/// rows in ascending `f`) into the running per-offset maxima of `|S|²`.
-/// Each square replicates the finalised cell exactly (`(ar·s)² + (ai·s)²`,
-/// which is also the bits of its conjugate mirror) and the predicate is the
-/// matrix scan's ([`ScfMatrix::cyclic_profile_into`]): a NaN sticks.
-#[inline(always)]
-fn fold_profile_rows(acc_re: &[f64], acc_im: &[f64], scale: f64, best: &mut [f64]) {
-    let half = best.len();
-    for (ar, ai) in acc_re.chunks_exact(half).zip(acc_im.chunks_exact(half)) {
-        for ((best, &re), &im) in best.iter_mut().zip(ar).zip(ai) {
-            let re = re * scale;
-            let im = im * scale;
-            let magnitude = re * re + im * im;
-            if magnitude > *best || magnitude.is_nan() {
-                *best = magnitude;
-            }
-        }
     }
 }
 
@@ -1006,8 +1032,9 @@ impl ScfAccumulator {
 ///   blocks, so each accumulator is loaded and stored once per pass, like
 ///   the paper's systolic PEs, which keep `S_f^a` local for all `N`
 ///   blocks;
-/// * row bands: the batch accumulation hands each band of finished rows
-///   to the finaliser or the profile fold while it is still cache-hot;
+/// * the profile folded from those registers, so a profile-only pass
+///   stores no accumulator, and a matrix pass finalises each band of
+///   finished rows while it is still cache-hot;
 /// * row-major accumulation with the `a < 0` half mirrored once at the end
 ///   by conjugation, halving the multiply count (for a 127×127 grid:
 ///   127·64 = 8 128 products per block instead of 16 129).
@@ -1143,18 +1170,17 @@ impl ScfEngine {
     /// Panics if any block is shorter than `params.fft_len` (same contract
     /// as [`dscf_from_spectra`]).
     pub fn dscf_from_spectra_into(&self, spectra: &[Vec<Cplx>], out: &mut ScfMatrix) {
-        self.integrate_spectra(spectra, Some(out), None);
+        self.integrate_spectra(vector_tier(), spectra, Some(out), None);
     }
 
     /// The cyclic-domain profile ([`ScfMatrix::cyclic_profile`] layout,
     /// offset `a` at index `a + M`) of the DSCF of `spectra`, without
-    /// materialising the matrix: each row-band of the batch kernel is
-    /// folded into the profile while it is still cache-hot, so no
-    /// `P × P` matrix is written or read back. `profile` is resized to
-    /// the grid size.
+    /// materialising the matrix or the accumulator: one init pass folds
+    /// each finished chunk from its registers. `profile` is resized to the
+    /// grid size.
     ///
     /// **Bit-identical** to [`ScfEngine::dscf_from_spectra_into`] followed
-    /// by [`ScfMatrix::cyclic_profile_into`]: the same band kernel
+    /// by [`ScfMatrix::cyclic_profile_into`]: the same row kernel
     /// produces the same accumulator bits, the fold squares exactly the
     /// finalised cell values (`(ar·s)² + (ai·s)²`), rows arrive in the
     /// matrix scan's order under the same max predicate, and the `a < 0`
@@ -1164,12 +1190,12 @@ impl ScfEngine {
     ///
     /// Panics if any block is shorter than `params.fft_len`.
     pub fn cyclic_profile_from_spectra_into(&self, spectra: &[Vec<Cplx>], profile: &mut Vec<f64>) {
-        self.integrate_spectra(spectra, None, Some(profile));
+        self.integrate_spectra(vector_tier(), spectra, None, Some(profile));
     }
 
     /// [`ScfEngine::dscf_from_spectra_into`] and
-    /// [`ScfEngine::cyclic_profile_from_spectra_into`] from one pass over
-    /// the same bands — for callers that need the matrix and its profile.
+    /// [`ScfEngine::cyclic_profile_from_spectra_into`] from one pass that
+    /// stores and folds each chunk — for callers that need both.
     ///
     /// # Panics
     ///
@@ -1180,14 +1206,15 @@ impl ScfEngine {
         out: &mut ScfMatrix,
         profile: &mut Vec<f64>,
     ) {
-        self.integrate_spectra(spectra, Some(out), Some(profile));
+        self.integrate_spectra(vector_tier(), spectra, Some(out), Some(profile));
     }
 
-    /// The batch integration behind the three spectra entry points: one
-    /// band loop whose per-band sinks finalise into `matrix` and/or
-    /// fold into `profile`.
+    /// The batch integration behind the three spectra entry points, through
+    /// vector tier `tier`: one init pass finalising `matrix` and/or folding
+    /// `profile`.
     fn integrate_spectra(
         &self,
+        tier: VectorTier,
         spectra: &[Vec<Cplx>],
         mut matrix: Option<&mut ScfMatrix>,
         mut profile: Option<&mut Vec<f64>>,
@@ -1223,105 +1250,81 @@ impl ScfEngine {
         }
         let scale = 1.0 / spectra.len() as f64;
         SCF_SCRATCH.with(|scratch| {
-            self.for_each_band(
-                spectra,
-                &mut scratch.borrow_mut(),
-                |band, acc_re, acc_im, row_buf| {
-                    // Normalise and mirror the finished band: `out = acc/N`
-                    // for `a ≥ 0`, conjugate for `a < 0`. Each row is
-                    // assembled in an L1-hot staging buffer, then streamed
-                    // into the (cold, write-once) output with wide
-                    // non-temporal copies.
-                    if let Some(out) = matrix.as_deref_mut() {
-                        let rows = acc_re.chunks_exact(half).zip(acc_im.chunks_exact(half));
-                        for (row, (ar, ai)) in band.clone().zip(rows) {
-                            finalize_row_scalar(row_buf, ar, ai, m, scale);
-                            copy_row_out(&mut out.values[row * p..(row + 1) * p], row_buf);
-                        }
-                    }
-                    if let Some(profile) = profile.as_deref_mut() {
-                        fold_profile_rows(acc_re, acc_im, scale, &mut profile[m..]);
-                    }
-                },
-            );
-        });
-        if matrix.is_some() {
+            let scratch = &mut *scratch.borrow_mut();
+            let stage = spectra.iter().map(Vec::as_slice);
+            scratch.operands.stage(self.params.fft_len, half, stage);
+            let ops = &scratch.operands;
+            let mut best = profile.as_deref_mut().map(|profile| &mut profile[m..]);
+            let Some(out) = matrix else {
+                // Profile only: every chunk folds straight from registers
+                // and nothing is stored, so all rows are one pass.
+                let fold = best.map(|best| (scale, best));
+                self.rows_pass::<INIT_PASS, false>(tier, 0..p, ops, (&mut [], &mut []), fold);
+                return;
+            };
+            // Row bands: the accumulator slab covers only one band of rows
+            // (~64 KiB across the re + im planes), is written once by the
+            // row pass and finalised while still cache-hot, before the
+            // next band reuses it — so the accumulator traffic never
+            // round-trips through memory at any grid size.
+            let band_rows = (4096 / half).clamp(4, 512).min(p);
+            for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
+                plane.clear();
+                plane.resize(band_rows * half, 0.0);
+            }
+            scratch.row_buf.clear();
+            scratch.row_buf.resize(p, Cplx::ZERO);
+            for band_start in (0..p).step_by(band_rows) {
+                let band = band_start..(band_start + band_rows).min(p);
+                let len = band.len() * half;
+                let (acc_re, acc_im) = (&mut scratch.acc_re[..len], &mut scratch.acc_im[..len]);
+                // No slab clearing: the init pass writes every cell.
+                let acc = (&mut *acc_re, &mut *acc_im);
+                let fold = best.as_deref_mut().map(|best| (scale, best));
+                self.rows_pass::<INIT_PASS, true>(tier, band.clone(), ops, acc, fold);
+                // Normalise and mirror the finished band: `out = acc/N` for
+                // `a ≥ 0`, conjugate for `a < 0`. Each row is assembled in
+                // an L1-hot staging buffer, then streamed into the (cold,
+                // write-once) output with wide non-temporal copies.
+                let rows = acc_re.chunks_exact(half).zip(acc_im.chunks_exact(half));
+                for (row, (ar, ai)) in band.zip(rows) {
+                    finalize_row_scalar(&mut scratch.row_buf, ar, ai, m, scale);
+                    copy_row_out(&mut out.values[row * p..(row + 1) * p], &scratch.row_buf);
+                }
+            }
             finalize_fence();
-        }
+        });
         if let Some(profile) = profile {
             finish_profile(profile, m);
         }
     }
 
-    /// The unit-stride row-band loop behind every batch entry point (spectra
-    /// pre-validated, non-empty): stages every block once, then runs the
-    /// row pass band by band and hands each finished band to `sink` —
-    /// its row range, the band's `a ≥ 0` accumulator planes (`half` values
-    /// per row) and the scratch row buffer — while the band is still
-    /// cache-hot.
-    fn for_each_band(
-        &self,
-        spectra: &[Vec<Cplx>],
-        scratch: &mut ScfScratch,
-        mut sink: impl FnMut(std::ops::Range<usize>, &[f64], &[f64], &mut [Cplx]),
-    ) {
-        let p = self.params.grid_size();
-        let half = self.params.max_offset + 1;
-        scratch
-            .operands
-            .stage(self.params.fft_len, half, spectra.iter().map(Vec::as_slice));
-        // Row bands: the accumulator slab covers only one band of rows
-        // (~64 KiB across the re + im planes), is written once by the row
-        // pass and handed to the sink while still cache-hot, before the
-        // next band reuses it — so the accumulator traffic never
-        // round-trips through memory at any grid size.
-        let band_rows = band_rows(half, p);
-        for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
-            plane.clear();
-            plane.resize(band_rows * half, 0.0);
-        }
-        scratch.row_buf.clear();
-        scratch.row_buf.resize(p, Cplx::ZERO);
-        let mut band_start = 0usize;
-        while band_start < p {
-            let band_end = (band_start + band_rows).min(p);
-            let len = (band_end - band_start) * half;
-            let (acc_re, acc_im) = (&mut scratch.acc_re[..len], &mut scratch.acc_im[..len]);
-            // No slab clearing: the init pass writes every cell.
-            let (band, ops) = (band_start..band_end, &scratch.operands);
-            self.rows_pass::<INIT_PASS>(vector_tier(), band, ops, acc_re, acc_im);
-            sink(band_start..band_end, acc_re, acc_im, &mut scratch.row_buf);
-            band_start = band_end;
-        }
-    }
-
     /// The one DSCF kernel behind every batch and incremental entry point:
     /// runs each row of `rows` as one unwrapped run over all blocks staged
-    /// in `ops` (blocks chained innermost in registers) into accumulator
-    /// planes laid out `(row − rows.start)·half + a`, through vector tier
-    /// `tier`. The staged values are exact copies and the per-accumulator
-    /// order is blocks-ascending with the reference's product expression,
-    /// so the accumulation is bit-identical to [`dscf_reference`]'s on
-    /// every tier. Counts its runs in `dsp.scf.segment_runs`.
-    fn rows_pass<const KIND: u8>(
+    /// in `ops` (blocks chained innermost in registers) through vector tier
+    /// `tier`, storing into `acc` when `STORE` and folding into `fold`. The
+    /// staged values are exact copies and the per-accumulator order is
+    /// blocks-ascending with the reference's product expression, so the
+    /// accumulation is bit-identical to [`dscf_reference`]'s on every tier.
+    /// Counts its runs in `dsp.scf.segment_runs`.
+    fn rows_pass<const KIND: u8, const STORE: bool>(
         &self,
         tier: VectorTier,
         rows: std::ops::Range<usize>,
         ops: &OperandPlanes,
-        acc_re: &mut [f64],
-        acc_im: &mut [f64],
+        acc: (&mut [f64], &mut [f64]),
+        fold: Option<ProfileFold<'_>>,
     ) {
-        let (k, m) = (self.params.fft_len, self.params.max_offset);
+        let grid = (self.params.fft_len, self.params.max_offset);
         segment_runs().add((rows.len() * ops.blocks) as u64);
-        match tier {
-            // SAFETY: `vector_tier` / `supported_tiers` only return a tier
-            // whose feature was detected at run time.
-            #[cfg(target_arch = "x86_64")]
-            VectorTier::Avx512 => unsafe { rows_avx512::<KIND>(k, m, rows, ops, acc_re, acc_im) },
-            #[cfg(target_arch = "x86_64")]
-            VectorTier::Avx2 => unsafe { rows_avx2::<KIND>(k, m, rows, ops, acc_re, acc_im) },
-            VectorTier::Generic => rows_body::<KIND, 4>(k, m, rows, ops, acc_re, acc_im),
-        }
+        let pass = RowsPass::<KIND, STORE> {
+            grid,
+            rows,
+            ops,
+            acc,
+            fold,
+        };
+        run_on_tier(tier, pass);
     }
 
     /// Full evaluation (spectra + eq. 3) into an existing matrix, reusing
@@ -1493,7 +1496,7 @@ impl ScfEngine {
     /// for a different grid.
     pub fn accumulate_blocks<B: AsRef<[Cplx]>>(&self, blocks: &[B], acc: &mut ScfAccumulator) {
         let blocks = blocks.iter().map(AsRef::as_ref);
-        self.accumulator_pass::<ADD_PASS>(vector_tier(), blocks, acc);
+        self.accumulator_pass::<ADD_PASS>(vector_tier(), blocks, acc, None);
     }
 
     /// Subtracts one block spectrum's contribution from `acc` — the retire
@@ -1508,7 +1511,7 @@ impl ScfEngine {
     /// Panics if `block` is shorter than `fft_len` or if `acc` was built
     /// for a different grid.
     pub fn retire_block(&self, block: &[Cplx], acc: &mut ScfAccumulator) {
-        self.accumulator_pass::<SUB_PASS>(vector_tier(), std::iter::once(block), acc);
+        self.accumulator_pass::<SUB_PASS>(vector_tier(), std::iter::once(block), acc, None);
     }
 
     /// Slides a window accumulation by one block and folds its cyclic
@@ -1523,8 +1526,8 @@ impl ScfEngine {
     /// [`ScfEngine::cyclic_profile_from_accumulator`]: both spectra are
     /// staged once, every cell becomes `(acc − t_out) + t_in` in registers
     /// (the two passes' operation order, with their product expression),
-    /// and each band of rows is folded into the profile while it is still
-    /// cache-hot, in the scan's row order under the scan's predicate.
+    /// and each finished chunk is stored and folded from those registers,
+    /// in the scan's row order under the scan's predicate.
     ///
     /// # Panics
     ///
@@ -1538,45 +1541,45 @@ impl ScfEngine {
         num_blocks: usize,
         profile: &mut Vec<f64>,
     ) {
-        let m = self.params.max_offset;
-        let half = m + 1;
-        let p = self.params.grid_size();
-        self.check_grid(acc);
-        assert!(num_blocks > 0, "cannot normalise over zero blocks");
-        profile.clear();
-        profile.resize(p, 0.0);
-        let scale = 1.0 / num_blocks as f64;
-        let band_rows = band_rows(half, p);
-        SCF_SCRATCH.with(|scratch| {
-            let operands = &mut scratch.borrow_mut().operands;
-            operands.stage(self.params.fft_len, half, [outgoing, incoming].into_iter());
-            for band_start in (0..p).step_by(band_rows) {
-                let band = band_start..(band_start + band_rows).min(p);
-                let cells = band.start * half..band.end * half;
-                let (ar, ai) = (&mut acc.acc_re[cells.clone()], &mut acc.acc_im[cells]);
-                self.rows_pass::<SLIDE_PASS>(vector_tier(), band, operands, ar, ai);
-                fold_profile_rows(ar, ai, scale, &mut profile[m..]);
-            }
+        let slide = [outgoing, incoming].into_iter();
+        self.fold_profile(profile, num_blocks, |fold| {
+            self.accumulator_pass::<SLIDE_PASS>(vector_tier(), slide, acc, Some(fold));
         });
-        finish_profile(profile, m);
     }
 
     /// Stages `blocks` and runs one row pass of `KIND` through `tier` over
-    /// the whole grid of `acc`.
+    /// the whole grid of `acc`, folding into `fold` from its registers.
     fn accumulator_pass<'a, const KIND: u8>(
         &self,
         tier: VectorTier,
         blocks: impl ExactSizeIterator<Item = &'a [Cplx]>,
         acc: &mut ScfAccumulator,
+        fold: Option<ProfileFold<'_>>,
     ) {
         self.check_grid(acc);
         SCF_SCRATCH.with(|scratch| {
             let operands = &mut scratch.borrow_mut().operands;
             operands.stage(self.params.fft_len, self.params.max_offset + 1, blocks);
             let rows = 0..self.params.grid_size();
-            let (ar, ai) = (&mut acc.acc_re, &mut acc.acc_im);
-            self.rows_pass::<KIND>(tier, rows, operands, ar, ai);
+            let planes = (&mut acc.acc_re[..], &mut acc.acc_im[..]);
+            self.rows_pass::<KIND, true>(tier, rows, operands, planes, fold);
         });
+    }
+
+    /// Resizes `profile` to the grid, lets `pass` fold its zeroed `a ≥ 0`
+    /// half over `num_blocks` blocks, then completes it ([`finish_profile`]).
+    fn fold_profile(
+        &self,
+        profile: &mut Vec<f64>,
+        num_blocks: usize,
+        pass: impl FnOnce(ProfileFold<'_>),
+    ) {
+        assert!(num_blocks > 0, "cannot normalise over zero blocks");
+        let m = self.params.max_offset;
+        profile.clear();
+        profile.resize(self.params.grid_size(), 0.0);
+        pass((1.0 / num_blocks as f64, &mut profile[m..]));
+        finish_profile(profile, m);
     }
 
     fn check_grid(&self, acc: &ScfAccumulator) {
@@ -1608,7 +1611,7 @@ impl ScfEngine {
             acc.reset();
         } else {
             let blocks = blocks.iter().map(AsRef::as_ref);
-            self.accumulator_pass::<INIT_PASS>(vector_tier(), blocks, acc);
+            self.accumulator_pass::<INIT_PASS>(vector_tier(), blocks, acc, None);
         }
     }
 
@@ -1652,19 +1655,20 @@ impl ScfEngine {
     }
 
     /// The cyclic-domain profile of the matrix `acc` would finalize to,
-    /// computed straight off the `a ≥ 0` accumulator half — no
+    /// folded straight off the `a ≥ 0` accumulator half — no
     /// [`ScfMatrix`] is materialised. `out` is resized to the grid size;
     /// element `[a + M]` is the profile at offset `a`.
     ///
     /// **Bit-identical** to
     /// `finalize_accumulator(acc, num_blocks, &mut scf)` followed by
-    /// [`ScfMatrix::cyclic_profile`]: each scanned square replicates the
-    /// finalize arithmetic exactly (`(ar·s)² + (ai·s)²`; the mirror half's
-    /// negated imaginary part squares to the same bits), the row order and
-    /// max predicate match the matrix scan, and the mirror columns are
-    /// copies of the columns they conjugate. This is the streaming
-    /// decision path: O(grid/2) multiplies per hop instead of a full
-    /// finalize pass plus a full-grid scan.
+    /// [`ScfMatrix::cyclic_profile`]: the row kernel's fold, per tier, over
+    /// cells loaded once and never stored. Each scanned square replicates
+    /// the finalize arithmetic exactly (`(ar·s)² + (ai·s)²`; the mirror
+    /// half's negated imaginary part squares to the same bits), the row
+    /// order and max predicate match the matrix scan, and the mirror
+    /// columns are copies of the columns they conjugate. This is the
+    /// streaming decision path at an exact refresh: O(grid/2) multiplies
+    /// instead of a full finalize pass plus a full-grid scan.
     ///
     /// # Panics
     ///
@@ -1676,15 +1680,10 @@ impl ScfEngine {
         num_blocks: usize,
         out: &mut Vec<f64>,
     ) {
-        let m = self.params.max_offset;
-        let p = self.params.grid_size();
         self.check_grid(acc);
-        assert!(num_blocks > 0, "cannot normalise over zero blocks");
-        out.clear();
-        out.resize(p, 0.0);
-        let scale = 1.0 / num_blocks as f64;
-        fold_profile_rows(&acc.acc_re, &acc.acc_im, scale, &mut out[m..]);
-        finish_profile(out, m);
+        self.fold_profile(out, num_blocks, |fold| {
+            run_on_tier(vector_tier(), AccumulatorFold(acc, fold));
+        });
     }
 }
 
@@ -2083,7 +2082,7 @@ mod tests {
             .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
-    /// The fused batch profile folds each band while it is hot instead of
+    /// The fused batch profile folds each chunk from registers instead of
     /// scanning the finalised matrix, and must not move a bit doing so
     /// (both write a NaN column as the one canonical `f64::NAN`; the
     /// one-pass profile equals the fused one to the bit) — on finite input
@@ -2240,7 +2239,8 @@ mod tests {
         staged: &[&[Cplx]],
     ) -> ScfAccumulator {
         let mut acc = start.clone();
-        engine.accumulator_pass::<KIND>(tier, staged.iter().copied(), &mut acc);
+        let blocks = staged.iter().copied();
+        engine.accumulator_pass::<KIND>(tier, blocks, &mut acc, None);
         acc
     }
 
@@ -2334,6 +2334,130 @@ mod tests {
                     for (pass, want) in expected {
                         assert_eq!(planes(pass), planes(&want), "{case}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Every vector tier folds the cyclic profile to the generic tier's
+    /// bits, and to the bits of the finalised matrix's scan
+    /// (`finalize_accumulator`, then [`ScfMatrix::cyclic_profile_into`]),
+    /// on all four fold paths: the profile-only init, the init that also
+    /// stores the matrix, the slide, and the accumulator-only fold. A fold
+    /// that lets a NaN go (a `max_pd` returns the other operand) would turn
+    /// a poisoned observation into a finite statistic, so the cases are a
+    /// NaN in the middle row `f = 1` of column `a = 0` with larger finite
+    /// magnitudes in every later row, a `+Inf` bin, `−0.0` bins and
+    /// accumulator cells, and identical blocks whose cells all have the
+    /// same magnitude; on 1 and 8 blocks, on grids whose `M + 1` leaves a
+    /// tail chunk on every tier (3 and 21 cells) and on the paper grid.
+    #[test]
+    fn profile_fold_tiers_are_bitwise_equal() {
+        use crate::tier::supported_tiers;
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cases = ["nan", "+inf", "-0.0", "equal"];
+        for (k, m) in [(16, 2), (64, 20), (256, 63)] {
+            let engine = ScfEngine::new(ScfParams::new(k, m, 1).unwrap()).unwrap();
+            // The matrix scan over `acc` finalised with `n` blocks.
+            let scan = |acc: &ScfAccumulator, n: usize| {
+                let (mut matrix, mut profile) = (ScfMatrix::zeros(m), Vec::new());
+                engine.finalize_accumulator(acc, n, &mut matrix);
+                matrix.cyclic_profile_into(&mut profile);
+                profile
+            };
+            for (n, case) in [1usize, 8].into_iter().flat_map(|n| cases.map(|c| (n, c))) {
+                let mut spectra: Vec<Vec<Cplx>> =
+                    (0..=n).map(|b| awgn(k, 1.0, (k + 31 * b) as u64)).collect();
+                match case {
+                    "nan" => {
+                        for block in &mut spectra {
+                            for (v, x) in block.iter_mut().enumerate().take(m + 1).skip(2) {
+                                *x = Cplx::new(8.0 * v as f64, 1.0);
+                            }
+                        }
+                        spectra[n / 2][1] = Cplx::new(f64::NAN, 0.5);
+                    }
+                    "+inf" => spectra[n / 2][2] = Cplx::new(f64::INFINITY, 0.0),
+                    "-0.0" => {
+                        for block in &mut spectra {
+                            block[1..=m].fill(Cplx::new(-0.0, -0.0));
+                        }
+                    }
+                    _ => {
+                        let pattern = [(3.0, 4.0), (4.0, -3.0), (-5.0, 0.0), (0.0, 5.0)];
+                        for block in &mut spectra {
+                            for (v, x) in block.iter_mut().enumerate() {
+                                *x = Cplx::new(pattern[v % 4].0, pattern[v % 4].1);
+                            }
+                        }
+                    }
+                }
+                let window = &spectra[..n];
+                let slide = [spectra[0].as_slice(), spectra[n].as_slice()];
+                let mut init = engine.accumulator();
+                engine.accumulate_window(window, &mut init);
+                let mut slid = init.clone();
+                engine.retire_block(slide[0], &mut slid);
+                engine.accumulate_block(slide[1], &mut slid);
+                // No init leaves a −0.0 cell, so the accumulator fold gets
+                // them written in.
+                let mut signed = init.clone();
+                if case == "-0.0" {
+                    let cells = signed.acc_re.iter_mut().chain(&mut signed.acc_im);
+                    cells.filter(|v| **v == 0.0).for_each(|v| *v = -0.0);
+                }
+                let want = [&init, &init, &slid, &signed].map(|acc| scan(acc, n));
+                let run = |tier: VectorTier| {
+                    let (mut profile_only, mut with_matrix) = (vec![9.0; 2], Vec::new());
+                    engine.integrate_spectra(tier, window, None, Some(&mut profile_only));
+                    let mut matrix = ScfMatrix::zeros(m);
+                    engine.integrate_spectra(
+                        tier,
+                        window,
+                        Some(&mut matrix),
+                        Some(&mut with_matrix),
+                    );
+                    let (mut acc, mut slid_profile) = (init.clone(), Vec::new());
+                    engine.fold_profile(&mut slid_profile, n, |fold| {
+                        let slide = slide.into_iter();
+                        engine.accumulator_pass::<SLIDE_PASS>(tier, slide, &mut acc, Some(fold));
+                    });
+                    let mut from_acc = Vec::new();
+                    engine.fold_profile(&mut from_acc, n, |fold| {
+                        run_on_tier(tier, AccumulatorFold(&signed, fold));
+                    });
+                    [profile_only, with_matrix, slid_profile, from_acc]
+                };
+                let label = format!("K {k}, M {m}, {n} blocks, {case}");
+                let paths = [
+                    "profile-only init",
+                    "store+fold init",
+                    "slide",
+                    "accumulator",
+                ];
+                let generic = run(VectorTier::Generic);
+                for tier in supported_tiers() {
+                    let got = run(tier);
+                    for (path, name) in paths.iter().enumerate() {
+                        let at = format!("{label}, {tier:?}, {name}");
+                        assert_eq!(bits(&got[path]), bits(&generic[path]), "{at}");
+                        assert_eq!(bits(&got[path]), bits(&want[path]), "{at} vs scan");
+                    }
+                }
+                // Each case reaches the fold as described.
+                let profile = &want[0];
+                let negative_zero = (-0.0f64).to_bits();
+                match case {
+                    "nan" => assert!(profile[m].is_nan(), "{label}"),
+                    "+inf" => assert_eq!(profile[m + 1], f64::INFINITY, "{label}"),
+                    "-0.0" => {
+                        let cells = signed.acc_re.iter().chain(&signed.acc_im);
+                        assert!(
+                            cells.map(|v| v.to_bits()).any(|v| v == negative_zero),
+                            "{label}"
+                        );
+                    }
+                    _ => assert!(profile.iter().all(|&v| v == 25.0), "{label}"),
                 }
             }
         }
