@@ -87,6 +87,16 @@ fn bench_dscf(c: &mut Criterion) {
 /// within noise. In the one-process A/B the profile pass runs 1.32×
 /// (8 blocks) and 3.2× (1 block) faster on the AVX-512 tier and 1.19×
 /// and 2.0× on the AVX2 tier, faster in 11 of 11 pairs each.
+///
+/// Copy-speed staging record (same host, medians of 3 alternated runs;
+/// the "before" rows ran the sensor's former sequence on the parent
+/// kernel — re-phased copies of the spectra, then the unphased pass):
+/// `slide_block_31x31` 1.30 → 1.07 µs and
+/// `accumulate_window_64x15_32blocks` 19.5 → 12.0 µs. The
+/// `profile_from_spectra_127x127_8blocks` medians read 31.1 → 31.5 µs
+/// across processes; in one process linking both kernels, calls
+/// alternated, the profile pass ran 1.25× and 1.29× faster (11 of 11
+/// pairs in each of two runs) and the refresh 1.58× and 1.71×.
 fn bench_dscf_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("dscf_kernel");
     group
@@ -132,6 +142,38 @@ fn bench_dscf_kernel(c: &mut Criterion) {
             engine.cyclic_profile_from_accumulator(&acc, spectra.len(), &mut profile);
             profile[0]
         });
+    });
+    // The streaming service's geometry (64-point blocks, 31×31 grid, a
+    // 32-block window, hop = K): one incremental hop's fused slide of two
+    // raw ring spectra, and one exact refresh re-accumulating the window
+    // from the raw ring with window-relative starts. Both stage each
+    // spectrum with its eq.-2 phase, as the sensor does; a hop of K makes
+    // every phase the identity, so staging copies and multiplies nothing.
+    let service = ScfParams::new(64, 15, 32).unwrap();
+    let engine = ScfEngine::new(service.clone()).unwrap();
+    let stride = service.block_stride;
+    let signal = awgn(service.samples_needed() + stride, 1.0, 6415);
+    let ring: Vec<Vec<Cplx>> = (0..=service.num_blocks)
+        .map(|b| {
+            let mut raw = Vec::new();
+            let block = &signal[b * stride..];
+            engine.block_spectrum_into(block, 0, &mut raw).unwrap();
+            raw
+        })
+        .collect();
+    let window = || (0..service.num_blocks).map(|j| (ring[j].as_slice(), j * stride));
+    let mut acc = engine.accumulator();
+    engine.accumulate_phased_window(window(), &mut acc);
+    group.bench_function("slide_block_31x31", |b| {
+        let mut profile = Vec::new();
+        let (outgoing, incoming) = ((ring[0].as_slice(), 0), (ring[32].as_slice(), 32 * stride));
+        b.iter(|| {
+            engine.slide_block(outgoing, incoming, &mut acc, 32, &mut profile);
+            profile[0]
+        });
+    });
+    group.bench_function("accumulate_window_64x15_32blocks", |b| {
+        b.iter(|| engine.accumulate_phased_window(window(), &mut acc));
     });
     // Wideband grids past the paper's scale (ROADMAP item 2): 511×511 over
     // 1024-point spectra and 1023×1023 over 2048-point spectra, 8

@@ -12,13 +12,16 @@
 //!
 //! is a plain sum of per-block contribution terms — so a sliding window
 //! only ever changes by one block per hop. [`StreamingSensor`] exploits
-//! that: it keeps a ring of the window's block spectra. Retained blocks
-//! are never re-FFT'd and never re-accumulated; an incremental hop does
-//! this much work:
+//! that: it keeps a ring of the window's raw block spectra. Retained
+//! blocks are never re-FFT'd, re-accumulated or copied; an incremental hop
+//! does this much work:
 //!
-//! 1. **one** FFT for the incoming block, into its ring slot;
+//! 1. **one** FFT for the incoming block, into a spare spectrum that is
+//!    swapped into its ring slot (the slot's old spectrum, the outgoing
+//!    block's, becomes the spare);
 //! 2. **one** O(grid) pass over the half-grid accumulator,
-//!    [`ScfEngine::slide_block`], which retires the re-phased outgoing
+//!    [`ScfEngine::slide_block`], which stages both raw spectra with
+//!    their eq.-2 phase applied on the way in, retires the outgoing
 //!    block, adds the incoming one and folds the cyclic-domain profile
 //!    from the still-hot cells;
 //! 3. a constant-time hand-off of the window: the sample tape lives in the
@@ -45,10 +48,11 @@
 //! drift is bounded by construction: every
 //! [`refresh_interval`](StreamingConfig::refresh_interval) hops the
 //! window is re-accumulated exactly from the ring's spectra with the
-//! batch kernel's fused passes ([`ScfEngine::accumulate_window`]), making
-//! that hop's matrix **bit-identical** to the batch engine over the same
-//! window; hops in between stay within ~1e-12 of it. `refresh_interval =
-//! 1` degenerates to "every hop exact" (and every hop O(N·grid));
+//! batch kernel's fused passes
+//! ([`ScfEngine::accumulate_phased_window`]), making that hop's matrix
+//! **bit-identical** to the batch engine over the same window; hops in
+//! between stay within ~1e-12 of it. `refresh_interval = 1` degenerates
+//! to "every hop exact" (and every hop O(N·grid));
 //! `tests/streaming.rs` pins both bounds property-wise.
 //!
 //! # Phase frames
@@ -63,9 +67,14 @@
 //! retire need no re-phasing at all, and re-bases one copy of the sum
 //! into the decision window's frame with a single O(grid) per-column
 //! rotation ([`ScfEngine::rotate_accumulator_columns`]) before
-//! finalising. Exact refreshes re-phase the raw ring spectra
-//! window-relative — the very rotation the batch engine applies — so
-//! those hops reproduce the batch matrix bit-for-bit.
+//! finalising. No re-phased spectrum is ever stored: each pass hands the
+//! raw ring spectra to the engine with the start of the frame it needs
+//! ([`PhasedSpectrum`](cfd_dsp::scf::PhasedSpectrum)), and the engine
+//! applies the rotation while staging its operands, with the table
+//! entries and expression the batch engine's own rotation uses. Exact
+//! refreshes stage the ring window-relative
+//! ([`ScfEngine::accumulate_phased_window`]) — the batch engine's frame —
+//! so those hops reproduce the batch matrix bit-for-bit.
 //!
 //! # Hop geometry
 //!
@@ -278,17 +287,13 @@ pub struct StreamingSensor<B: SensingBackend> {
     config: StreamingConfig,
     tape: SampleTape,
     /// Block `i`'s **raw** (unrotated) spectrum lives in
-    /// `ring[i % num_blocks]`; the eq.-2 phase is applied per use, since
-    /// the right frame depends on the hop.
+    /// `ring[i % num_blocks]`; the eq.-2 phase is applied per use, while
+    /// the DSCF pass stages it, since the right frame depends on the hop.
     ring: Vec<Vec<Cplx>>,
-    /// Scratch for the incoming block's re-phased spectrum (the per-hop
-    /// absolute-time frame).
-    rotated: Vec<Cplx>,
-    /// Scratch for the outgoing block's re-phased spectrum (the fused
-    /// slide's retire operand).
-    outgoing: Vec<Cplx>,
-    /// Scratch ring of window-relative re-phased spectra for refreshes.
-    refresh_ring: Vec<Vec<Cplx>>,
+    /// The spectrum the newest block displaced from its ring slot: the
+    /// outgoing block's raw spectrum during an incremental hop, and the
+    /// next block's FFT target (swapped into the ring, never copied).
+    spare: Vec<Cplx>,
     /// The rolling un-normalised window accumulation, in the
     /// absolute-time frame.
     acc: ScfAccumulator,
@@ -331,9 +336,7 @@ impl<B: SensingBackend> StreamingSensor<B> {
             config,
             tape: SampleTape::default(),
             ring: Vec::new(),
-            rotated: Vec::new(),
-            outgoing: Vec::new(),
-            refresh_ring: Vec::new(),
+            spare: Vec::new(),
             acc,
             frame_acc,
             materialize: true,
@@ -462,9 +465,7 @@ impl<B: SensingBackend> StreamingSensor<B> {
     pub fn reset(&mut self) {
         self.tape.clear();
         self.ring.clear();
-        self.rotated.clear();
-        self.outgoing.clear();
-        self.refresh_ring.clear();
+        self.spare.clear();
         self.acc.reset();
         self.frame_acc.reset();
         self.materialize = true;
@@ -475,19 +476,18 @@ impl<B: SensingBackend> StreamingSensor<B> {
     }
 
     /// [`StreamingSensor::reset`] for the idle/duty-cycle path: forgets the
-    /// stream but **keeps every buffer allocation** — the ring spectra,
-    /// refresh scratch and rotation scratch stay at capacity, so a parked
-    /// channel costs no steady-state allocation when its next activity
-    /// burst re-warms it.
+    /// stream but **keeps every buffer allocation** — the ring spectra and
+    /// the spare spectrum stay at capacity, so a parked channel costs no
+    /// steady-state allocation when its next activity burst re-warms it.
     ///
     /// Keeping stale ring/accumulator *contents* is safe by the same slot
     /// discipline the hot path relies on: a slot's spectrum is fully
-    /// overwritten before any read ([`ScfEngine::block_spectrum_into`] and
-    /// [`ScfEngine::rotate_spectrum_into`] clear-then-extend), and the
-    /// first decision after a warm-up is always an exact refresh that
-    /// re-sums the whole ring from literal zero
-    /// ([`ScfEngine::accumulate_window`]) before adopting it into the
-    /// rolling accumulator.
+    /// overwritten before any read ([`ScfEngine::block_spectrum_into`]
+    /// writes every bin of the spare spectrum before it is swapped into
+    /// the slot), and the first decision after a warm-up is always an
+    /// exact refresh that re-sums the whole ring from literal zero
+    /// ([`ScfEngine::accumulate_phased_window`]) before adopting it into
+    /// the rolling accumulator.
     pub fn park(&mut self) {
         self.tape.clear();
         self.materialize = true;
@@ -513,9 +513,6 @@ impl<B: SensingBackend> StreamingSensor<B> {
         // An exact refresh every R-th decision (the first — pure warm-up
         // adds — is exact by construction and counts as hop 0).
         let refresh = decision_hop && (i + 1 - window).is_multiple_of(self.config.refresh_interval);
-        // Every other decision hop rolls the window by one block; its
-        // first decision being a refresh, it always has an outgoing block.
-        let incremental = decision_hop && !refresh;
         // A block's eq.-2 phase start in the absolute-time frame,
         // pre-reduced modulo the FFT length (overflow-safe for unbounded
         // streams).
@@ -524,37 +521,18 @@ impl<B: SensingBackend> StreamingSensor<B> {
             (((block % k) * (hop % k)) % k) as usize
         };
 
-        // 1. Re-phase the outgoing block's spectrum for the fused slide,
-        //    before its slot is overwritten. The re-phased spectrum is
-        //    bit-identical to the one its add used (same raw bits, same
-        //    table rotation), so the subtraction cancels the old
-        //    contribution exactly.
-        if incremental {
-            let outgoing = self.next_block - window as u64;
-            self.engine.rotate_spectrum_into(
-                &self.ring[slot],
-                abs_phase(outgoing),
-                &mut self.outgoing,
-            );
-        }
-
-        // 2. One FFT for the incoming block, into its (reused) ring slot
-        //    — stored raw (`start = 0`), re-phased per use.
+        // 1. One FFT for the incoming block — raw (`start = 0`), re-phased
+        //    per use by the pass that stages it — into the spare spectrum,
+        //    which then swaps with the block's ring slot. The slot's old
+        //    spectrum, the outgoing block's on an incremental hop, stays
+        //    in `spare` for this hop's slide.
         if self.ring.len() <= slot {
             self.ring.push(Vec::with_capacity(k));
         }
         let block_samples = self.tape.slice(self.next_block * hop, k);
         self.engine
-            .block_spectrum_into(block_samples, 0, &mut self.ring[slot])?;
-
-        // 3. Re-phase the incoming block into the absolute-time frame.
-        if incremental {
-            self.engine.rotate_spectrum_into(
-                &self.ring[slot],
-                abs_phase(self.next_block),
-                &mut self.rotated,
-            );
-        }
+            .block_spectrum_into(block_samples, 0, &mut self.spare)?;
+        std::mem::swap(&mut self.ring[slot], &mut self.spare);
         instruments().ring_occupancy.set(self.ring.len() as f64);
         if !decision_hop {
             return Ok(None);
@@ -564,24 +542,18 @@ impl<B: SensingBackend> StreamingSensor<B> {
         // the phase frame this hop's matrix must be finalised in.
         let d = self.next_block + 1 - window as u64;
 
-        // 4. On a refresh hop, re-sum the re-phased ring exactly with the
-        //    batch kernel's fused passes (an incremental hop slides in
-        //    step 5, folding the profile in the same pass).
+        // 2. On a refresh hop, re-sum the ring exactly with the batch
+        //    kernel's fused passes, each raw spectrum staged with its
+        //    window-relative start — the batch engine's eq.-2 frame (an
+        //    incremental hop slides in step 3, folding the profile in the
+        //    same pass).
         if refresh {
             let refresh_timer = instruments().refresh_ns.start_timer();
             let oldest = (slot + 1) % window;
-            while self.refresh_ring.len() < window {
-                self.refresh_ring.push(Vec::with_capacity(k));
-            }
-            for j in 0..window {
-                self.engine.rotate_spectrum_into(
-                    &self.ring[(oldest + j) % window],
-                    j * stride,
-                    &mut self.refresh_ring[j],
-                );
-            }
+            let ring = &self.ring;
+            let blocks = (0..window).map(|j| (ring[(oldest + j) % window].as_slice(), j * stride));
             self.engine
-                .accumulate_window(&self.refresh_ring[..window], &mut self.frame_acc);
+                .accumulate_phased_window(blocks, &mut self.frame_acc);
             drop(refresh_timer);
             self.exact_refreshes += 1;
             instruments().exact_refreshes.increment();
@@ -590,7 +562,7 @@ impl<B: SensingBackend> StreamingSensor<B> {
             instruments().incremental_hops.increment();
         }
 
-        // 5. Present the window through the shared Observation surface:
+        // 3. Present the window through the shared Observation surface:
         //    the window's samples (a view of the tape), the cyclic-domain
         //    profile, and — only when the backend reads it — the finalised
         //    (normalised + mirrored) matrix, so any backend decides as if
@@ -606,13 +578,16 @@ impl<B: SensingBackend> StreamingSensor<B> {
             if refresh {
                 engine.cyclic_profile_from_accumulator(&self.frame_acc, window, profile);
             } else {
-                engine.slide_block(
-                    &self.outgoing,
-                    &self.rotated,
-                    &mut self.acc,
-                    window,
-                    profile,
-                );
+                // Every other decision hop rolls the window by one block
+                // (the first decision being a refresh, it always has an
+                // outgoing block). Both spectra are staged in the
+                // absolute-time frame, the outgoing one at the start its
+                // add used (same raw bits, same table rotation), so the
+                // subtraction cancels that contribution exactly.
+                let outgoing_block = self.next_block - window as u64;
+                let outgoing = (self.spare.as_slice(), abs_phase(outgoing_block));
+                let incoming = (self.ring[slot].as_slice(), abs_phase(self.next_block));
+                engine.slide_block(outgoing, incoming, &mut self.acc, window, profile);
             }
             Ok::<_, CfdError>(())
         })?;

@@ -101,8 +101,9 @@ pub fn bit_reverse_permute(data: &mut [Cplx]) {
 /// * **one table of roots** — `phase_roots[r] = exp(-j·2π·r/len)`, the
 ///   plan's only `cis` evaluations. Every twiddle is an entry of it
 ///   (`exp(-j·2π·off/size) = phase_roots[off·len/size]`), and
-///   [`FftPlan::rotate_block_phase`] reads it for the absolute-time phase
-///   rotation of eq. 2 with exact index reduction;
+///   [`FftPlan::rotate_block_phase`] (and the DSCF engine's operand
+///   staging) reads it for the absolute-time phase rotation of eq. 2 with
+///   exact index reduction;
 /// * **staged twiddles** — per radix-4 pass, `W^j`, `W^{2j}` and `W^{3j}`
 ///   copied out of the root table into contiguous split re/im rows (and
 ///   `W^j` for the radix-2 tail), so the passes read them with unit
@@ -619,6 +620,12 @@ impl FftPlan {
     /// from it compose bit-identically with the block rotation.
     pub fn phase_root(&self, r: usize) -> Cplx {
         self.phase_roots[r % self.len]
+    }
+
+    /// The whole rotation table, `phase_roots[r]` for `r ∈ 0..len`, for
+    /// loops that reduce their own index.
+    pub(crate) fn phase_roots(&self) -> &[Cplx] {
+        &self.phase_roots
     }
 
     /// Applies the eq.-2 absolute-time phase rotation

@@ -500,6 +500,14 @@ pub fn dscf_from_spectra(spectra: &[Vec<Cplx>], params: &ScfParams) -> ScfMatrix
 /// run, so the last chunk of a row loads a full chunk in range.
 const MAX_CHUNK: usize = 16;
 
+/// A block spectrum and the sample its block starts at: staging applies
+/// the block's eq.-2 phase rotation `X[v] *= exp(-j·2π·start·v/K)` on the
+/// way in, with [`FftPlan::rotate_block_phase`]'s expression and table
+/// entries, so a raw (`start = 0`) spectrum staged with its start reads
+/// exactly the operands of the spectrum computed at that start. A start
+/// that is a multiple of `K` stages the spectrum as it is.
+pub type PhasedSpectrum<'a> = (&'a [Cplx], usize);
+
 /// The staged block spectra in split re/im planes: the direct copy and the
 /// index-reversed copy `rev[t] = block[(K−t) mod K]`, one padded row of
 /// `width = K + M + 1 + MAX_CHUNK` values per block with the wrap copied
@@ -517,19 +525,39 @@ struct OperandPlanes {
 }
 
 impl OperandPlanes {
-    /// Stages `blocks` for runs of `half` offsets. Every batch and
-    /// incremental pass stages through here, so every path reads operands
-    /// with exactly the same values.
+    /// Stages `blocks`, each re-phased by its start, for runs of `half`
+    /// offsets of `plan`'s length `K`, through vector tier `tier` — the
+    /// tier of the pass it feeds, where its copy loops vectorise wider.
+    /// Every batch and incremental pass stages through here, so every path
+    /// reads operands with exactly the same values. The planes are only
+    /// resized, never cleared: each row is written in full (direct bins,
+    /// reversed bins, then the wrap), so what an earlier, wider grid left
+    /// behind is never read.
     ///
     /// # Panics
     ///
-    /// Panics if any block is shorter than `k`.
+    /// Panics if any block is shorter than `K`.
     fn stage<'a>(
         &mut self,
-        k: usize,
+        tier: VectorTier,
+        plan: &FftPlan,
         half: usize,
-        blocks: impl ExactSizeIterator<Item = &'a [Cplx]>,
+        blocks: impl ExactSizeIterator<Item = PhasedSpectrum<'a>>,
     ) {
+        run_on_tier(tier, Staging(self, plan, half, blocks));
+    }
+
+    /// [`OperandPlanes::stage`]'s body, compiled once per tier.
+    #[inline(always)]
+    fn write_rows<'a>(
+        &mut self,
+        plan: &FftPlan,
+        half: usize,
+        blocks: impl ExactSizeIterator<Item = PhasedSpectrum<'a>>,
+    ) {
+        let k = plan.len();
+        // `K` is a power of two (the FFT plan requires one).
+        let mask = k - 1;
         let width = k + half + MAX_CHUNK;
         let n = blocks.len();
         (self.width, self.blocks) = (width, n);
@@ -539,10 +567,9 @@ impl OperandPlanes {
             &mut self.rev_re,
             &mut self.rev_im,
         ] {
-            plane.clear();
             plane.resize(n * width, 0.0);
         }
-        for (b, block) in blocks.enumerate() {
+        for (b, (block, start)) in blocks.enumerate() {
             assert!(
                 block.len() >= k,
                 "block spectrum shorter ({}) than fft_len ({k})",
@@ -554,15 +581,34 @@ impl OperandPlanes {
                 &mut self.plus_im[row.clone()],
             );
             let (rr, ri) = (&mut self.rev_re[row.clone()], &mut self.rev_im[row]);
-            for (t, x) in block[..k].iter().enumerate() {
-                (pr[t], pi[t]) = (x.re, x.im);
-                // `K` is a power of two (the FFT plan requires one).
-                let r = (k - t) & (k - 1);
-                (rr[r], ri[r]) = (x.re, x.im);
+            let direct = block[..k].iter().zip(&mut pr[..k]).zip(&mut pi[..k]);
+            let step = start & mask;
+            if step == 0 {
+                // No multiply, as `rotate_block_phase` skips it: a product
+                // with `1+0j` would rewrite `−0.0` signs.
+                for ((x, re), im) in direct {
+                    (*re, *im) = (x.re, x.im);
+                }
+            } else {
+                let roots = plan.phase_roots();
+                for (t, ((x, re), im)) in direct.enumerate() {
+                    let mut x = *x;
+                    x *= roots[(t * step) & mask];
+                    (*re, *im) = (x.re, x.im);
+                }
             }
+            // `rev[t] = plus[(K − t) mod K]`: bin 0 stays, the rest reverse.
+            for (plus, rev) in [(&*pr, &mut *rr), (&*pi, &mut *ri)] {
+                rev[0] = plus[0];
+                for (r, p) in rev[1..k].iter_mut().zip(plus[1..k].iter().rev()) {
+                    *r = *p;
+                }
+            }
+            // The wrap `plane[t] = plane[t mod K]`, a period at a time: the
+            // padding past `K` may be longer than `K`.
             for plane in [pr, pi, rr, ri] {
-                for t in k..width {
-                    plane[t] = plane[t - k];
+                for at in (k..width).step_by(k) {
+                    plane.copy_within(..k.min(width - at), at);
                 }
             }
         }
@@ -809,6 +855,18 @@ impl<const KIND: u8, const STORE: bool> TierKernel for RowsPass<'_, KIND, STORE>
     }
 }
 
+/// [`OperandPlanes::stage`]'s arguments, as a tier kernel (the chunk
+/// width `L` is unused).
+struct Staging<'a, I>(&'a mut OperandPlanes, &'a FftPlan, usize, I);
+
+impl<'b, I: ExactSizeIterator<Item = PhasedSpectrum<'b>>> TierKernel for Staging<'_, I> {
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        let Staging(planes, plan, half, blocks) = self;
+        planes.write_rows(plan, half, blocks);
+    }
+}
+
 /// The accumulator-only profile: every row, ascending, through
 /// [`fold_cells`] (vectorised at the tier's width), nothing stored.
 struct AccumulatorFold<'a>(&'a ScfAccumulator, ProfileFold<'a>);
@@ -1025,7 +1083,9 @@ impl ScfAccumulator {
 ///   sequence is consecutive modulo `K`, and every block is staged once
 ///   into padded planes with the wrap copied in, so a row is a single
 ///   unit-stride run from `(bin(f), bin(−f))` — no gather tables, no
-///   modular arithmetic, no per-point panic machinery;
+///   modular arithmetic, no per-point panic machinery. Staging runs at
+///   copy speed (no clearing, plain vectorisable loops) and applies a raw
+///   spectrum's eq.-2 phase on the way in ([`PhasedSpectrum`]);
 /// * every block chained in registers: one row body walks the run in
 ///   fixed-width chunks (16 values on AVX-512, 8 on AVX2, 4 otherwise)
 ///   and keeps each chunk's accumulators in registers across all staged
@@ -1251,8 +1311,8 @@ impl ScfEngine {
         let scale = 1.0 / spectra.len() as f64;
         SCF_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
-            let stage = spectra.iter().map(Vec::as_slice);
-            scratch.operands.stage(self.params.fft_len, half, stage);
+            let blocks = spectra.iter().map(|spectrum| (spectrum.as_slice(), 0));
+            scratch.operands.stage(tier, &self.plan, half, blocks);
             let ops = &scratch.operands;
             let mut best = profile.as_deref_mut().map(|profile| &mut profile[m..]);
             let Some(out) = matrix else {
@@ -1303,7 +1363,8 @@ impl ScfEngine {
     /// runs each row of `rows` as one unwrapped run over all blocks staged
     /// in `ops` (blocks chained innermost in registers) through vector tier
     /// `tier`, storing into `acc` when `STORE` and folding into `fold`. The
-    /// staged values are exact copies and the per-accumulator order is
+    /// staged values are exact copies (of the rotated bins, for a phased
+    /// block) and the per-accumulator order is
     /// blocks-ascending with the reference's product expression, so the
     /// accumulation is bit-identical to [`dscf_reference`]'s on every tier.
     /// Counts its runs in `dsp.scf.segment_runs`.
@@ -1362,8 +1423,9 @@ impl ScfEngine {
     /// corresponding block of [`ScfEngine::compute_spectra`] for the same
     /// `start`. Note `start` also sets the block's eq.-2 phase rotation:
     /// a streaming sensor that slices the block out of its own buffer
-    /// passes `start = 0` (a **raw**, unrotated spectrum) and re-phases
-    /// per hop with [`ScfEngine::rotate_spectrum_into`].
+    /// passes `start = 0` (a **raw**, unrotated spectrum) and hands the
+    /// DSCF passes each use's start with it ([`PhasedSpectrum`]), which
+    /// re-phase it while staging.
     ///
     /// # Errors
     ///
@@ -1377,23 +1439,6 @@ impl ScfEngine {
     ) -> Result<(), DspError> {
         let _span = spectra_ns().start_timer();
         block_spectrum_into(signal, start, &self.plan, &self.window_coeffs, out)
-    }
-
-    /// Copies `spectrum` and applies the eq.-2 absolute-time phase
-    /// rotation `X[v] *= exp(-j·2π·start·v/K)` of a block beginning at
-    /// sample `start`.
-    ///
-    /// Applied to a raw (`start = 0`) spectrum, the result is
-    /// **bit-identical** to computing that block directly at `start`
-    /// ([`ScfEngine::block_spectrum_into`] runs the same table-driven
-    /// rotation on the same FFT output). A streaming sensor keeps one raw
-    /// spectrum per retained block and re-phases it on demand — into the
-    /// window-relative frame for an exact batch-equal refresh, or into
-    /// the absolute-time frame for the rolling accumulation.
-    pub fn rotate_spectrum_into(&self, spectrum: &[Cplx], start: usize, out: &mut Vec<Cplx>) {
-        out.clear();
-        out.extend_from_slice(spectrum);
-        self.plan.rotate_block_phase(start, out);
     }
 
     /// Re-bases a window accumulation between phase frames: multiplies
@@ -1412,9 +1457,9 @@ impl ScfEngine {
     /// exactly the frame the batch engine uses for that window. The
     /// factors come from the FFT plan's rotation table
     /// ([`FftPlan::phase_root`](crate::fft::FftPlan::phase_root)), so
-    /// frames compose bit-exactly with [`ScfEngine::rotate_spectrum_into`]
-    /// (and the `a = 0` ridge, whose phase is always 1, is left
-    /// untouched).
+    /// frames compose bit-exactly with the re-phasing of a staged
+    /// [`PhasedSpectrum`] (and the `a = 0` ridge, whose phase is always 1,
+    /// is left untouched).
     ///
     /// # Panics
     ///
@@ -1495,7 +1540,7 @@ impl ScfEngine {
     /// Panics if any block is shorter than `fft_len` or if `acc` was built
     /// for a different grid.
     pub fn accumulate_blocks<B: AsRef<[Cplx]>>(&self, blocks: &[B], acc: &mut ScfAccumulator) {
-        let blocks = blocks.iter().map(AsRef::as_ref);
+        let blocks = blocks.iter().map(|block| (block.as_ref(), 0));
         self.accumulator_pass::<ADD_PASS>(vector_tier(), blocks, acc, None);
     }
 
@@ -1511,7 +1556,7 @@ impl ScfEngine {
     /// Panics if `block` is shorter than `fft_len` or if `acc` was built
     /// for a different grid.
     pub fn retire_block(&self, block: &[Cplx], acc: &mut ScfAccumulator) {
-        self.accumulator_pass::<SUB_PASS>(vector_tier(), std::iter::once(block), acc, None);
+        self.accumulator_pass::<SUB_PASS>(vector_tier(), std::iter::once((block, 0)), acc, None);
     }
 
     /// Slides a window accumulation by one block and folds its cyclic
@@ -1519,10 +1564,13 @@ impl ScfEngine {
     /// `acc`, adds `incoming`'s, and writes into `profile` (resized to the
     /// grid size) the profile `acc` finalises to over `num_blocks` blocks —
     /// the incremental hop of a streaming sensor in one pass over the
-    /// half-grid instead of three.
+    /// half-grid instead of three. Each spectrum is re-phased by its start
+    /// while it is staged ([`PhasedSpectrum`]), so a sensor passes its raw
+    /// ring spectra and copies none.
     ///
-    /// **Bit-identical** to [`ScfEngine::retire_block`]`(outgoing)`, then
-    /// [`ScfEngine::accumulate_block`]`(incoming)`, then
+    /// **Bit-identical** to [`ScfEngine::retire_block`] of the re-phased
+    /// outgoing spectrum, then [`ScfEngine::accumulate_block`] of the
+    /// re-phased incoming one, then
     /// [`ScfEngine::cyclic_profile_from_accumulator`]: both spectra are
     /// staged once, every cell becomes `(acc − t_out) + t_in` in registers
     /// (the two passes' operation order, with their product expression),
@@ -1535,8 +1583,8 @@ impl ScfEngine {
     /// is zero or if `acc` was built for a different grid.
     pub fn slide_block(
         &self,
-        outgoing: &[Cplx],
-        incoming: &[Cplx],
+        outgoing: PhasedSpectrum<'_>,
+        incoming: PhasedSpectrum<'_>,
         acc: &mut ScfAccumulator,
         num_blocks: usize,
         profile: &mut Vec<f64>,
@@ -1552,14 +1600,14 @@ impl ScfEngine {
     fn accumulator_pass<'a, const KIND: u8>(
         &self,
         tier: VectorTier,
-        blocks: impl ExactSizeIterator<Item = &'a [Cplx]>,
+        blocks: impl ExactSizeIterator<Item = PhasedSpectrum<'a>>,
         acc: &mut ScfAccumulator,
         fold: Option<ProfileFold<'_>>,
     ) {
         self.check_grid(acc);
         SCF_SCRATCH.with(|scratch| {
             let operands = &mut scratch.borrow_mut().operands;
-            operands.stage(self.params.fft_len, self.params.max_offset + 1, blocks);
+            operands.stage(tier, &self.plan, self.params.max_offset + 1, blocks);
             let rows = 0..self.params.grid_size();
             let planes = (&mut acc.acc_re[..], &mut acc.acc_im[..]);
             self.rows_pass::<KIND, true>(tier, rows, operands, planes, fold);
@@ -1597,20 +1645,35 @@ impl ScfEngine {
     /// [`ScfEngine::finalize_accumulator`] with `num_blocks =
     /// blocks.len()`) to the batch [`ScfEngine::dscf_from_spectra_into`]
     /// over the same spectra. An empty `blocks` resets the accumulator.
-    /// `blocks` may be slices or owned spectra (`&[Vec<Cplx>]`), so a
-    /// caller holding a ring of spectra stages it without collecting a
-    /// slice list.
+    /// `blocks` may be slices or owned spectra (`&[Vec<Cplx>]`).
     ///
     /// # Panics
     ///
     /// Panics if any block is shorter than `fft_len` or if `acc` was built
     /// for a different grid.
     pub fn accumulate_window<B: AsRef<[Cplx]>>(&self, blocks: &[B], acc: &mut ScfAccumulator) {
-        if blocks.is_empty() {
+        self.accumulate_phased_window(blocks.iter().map(|block| (block.as_ref(), 0)), acc);
+    }
+
+    /// [`ScfEngine::accumulate_window`] over spectra re-phased by their
+    /// starts while they are staged ([`PhasedSpectrum`]): a streaming
+    /// sensor's exact refresh, which passes its raw ring spectra in window
+    /// order with window-relative starts, copies no spectrum and gets the
+    /// batch engine's accumulator bits for that window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any block is shorter than `fft_len` or if `acc` was built
+    /// for a different grid.
+    pub fn accumulate_phased_window<'a>(
+        &self,
+        blocks: impl ExactSizeIterator<Item = PhasedSpectrum<'a>>,
+        acc: &mut ScfAccumulator,
+    ) {
+        if blocks.len() == 0 {
             self.check_grid(acc);
             acc.reset();
         } else {
-            let blocks = blocks.iter().map(AsRef::as_ref);
             self.accumulator_pass::<INIT_PASS>(vector_tier(), blocks, acc, None);
         }
     }
@@ -2193,7 +2256,8 @@ mod tests {
                 let (mut fused_profile, mut split_profile) = (vec![7.0; 2], Vec::new());
                 for s in 0..slides {
                     let (outgoing, incoming) = (&spectra[s], &spectra[window + s]);
-                    engine.slide_block(outgoing, incoming, &mut fused, window, &mut fused_profile);
+                    let (out, inc) = ((outgoing.as_slice(), 0), (incoming.as_slice(), 0));
+                    engine.slide_block(out, inc, &mut fused, window, &mut fused_profile);
                     engine.retire_block(outgoing, &mut split);
                     engine.accumulate_block(incoming, &mut split);
                     engine.cyclic_profile_from_accumulator(&split, window, &mut split_profile);
@@ -2239,7 +2303,7 @@ mod tests {
         staged: &[&[Cplx]],
     ) -> ScfAccumulator {
         let mut acc = start.clone();
-        let blocks = staged.iter().copied();
+        let blocks = staged.iter().map(|&block| (block, 0));
         engine.accumulator_pass::<KIND>(tier, blocks, &mut acc, None);
         acc
     }
@@ -2339,6 +2403,183 @@ mod tests {
         }
     }
 
+    /// Staging only resizes its thread's operand planes and never clears
+    /// them, so every value a pass reads must be written by the staging
+    /// that feeds it. On one thread, per tier, the planes are staged for a
+    /// wide grid, then for grids with shorter rows — two of them with a
+    /// wrap longer than one period `K` — then for the wide grid again;
+    /// after each, every pass kind (init, add, subtract, slide, the
+    /// profile-only init and the matrix + profile init) gives the bits of
+    /// the same passes on a fresh thread, the accumulators the bits of
+    /// eq. 3, and every staged value, the padding that only dropped tail
+    /// lanes read included, holds its bin.
+    #[test]
+    fn dirty_operand_planes_leave_no_stale_value() {
+        use crate::tier::supported_tiers;
+        let grids = [
+            (256, 63, 8),
+            (64, 15, 3),
+            (16, 7, 5),
+            (8, 3, 4),
+            (256, 63, 8),
+        ];
+        let passes = |engine: &ScfEngine, tier: VectorTier, spectra: &[Vec<Cplx>]| {
+            let blocks: Vec<&[Cplx]> = spectra.iter().map(Vec::as_slice).collect();
+            let n = blocks.len() - 1;
+            let (window, slide) = (&blocks[..n], [blocks[0], blocks[n]]);
+            let init = tier_pass::<INIT_PASS>(engine, tier, &engine.accumulator(), window);
+            let add = tier_pass::<ADD_PASS>(engine, tier, &init, window);
+            let sub = tier_pass::<SUB_PASS>(engine, tier, &add, window);
+            let slid = tier_pass::<SLIDE_PASS>(engine, tier, &init, &slide);
+            let (mut profile_only, mut profile) = (Vec::new(), Vec::new());
+            let mut matrix = ScfMatrix::zeros(engine.params.max_offset);
+            engine.integrate_spectra(tier, &spectra[..n], None, Some(&mut profile_only));
+            engine.integrate_spectra(tier, &spectra[..n], Some(&mut matrix), Some(&mut profile));
+            let cells = matrix.iter().flat_map(|(_, _, c)| [c.re, c.im]);
+            let bits = profile_only.iter().chain(&profile).copied().chain(cells);
+            let profiles: Vec<u64> = bits.map(f64::to_bits).collect();
+            ([init, add, sub, slid], profiles)
+        };
+        for tier in supported_tiers() {
+            for (k, m, n) in grids {
+                let engine = ScfEngine::new(ScfParams::new(k, m, 1).unwrap()).unwrap();
+                let spectra: Vec<Vec<Cplx>> = (0..=n)
+                    .map(|b| awgn(k, 1.0, (7 * k + m + b) as u64))
+                    .collect();
+                let case = format!("K {k}, M {m}, {n} blocks, {tier:?}");
+                let dirty = passes(&engine, tier, &spectra);
+                // The last staging (the window, start 0) fills every value
+                // of every row, padding included, with its bin `t mod K`.
+                SCF_SCRATCH.with(|scratch| {
+                    let ops = &scratch.borrow().operands;
+                    assert_eq!(
+                        (ops.blocks, ops.width),
+                        (n, k + m + 1 + MAX_CHUNK),
+                        "{case}"
+                    );
+                    for (block, [xr, xi, yr, yi]) in spectra.iter().zip(ops.block_rows()) {
+                        for t in 0..ops.width {
+                            let (x, y) = (block[t % k], block[(k - t % k) % k]);
+                            let want = [x.re, x.im, y.re, y.im].map(f64::to_bits);
+                            let got = [xr[t], xi[t], yr[t], yi[t]].map(f64::to_bits);
+                            assert_eq!(got, want, "{case}: staged value {t}");
+                        }
+                    }
+                });
+                let fresh = std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| passes(&engine, tier, &spectra))
+                        .join()
+                        .unwrap()
+                });
+                for (got, want) in dirty.0.iter().zip(&fresh.0) {
+                    assert_eq!(acc_bits(got), acc_bits(want), "{case} vs a fresh thread");
+                }
+                assert_eq!(
+                    dirty.1, fresh.1,
+                    "{case}: profiles and matrix vs a fresh thread"
+                );
+
+                let [init, add, sub, slid] = &dirty.0;
+                let window: Vec<&[Cplx]> = spectra[..n].iter().map(Vec::as_slice).collect();
+                let slide = [spectra[0].as_slice(), spectra[n].as_slice()];
+                let mut matrix = ScfMatrix::zeros(m);
+                engine.finalize_accumulator(init, n, &mut matrix);
+                let reference = dscf_from_spectra(&spectra[..n], &ScfParams::new(k, m, n).unwrap());
+                assert_eq!(matrix, reference, "{case}: init vs eq. 3");
+                let expected = [
+                    (add, eq3_applied(init, &window, |_| false)),
+                    (sub, eq3_applied(add, &window, |_| true)),
+                    (slid, eq3_applied(init, &slide, |j| j == 0)),
+                ];
+                for (pass, want) in expected {
+                    assert_eq!(acc_bits(pass), acc_bits(&want), "{case} vs eq. 3");
+                }
+            }
+        }
+    }
+
+    /// Staging a raw spectrum with start `s` reads exactly the operands of
+    /// the spectrum rotated by [`FftPlan::rotate_block_phase`] and staged
+    /// with start 0: the planes are bit-equal, and so are the slide and
+    /// the phased window pass against the same passes over rotated copies.
+    /// Covered: `s = 0` and `s = K` on `−0.0` bins (no multiply, so the
+    /// signs survive), odd starts below and above `K`, and NaN / ±Inf bins.
+    #[test]
+    fn phased_staging_is_bitwise_equal_to_rotate_then_stage() {
+        use crate::tier::supported_tiers;
+        let (k, m) = (64, 15);
+        let engine = ScfEngine::new(ScfParams::new(k, m, 1).unwrap()).unwrap();
+        let plane_bits = |ops: &OperandPlanes| -> Vec<u64> {
+            let planes = [&ops.plus_re, &ops.plus_im, &ops.rev_re, &ops.rev_im];
+            planes
+                .iter()
+                .flat_map(|p| p.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let negative_zero = (-0.0f64).to_bits();
+        let mut raw: Vec<Vec<Cplx>> = (0..3).map(|b| awgn(k, 1.0, 40 + b)).collect();
+        raw[0][5..9].fill(Cplx::new(-0.0, -0.0));
+        raw[1][3] = Cplx::new(f64::NAN, 0.5);
+        raw[1][4] = Cplx::new(f64::INFINITY, -1.0);
+        raw[1][k - 1] = Cplx::new(0.25, f64::NEG_INFINITY);
+        for s in [0, k, 1, 7, k + 5, 3 * k - 1] {
+            let rotated: Vec<Vec<Cplx>> = raw
+                .iter()
+                .map(|block| {
+                    let mut block = block.clone();
+                    engine.plan.rotate_block_phase(s, &mut block);
+                    block
+                })
+                .collect();
+            for tier in supported_tiers() {
+                let (mut phased, mut copied) = (OperandPlanes::default(), OperandPlanes::default());
+                let (plan, half) = (&engine.plan, m + 1);
+                phased.stage(tier, plan, half, raw.iter().map(|b| (b.as_slice(), s)));
+                copied.stage(tier, plan, half, rotated.iter().map(|b| (b.as_slice(), 0)));
+                assert_eq!(
+                    plane_bits(&phased),
+                    plane_bits(&copied),
+                    "start {s}, {tier:?}"
+                );
+                if s % k == 0 {
+                    // A multiply by `1+0j` would make these real parts `+0.0`.
+                    let signs = phased.plus_re.iter().map(|v| v.to_bits());
+                    let count = signs.filter(|&v| v == negative_zero).count();
+                    assert!(count >= 4, "start {s}, {tier:?}");
+                }
+            }
+
+            let (mut from_raw, mut from_copies) = (engine.accumulator(), engine.accumulator());
+            let raw_window = raw.iter().map(|b| (b.as_slice(), s));
+            engine.accumulate_phased_window(raw_window, &mut from_raw);
+            engine.accumulate_window(&rotated, &mut from_copies);
+            assert_eq!(
+                acc_bits(&from_raw),
+                acc_bits(&from_copies),
+                "start {s}, window"
+            );
+            let (mut raw_profile, mut copy_profile) = (Vec::new(), Vec::new());
+            let (outgoing, incoming) = ((raw[0].as_slice(), s), (raw[1].as_slice(), s + 3));
+            engine.slide_block(outgoing, incoming, &mut from_raw, 3, &mut raw_profile);
+            let mut incoming_copy = raw[1].clone();
+            engine.plan.rotate_block_phase(s + 3, &mut incoming_copy);
+            let (outgoing, incoming) = ((rotated[0].as_slice(), 0), (incoming_copy.as_slice(), 0));
+            engine.slide_block(outgoing, incoming, &mut from_copies, 3, &mut copy_profile);
+            assert_eq!(
+                acc_bits(&from_raw),
+                acc_bits(&from_copies),
+                "start {s}, slide"
+            );
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&raw_profile),
+                bits(&copy_profile),
+                "start {s}, slide profile"
+            );
+        }
+    }
+
     /// Every vector tier folds the cyclic profile to the generic tier's
     /// bits, and to the bits of the finalised matrix's scan
     /// (`finalize_accumulator`, then [`ScfMatrix::cyclic_profile_into`]),
@@ -2419,7 +2660,7 @@ mod tests {
                     );
                     let (mut acc, mut slid_profile) = (init.clone(), Vec::new());
                     engine.fold_profile(&mut slid_profile, n, |fold| {
-                        let slide = slide.into_iter();
+                        let slide = slide.into_iter().map(|block| (block, 0));
                         engine.accumulator_pass::<SLIDE_PASS>(tier, slide, &mut acc, Some(fold));
                     });
                     let mut from_acc = Vec::new();

@@ -159,12 +159,15 @@ pub fn modulated_signal(
     let symbols: Vec<Cplx> = (0..n_symbols)
         .map(|_| spec.modulation.random_symbol(&mut rng))
         .collect();
+    let carrier =
+        |t: usize| Cplx::cis(2.0 * PI * spec.carrier_frequency * t as f64 / spec.sample_rate);
+    // A zero carrier's phase is the same signed zero at every `t`, so one
+    // `cis` serves every sample with the per-sample bits.
+    let baseband = (spec.carrier_frequency == 0.0).then(|| carrier(0));
     Ok((0..len)
         .map(|t| {
             let symbol = symbols[t / spec.samples_per_symbol];
-            let carrier =
-                Cplx::cis(2.0 * PI * spec.carrier_frequency * t as f64 / spec.sample_rate);
-            symbol * carrier * spec.amplitude
+            symbol * baseband.unwrap_or_else(|| carrier(t)) * spec.amplitude
         })
         .collect())
 }
@@ -572,6 +575,43 @@ mod tests {
         // Different seeds give different symbol sequences (overwhelmingly likely).
         let c = modulated_signal(64, &spec, 8).unwrap();
         assert_ne!(a, c);
+    }
+
+    /// A zero carrier is hoisted out of the sample loop: the output keeps
+    /// the bits of the per-sample `cis` expression for `+0.0`, `−0.0` (whose
+    /// phase is `−0.0`, so the carrier is `1 − 0j`) and a non-zero carrier.
+    #[test]
+    fn modulated_signal_is_bitwise_equal_to_the_per_sample_carrier() {
+        let bits = |x: &[Cplx]| -> Vec<(u64, u64)> {
+            x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+        };
+        for carrier_frequency in [0.0, -0.0, 0.13] {
+            for modulation in [SymbolModulation::Bpsk, SymbolModulation::Qpsk] {
+                let spec = ModulatedSignalSpec {
+                    modulation,
+                    samples_per_symbol: 3,
+                    carrier_frequency,
+                    amplitude: 0.7,
+                    ..Default::default()
+                };
+                let got = modulated_signal(100, &spec, 21).unwrap();
+                let mut rng = StdRng::seed_from_u64(21);
+                let symbols: Vec<Cplx> = (0..34)
+                    .map(|_| modulation.random_symbol(&mut rng))
+                    .collect();
+                let want: Vec<Cplx> = (0..100)
+                    .map(|t| {
+                        let phase = 2.0 * PI * carrier_frequency * t as f64 / spec.sample_rate;
+                        symbols[t / 3] * Cplx::cis(phase) * spec.amplitude
+                    })
+                    .collect();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "carrier {carrier_frequency}, {modulation:?}"
+                );
+            }
+        }
     }
 
     #[test]
