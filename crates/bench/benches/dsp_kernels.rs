@@ -4,14 +4,14 @@
 //! K = 256), plus the `dscf_kernel` group comparing the eq.-3 golden model
 //! against the table-driven, symmetry-halved [`ScfEngine`] at the paper's
 //! 127×127 scale, the `fft_plan` and `block_spectrum` groups timing plan
-//! construction and one staged eq.-2 spectrum (window, FFT, rotation),
-//! and the `signal` group timing the ziggurat noise source that feeds
-//! every seeded observation.
+//! construction and one eq.-2 spectrum (window, FFT, rotation), and the
+//! `signal` group timing the ziggurat noise source and the symbol-rate
+//! pulse train that feed every seeded observation.
 
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::fft::{block_spectrum_into, fft, FftPlan};
-use cfd_dsp::scf::{dscf_reference, ScfEngine, ScfMatrix, ScfParams};
-use cfd_dsp::signal::{awgn, awgn_into};
+use cfd_dsp::scf::{dscf_reference, OperandPlanes, ScfEngine, ScfMatrix, ScfParams};
+use cfd_dsp::signal::{awgn, awgn_into, modulated_signal_into, ModulatedSignalSpec};
 use cfd_dsp::window::Window;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -97,6 +97,19 @@ fn bench_dscf(c: &mut Criterion) {
 /// across processes; in one process linking both kernels, calls
 /// alternated, the profile pass ran 1.25× and 1.29× faster (11 of 11
 /// pairs in each of two runs) and the refresh 1.58× and 1.71×.
+///
+/// Plane-store record (same host, medians of 3 alternated runs; the
+/// "before" binary ran the parent's calls for the new rows:
+/// `compute_spectra_into` then `cyclic_profile_from_spectra_into`, and
+/// the allocating `modulated_signal`):
+/// `profile_from_samples_127x127_8blocks` 28.5 → 26.7 µs,
+/// `block_spectrum/256_unrotated` 815 → 794 ns and
+/// `signal/modulated_signal_bpsk_2048` 9.01 → 4.90 µs. `fft/64` read
+/// 254 → 215 ns and `slide_block_31x31` 714 → 632 ns across processes;
+/// in one process linking both crates, calls alternated, the FFT and
+/// block-spectrum rows at 64 and 256 points stayed within ±2% with
+/// swings either way, and the profile from samples ran 1.046–1.063×
+/// faster (bits equal).
 fn bench_dscf_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("dscf_kernel");
     group
@@ -121,6 +134,17 @@ fn bench_dscf_kernel(c: &mut Criterion) {
     // straight out of precomputed spectra — no FFT, no matrix. The 1-block
     // row is where the profile fold weighed most before it moved into the
     // row kernel's registers.
+    // The same decision from the samples, as `Observation` runs it: the
+    // FFT writes each block straight into the operand planes, and the
+    // profile pass reads them.
+    group.bench_function("profile_from_samples_127x127_8blocks", |b| {
+        let (mut planes, mut profile) = (OperandPlanes::default(), Vec::new());
+        b.iter(|| {
+            engine.stage_spectra_into(&signal, &mut planes).unwrap();
+            engine.integrate_planes_into(&planes, None, Some(&mut profile));
+            profile[0]
+        });
+    });
     let spectra = engine.compute_spectra(&signal).unwrap();
     for (label, blocks) in [("8blocks", 8), ("1block", 1)] {
         let spectra = &spectra[..blocks];
@@ -345,10 +369,11 @@ fn bench_fft_plan(c: &mut Criterion) {
     group.finish();
 }
 
-/// One eq.-2 block spectrum as the DSCF engine stages it: Hann window,
-/// 256-point FFT and the absolute-time phase rotation (the start is not a
-/// multiple of the block length, so the rotation runs), into a reused
-/// buffer.
+/// One eq.-2 block spectrum: Hann window, 256-point FFT and the
+/// absolute-time phase rotation, into a reused buffer. The `256` row
+/// starts at sample 100, not a multiple of the block length, so its
+/// rotation runs; the `256_unrotated` row starts at 0, as every block of
+/// the benchmark workloads does (their strides are whole blocks).
 fn bench_block_spectrum(c: &mut Criterion) {
     let mut group = c.benchmark_group("block_spectrum");
     group
@@ -366,12 +391,21 @@ fn bench_block_spectrum(c: &mut Criterion) {
             out[0]
         });
     });
+    group.bench_function(format!("{n}_unrotated"), |b| {
+        b.iter(|| {
+            block_spectrum_into(&signal, 0, &plan, &window, &mut out).unwrap();
+            out[0]
+        });
+    });
     group.finish();
 }
 
-/// The Gaussian noise source: `awgn_into` filling one 2048-sample buffer
-/// (one `fusion-coop` member observation). The row reports ns per call;
-/// divide by 2048 for ns per complex sample.
+/// The sample sources of one 2048-sample observation (a `roc-sweep-paper`
+/// trial or a `fusion-coop` member observation): `awgn_into`, the
+/// Gaussian noise, and `modulated_signal_into`, the baseband BPSK pulse
+/// train (4 samples per symbol) synthesised a symbol at a time. Both
+/// write into a reused buffer. The rows report ns per call; divide by
+/// 2048 for ns per complex sample.
 fn bench_signal(c: &mut Criterion) {
     let mut group = c.benchmark_group("signal");
     group
@@ -385,6 +419,18 @@ fn bench_signal(c: &mut Criterion) {
             seed = seed.wrapping_add(1);
             awgn_into(&mut noise, 1.0, seed);
             noise[0]
+        });
+    });
+    let spec = ModulatedSignalSpec {
+        samples_per_symbol: 4,
+        ..Default::default()
+    };
+    let mut signal = Vec::new();
+    group.bench_function("modulated_signal_bpsk_2048", |b| {
+        b.iter(|| {
+            seed = seed.wrapping_add(1);
+            modulated_signal_into(&mut signal, 2048, &spec, seed).unwrap();
+            signal[0]
         });
     });
     group.finish();

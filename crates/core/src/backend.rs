@@ -67,7 +67,7 @@ use cfd_dsp::complex::Cplx;
 use cfd_dsp::detector::{
     CyclostationaryDetector, DetectionOutcome, Detector, EnergyDetector, Verdict,
 };
-use cfd_dsp::scf::{ScfEngine, ScfMatrix, ScfParams};
+use cfd_dsp::scf::{OperandPlanes, ScfEngine, ScfMatrix, ScfParams};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -102,15 +102,21 @@ fn instruments() -> &'static ObservationInstruments {
     })
 }
 
-/// One per-[`ScfParams`] cache slot: the block spectra, the DSCF matrix
-/// and its cyclic-domain profile, plus validity flags for the current
-/// samples. The allocations persist across observations; only the flags
-/// are reset.
+/// One per-[`ScfParams`] cache slot: the block spectra, staged as the DSCF
+/// kernel's operand planes, the DSCF matrix and its cyclic-domain profile,
+/// plus validity flags for the current samples. The allocations persist
+/// across observations; only the flags are reset.
 #[derive(Debug)]
 struct CachedSpectra {
     params: ScfParams,
-    spectra: Vec<Vec<Cplx>>,
+    /// The block spectra, written by the FFT straight into the planes the
+    /// DSCF passes read ([`ScfEngine::stage_spectra_into`]).
+    planes: OperandPlanes,
     spectra_valid: bool,
+    /// The spectra copied out of `planes`, only for
+    /// [`Observation::spectra_for`].
+    spectra: Vec<Vec<Cplx>>,
+    spectra_copied: bool,
     scf: ScfMatrix,
     scf_valid: bool,
     profile: Vec<f64>,
@@ -138,7 +144,8 @@ struct CachedSpectra {
 /// compute internally.
 ///
 /// The buffers — samples, spectra, matrices — persist across
-/// [`Observation::load`] / [`Observation::set_samples`] calls, so reusing
+/// [`Observation::load`] / [`Observation::load_with`] /
+/// [`Observation::set_samples`] calls, so reusing
 /// one `Observation` across the trials of a sweep performs no steady-state
 /// allocation.
 ///
@@ -205,6 +212,31 @@ impl Observation {
         self.view_window(0..samples.len());
     }
 
+    /// Starts a new observation written by `write` straight into the owned
+    /// buffer: `write` gets the buffer (its allocation kept, its contents
+    /// the previous observation's) and leaves the new samples in it, so a
+    /// producer that can write in place — `cfd-scenario`'s
+    /// `RadioScenario::observe_drawn`, say — costs no copy. The cached
+    /// spectra are invalidated, as by [`Observation::load`], whether
+    /// `write` succeeds or not; on error the observation is empty.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `write` returns.
+    pub fn load_with<E>(
+        &mut self,
+        write: impl FnOnce(&mut Vec<Cplx>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let written = write(&mut self.samples);
+        let len = if written.is_ok() {
+            self.samples.len()
+        } else {
+            0
+        };
+        self.view_window(0..len);
+        written
+    }
+
     /// Starts a new observation by taking ownership of `samples` (no copy)
     /// and invalidating the cached spectra without freeing them.
     pub fn set_samples(&mut self, samples: Vec<Cplx>) {
@@ -251,6 +283,7 @@ impl Observation {
     fn invalidate(&mut self) {
         for entry in &mut self.entries {
             entry.spectra_valid = false;
+            entry.spectra_copied = false;
             entry.scf_valid = false;
             entry.profile_valid = false;
             entry.materialize = entry.scf_requested;
@@ -270,8 +303,10 @@ impl Observation {
             None => {
                 self.entries.push(CachedSpectra {
                     params: params.clone(),
-                    spectra: Vec::new(),
+                    planes: OperandPlanes::default(),
                     spectra_valid: false,
+                    spectra: Vec::new(),
+                    spectra_copied: false,
                     scf: ScfMatrix::zeros(params.max_offset),
                     scf_valid: false,
                     profile: Vec::new(),
@@ -295,7 +330,7 @@ impl Observation {
             instruments.spectra_cache_hits.increment();
         } else {
             instruments.spectra_cache_misses.increment();
-            engine.compute_spectra_into(&self.samples[self.view.clone()], &mut entry.spectra)?;
+            engine.stage_spectra_into(&self.samples[self.view.clone()], &mut entry.planes)?;
             entry.spectra_valid = true;
             instruments.spectra_computations.increment();
         }
@@ -303,14 +338,22 @@ impl Observation {
     }
 
     /// The block spectra (eq. 2) for `engine`'s parameters, computed at
-    /// most once per observation and reused afterwards.
+    /// most once per observation and reused afterwards — the bits of
+    /// [`ScfEngine::compute_spectra`]. The cache holds them as the DSCF
+    /// operand planes the FFT wrote; this copies them out once per
+    /// observation, on the first request.
     ///
     /// # Errors
     ///
     /// Propagates spectra computation errors (e.g. too few samples).
     pub fn spectra_for(&mut self, engine: &ScfEngine) -> Result<&[Vec<Cplx>], CfdError> {
         let index = self.entry_index(engine)?;
-        Ok(&self.entries[index].spectra)
+        let entry = &mut self.entries[index];
+        if !entry.spectra_copied {
+            entry.planes.spectra_into(&mut entry.spectra);
+            entry.spectra_copied = true;
+        }
+        Ok(&entry.spectra)
     }
 
     /// The integrated DSCF matrix (eq. 3) for `engine`'s parameters,
@@ -344,7 +387,7 @@ impl Observation {
     fn materialize(&mut self, engine: &ScfEngine) -> Result<(), CfdError> {
         let index = self.entry_index(engine)?;
         let CachedSpectra {
-            spectra,
+            planes,
             scf,
             scf_valid,
             profile,
@@ -352,12 +395,9 @@ impl Observation {
             ..
         } = &mut self.entries[index];
         instruments().scf_cache_misses.increment();
-        if *profile_valid {
-            engine.dscf_from_spectra_into(spectra, scf);
-        } else {
-            engine.dscf_and_profile_from_spectra_into(spectra, scf, profile);
-            *profile_valid = true;
-        }
+        let profile = (!*profile_valid).then_some(profile);
+        engine.integrate_planes_into(planes, Some(scf), profile);
+        *profile_valid = true;
         *scf_valid = true;
         Ok(())
     }
@@ -371,9 +411,10 @@ impl Observation {
     ///    alongside the matrix by [`Observation::scf_for`] — is served
     ///    as-is;
     /// 2. a valid matrix is scanned once;
-    /// 3. otherwise the profile is folded straight out of the DSCF bands
-    ///    computed from the cached spectra
-    ///    ([`ScfEngine::cyclic_profile_from_spectra_into`]); no matrix is
+    /// 3. otherwise the profile is folded straight out of the DSCF rows
+    ///    run over the cached operand planes
+    ///    ([`ScfEngine::integrate_planes_into`], the bits of
+    ///    [`ScfEngine::cyclic_profile_from_spectra_into`]); no matrix is
     ///    written, so this counts no matrix hit or miss and leaves
     ///    [`Observation::scf_requests`] alone.
     ///
@@ -399,7 +440,7 @@ impl Observation {
             } else {
                 let index = self.entry_index(engine)?;
                 let entry = &mut self.entries[index];
-                engine.cyclic_profile_from_spectra_into(&entry.spectra, &mut entry.profile);
+                engine.integrate_planes_into(&entry.planes, None, Some(&mut entry.profile));
                 entry.profile_valid = true;
             }
         }
@@ -825,6 +866,50 @@ mod tests {
         assert_eq!(observation.computed(), 0);
         observation.scf_for(&engine_a).unwrap();
         assert_eq!(observation.computed(), 1);
+    }
+
+    /// The cache keeps the spectra as the operand planes the FFT wrote:
+    /// after a profile decision, `spectra_for` copies them out with
+    /// `compute_spectra`'s bits and computes nothing, on this observation
+    /// and on the next one loaded over the same buffers. A rotated stride
+    /// exercises the eq.-2 re-phasing in the planes. The observations
+    /// are written through `load_with`.
+    #[test]
+    fn spectra_for_copies_the_staged_planes_without_recomputing() {
+        let params = ScfParams::new(64, 15, 6).unwrap().with_stride(48);
+        let engine = ScfEngine::new(params.clone()).unwrap();
+        let detector = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+        let bits = |spectra: &[Vec<Cplx>]| -> Vec<(u64, u64)> {
+            spectra
+                .iter()
+                .flatten()
+                .map(|x| (x.re.to_bits(), x.im.to_bits()))
+                .collect()
+        };
+        let mut observation = Observation::new();
+        for seed in [40, 41] {
+            let samples = busy(&params, 0.0, seed);
+            observation
+                .load_with(|buffer| {
+                    buffer.clear();
+                    buffer.extend_from_slice(&samples);
+                    Ok::<(), CfdError>(())
+                })
+                .unwrap();
+            assert_eq!(observation.computed(), 0);
+            SensingBackend::decide(&mut detector.clone(), &mut observation).unwrap();
+            assert_eq!(observation.computed(), 1);
+            let want = engine.compute_spectra(&samples).unwrap();
+            assert_eq!(bits(observation.spectra_for(&engine).unwrap()), bits(&want));
+            assert_eq!(observation.computed(), 1);
+        }
+        // A failed write leaves an empty observation with nothing cached.
+        assert_eq!(
+            observation.load_with(|_| Err("no samples")),
+            Err("no samples")
+        );
+        assert!(observation.samples().is_empty());
+        assert_eq!(observation.computed(), 0);
     }
 
     #[test]

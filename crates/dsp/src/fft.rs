@@ -30,7 +30,9 @@
 //! pass multiplies three of its four operands by the staged split
 //! twiddles `W^{2j}`, `W^j` and `W^{3j}` (3 complex multiplies per 4
 //! outputs); a radix-2 pass follows when `log2 K` is odd. The last pass
-//! stores straight back into the caller's `&mut [Cplx]`. The inverse is
+//! stores straight back into the caller's `&mut [Cplx]` or — its
+//! split-plane store mode, which the DSCF staging uses — into separate
+//! re and im rows. The inverse is
 //! `conj ∘ forward ∘ conj / N`: conjugation is exact, so it shares every
 //! twiddle with the forward transform.
 //!
@@ -167,10 +169,113 @@ fn loaded<const LOAD: u8>(x: Cplx, w: Option<f64>) -> Cplx {
     }
 }
 
-/// Last-pass store modes (const generic of [`FftPlan::finish`]).
+/// Interleaved store modes (const generic of [`Interleaved`]): as is.
 const STORE_PLAIN: u8 = 0;
 /// Conjugate and divide by `N` (the inverse transform's outer `conj`).
 const STORE_INVERSE: u8 = 1;
+
+/// Where [`FftPlan::finish`]'s last pass puts the outputs: its store mode.
+/// The pass splits the output into the halves or quarters its
+/// butterflies write, and stores quad `j` of each.
+trait Store: Sized {
+    /// The first `m` quads, and the rest.
+    fn split_at(self, m: usize) -> [Self; 2];
+    /// Quad `j`: outputs `4j..4j + 4`, lane `l` being output `4j + l`.
+    fn quad(&mut self, j: usize, y: Quad);
+    /// Output `v` of a transform shorter than a quad (lengths 1 and 2).
+    fn value(&mut self, v: usize, y: Cplx);
+}
+
+/// An output row of `T` values: its whole quads, and its values past them
+/// (all of a row shorter than a quad).
+struct Row<'a, T> {
+    quads: &'a mut [[T; 4]],
+    short: &'a mut [T],
+}
+
+impl<'a, T> Row<'a, T> {
+    fn new(values: &'a mut [T]) -> Self {
+        let (quads, short) = values.as_chunks_mut::<4>();
+        Row { quads, short }
+    }
+
+    #[inline(always)]
+    fn split_at(self, m: usize) -> [Self; 2] {
+        let (head, quads) = self.quads.split_at_mut(m);
+        let head = Row {
+            quads: head,
+            short: &mut [],
+        };
+        [head, Row { quads, ..self }]
+    }
+}
+
+/// Interleaved [`Cplx`] outputs of a length-`n` transform, each through
+/// `STORE`.
+struct Interleaved<'a, const STORE: u8> {
+    row: Row<'a, Cplx>,
+    n: usize,
+}
+
+impl<'a, const STORE: u8> Interleaved<'a, STORE> {
+    fn new(out: &'a mut [Cplx]) -> Self {
+        Interleaved {
+            n: out.len(),
+            row: Row::new(out),
+        }
+    }
+}
+
+impl<const STORE: u8> Store for Interleaved<'_, STORE> {
+    #[inline(always)]
+    fn split_at(self, m: usize) -> [Self; 2] {
+        let n = self.n;
+        self.row.split_at(m).map(|row| Interleaved { row, n })
+    }
+
+    #[inline(always)]
+    fn quad(&mut self, j: usize, y: Quad) {
+        for (l, cell) in self.row.quads[j].iter_mut().enumerate() {
+            *cell = stored::<STORE>(y.lane(l), self.n);
+        }
+    }
+
+    #[inline(always)]
+    fn value(&mut self, v: usize, y: Cplx) {
+        self.row.short[v] = stored::<STORE>(y, self.n);
+    }
+}
+
+/// The split-plane store: output `v` as `re[v]` and `im[v]`, each quad
+/// one 4-wide store per plane. This writes the direct rows of the DSCF
+/// operand planes straight from the transform's registers — the paper's
+/// reshuffle step — with the bits of the interleaved plain store.
+struct SplitPlanes<'a> {
+    re: Row<'a, f64>,
+    im: Row<'a, f64>,
+}
+
+impl Store for SplitPlanes<'_> {
+    #[inline(always)]
+    fn split_at(self, m: usize) -> [Self; 2] {
+        let ([re0, re1], [im0, im1]) = (self.re.split_at(m), self.im.split_at(m));
+        [
+            SplitPlanes { re: re0, im: im0 },
+            SplitPlanes { re: re1, im: im1 },
+        ]
+    }
+
+    #[inline(always)]
+    fn quad(&mut self, j: usize, y: Quad) {
+        self.re.quads[j] = y.re;
+        self.im.quads[j] = y.im;
+    }
+
+    #[inline(always)]
+    fn value(&mut self, v: usize, y: Cplx) {
+        (self.re.short[v], self.im.short[v]) = (y.re, y.im);
+    }
+}
 
 /// What one transform reads and where it writes.
 enum Run<'a> {
@@ -183,6 +288,13 @@ enum Run<'a> {
         block: &'a [Cplx],
         window: &'a [f64],
         out: &'a mut [Cplx],
+    },
+    /// The transform of `block · window` into split planes `re`/`im`.
+    Planes {
+        block: &'a [Cplx],
+        window: &'a [f64],
+        re: &'a mut [f64],
+        im: &'a mut [f64],
     },
 }
 
@@ -307,14 +419,6 @@ fn quarters_mut<T>(values: &mut [T], len: usize) -> [&mut [T]; 4] {
     [q0, q1, q2, &mut q3[..len]]
 }
 
-/// Stores the four lanes of `y` into `out` through `STORE` (length `n`).
-#[inline(always)]
-fn store_quad<const STORE: u8>(out: &mut [Cplx; 4], y: Quad, n: usize) {
-    for (l, cell) in out.iter_mut().enumerate() {
-        *cell = stored::<STORE>(y.lane(l), n);
-    }
-}
-
 /// Output value `y` of a length-`n` transform as the last pass stores it.
 #[inline(always)]
 fn stored<const STORE: u8>(y: Cplx, n: usize) -> Cplx {
@@ -434,15 +538,28 @@ impl FftPlan {
         match run {
             Run::Forward(data) => {
                 self.first_pass::<LOAD_PLAIN>(re, im, data, &[]);
-                self.finish::<STORE_PLAIN>(re, im, data);
+                self.finish(re, im, Interleaved::<STORE_PLAIN>::new(data));
             }
             Run::Inverse(data) => {
                 self.first_pass::<LOAD_CONJ>(re, im, data, &[]);
-                self.finish::<STORE_INVERSE>(re, im, data);
+                self.finish(re, im, Interleaved::<STORE_INVERSE>::new(data));
             }
             Run::Spectrum { block, window, out } => {
                 self.first_pass::<LOAD_WINDOW>(re, im, block, window);
-                self.finish::<STORE_PLAIN>(re, im, out);
+                self.finish(re, im, Interleaved::<STORE_PLAIN>::new(out));
+            }
+            Run::Planes {
+                block,
+                window,
+                re: out_re,
+                im: out_im,
+            } => {
+                self.first_pass::<LOAD_WINDOW>(re, im, block, window);
+                let out = SplitPlanes {
+                    re: Row::new(out_re),
+                    im: Row::new(out_im),
+                };
+                self.finish(re, im, out);
             }
         }
     }
@@ -524,9 +641,9 @@ impl FftPlan {
 
     /// The twiddled passes: radix-4 passes in the working buffers, then
     /// the last pass (radix-4, or the radix-2 tail when `log2 N` is odd)
-    /// storing into `out` through `STORE`.
+    /// storing into `out` through its store mode.
     #[inline(always)]
-    fn finish<const STORE: u8>(&self, re: &mut [f64], im: &mut [f64], out: &mut [Cplx]) {
+    fn finish(&self, re: &mut [f64], im: &mut [f64], out: impl Store) {
         let n = self.len;
         let mut tw = self.twiddles.as_chunks::<4>().0;
         let (rq, iq) = (re.as_chunks_mut::<4>().0, im.as_chunks_mut::<4>().0);
@@ -552,23 +669,24 @@ impl FftPlan {
             m *= 4;
         }
         let (rq, iq) = (&*rq, &*iq);
-        let out_quads = out.as_chunks_mut::<4>().0;
         if n >= 8 && n.trailing_zeros() % 2 == 1 {
             // The radix-2 tail: y[j] = x[j] ± W^j·x[j + N/2].
             let m = n / 8;
             let ([r0, r1], [i0, i1]) = (rows::<_, 2>(rq, m), rows::<_, 2>(iq, m));
             let [wr, wi] = rows::<_, 2>(tw, m);
-            let (lo, hi) = out_quads.split_at_mut(m);
+            let [mut lo, mut hi] = out.split_at(m);
             for j in 0..m {
                 let x = Quad::at(r0, i0, j);
                 let t = Quad::at(r1, i1, j).mul(Quad::at(wr, wi, j));
-                store_quad::<STORE>(&mut lo[j], x.add(t), n);
-                store_quad::<STORE>(&mut hi[j], x.sub(t), n);
+                lo.quad(j, x.add(t));
+                hi.quad(j, x.sub(t));
             }
         } else if n >= 16 {
             let w = rows::<_, 6>(tw, m);
             let (r, i) = (rows::<_, 4>(rq, m), rows::<_, 4>(iq, m));
-            let mut o = quarters_mut(out_quads, m);
+            let [low, high] = out.split_at(2 * m);
+            let ([o0, o1], [o2, o3]) = (low.split_at(m), high.split_at(m));
+            let mut o = [o0, o1, o2, o3];
             for j in 0..m {
                 let mut q = [Quad::ZERO; 4];
                 for t in 0..4 {
@@ -576,13 +694,18 @@ impl FftPlan {
                 }
                 let y = butterfly4(q, &w, j);
                 for (o, y) in o.iter_mut().zip(y) {
-                    store_quad::<STORE>(&mut o[j], y, n);
+                    o.quad(j, y);
                 }
             }
+        } else if n == 4 {
+            // The first pass was the whole transform.
+            let mut out = out;
+            out.quad(0, Quad::at(rq, iq, 0));
         } else {
-            // Lengths 1, 2 and 4: the first pass was the whole transform.
-            for (v, cell) in out.iter_mut().enumerate() {
-                *cell = stored::<STORE>(Cplx::new(re[v], im[v]), n);
+            // Lengths 1 and 2, likewise.
+            let mut out = out;
+            for v in 0..n {
+                out.value(v, Cplx::new(re[v], im[v]));
             }
         }
     }
@@ -612,6 +735,43 @@ impl FftPlan {
         self.check_len(data)?;
         self.run(Run::Inverse(data));
         Ok(())
+    }
+
+    /// The transform of `block · window` through `tier` in the split-plane
+    /// store mode: output `v` lands in `re[v]` and `im[v]`, so the DSCF
+    /// staging gets its direct operand rows without an interleaved
+    /// spectrum in between. The window multiply runs in the first pass as
+    /// in [`block_spectrum_into`], and the bits are those of
+    /// [`block_spectrum_into`] at start 0 (no eq.-2 rotation). Timed in
+    /// `dsp.fft.forward_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `block`, `window`, `re` and `im` all have the plan's
+    /// length.
+    pub(crate) fn spectrum_to_planes(
+        &self,
+        tier: VectorTier,
+        block: &[Cplx],
+        window: &[f64],
+        re: &mut [f64],
+        im: &mut [f64],
+    ) {
+        let n = self.len;
+        assert!(
+            [block.len(), window.len(), re.len(), im.len()] == [n; 4],
+            "a {n}-point plane store needs {n} samples, coefficients and plane values"
+        );
+        let _span = forward_ns().start_timer();
+        self.run_on(
+            tier,
+            Run::Planes {
+                block,
+                window,
+                re,
+                im,
+            },
+        );
     }
 
     /// The `r`-th rotation-table root `exp(-j·2π·r/len)` (with `r`

@@ -508,14 +508,25 @@ const MAX_CHUNK: usize = 16;
 /// that is a multiple of `K` stages the spectrum as it is.
 pub type PhasedSpectrum<'a> = (&'a [Cplx], usize);
 
-/// The staged block spectra in split re/im planes: the direct copy and the
-/// index-reversed copy `rev[t] = block[(K−t) mod K]`, one padded row of
+/// Block spectra staged as the DSCF kernel reads them: split re/im planes
+/// holding the direct spectrum and the index-reversed copy
+/// `rev[t] = block[(K−t) mod K]`, one padded row of
 /// `width = K + M + 1 + MAX_CHUNK` values per block with the wrap copied
 /// in (`plane[t] = plane[t mod K]`). A half-grid row reads both operands
 /// forward from its start bin for `M + 1` offsets, so with the wrap copied
 /// every row is one unwrapped run, and every chunk of it is in range.
-#[derive(Default)]
-struct OperandPlanes {
+///
+/// Every batch and incremental pass stages into a per-thread set. A
+/// caller that keeps an observation's spectra for several passes — the
+/// `Observation` cache of `cfd-core` — owns a set instead: it is filled
+/// straight by the FFT ([`ScfEngine::stage_spectra_into`], the paper's
+/// reshuffle step), integrated any number of times
+/// ([`ScfEngine::integrate_planes_into`]) and copied back out as spectra
+/// only on request ([`OperandPlanes::spectra_into`]). The buffers are
+/// only resized from one staging to the next, never freed.
+#[derive(Debug, Default)]
+pub struct OperandPlanes {
+    len: usize,
     width: usize,
     blocks: usize,
     plus_re: Vec<f64>,
@@ -525,14 +536,30 @@ struct OperandPlanes {
 }
 
 impl OperandPlanes {
+    /// Copies the staged spectra out, unrotated by staging: `out` gets one
+    /// `K`-bin spectrum per block, each bin `Cplx::new(re, im)` of its
+    /// direct row, so the bits are those the planes were staged from.
+    /// `out` and its spectra keep their allocations.
+    pub fn spectra_into(&self, out: &mut Vec<Vec<Cplx>>) {
+        let k = self.len;
+        out.truncate(self.blocks);
+        out.resize_with(self.blocks, || Vec::with_capacity(k));
+        for (spectrum, [re, im, ..]) in out.iter_mut().zip(self.block_rows()) {
+            spectrum.clear();
+            spectrum.extend(
+                re[..k]
+                    .iter()
+                    .zip(&im[..k])
+                    .map(|(&re, &im)| Cplx::new(re, im)),
+            );
+        }
+    }
+
     /// Stages `blocks`, each re-phased by its start, for runs of `half`
     /// offsets of `plan`'s length `K`, through vector tier `tier` — the
     /// tier of the pass it feeds, where its copy loops vectorise wider.
-    /// Every batch and incremental pass stages through here, so every path
-    /// reads operands with exactly the same values. The planes are only
-    /// resized, never cleared: each row is written in full (direct bins,
-    /// reversed bins, then the wrap), so what an earlier, wider grid left
-    /// behind is never read.
+    /// Every pass over caller spectra stages through here, so every path
+    /// reads operands with exactly the same values.
     ///
     /// # Panics
     ///
@@ -547,6 +574,36 @@ impl OperandPlanes {
         run_on_tier(tier, Staging(self, plan, half, blocks));
     }
 
+    /// Sizes the planes for `n` blocks of `K`-bin spectra read in runs of
+    /// `half` offsets. The planes are only resized, never cleared: each
+    /// row is written in full (direct bins, reversed bins, then the wrap),
+    /// so what an earlier, wider grid left behind is never read.
+    fn shape(&mut self, k: usize, half: usize, n: usize) {
+        let width = k + half + MAX_CHUNK;
+        (self.len, self.width, self.blocks) = (k, width, n);
+        for plane in [
+            &mut self.plus_re,
+            &mut self.plus_im,
+            &mut self.rev_re,
+            &mut self.rev_im,
+        ] {
+            plane.resize(n * width, 0.0);
+        }
+    }
+
+    /// Block `b`'s four padded rows, writable: direct re/im, reversed
+    /// re/im.
+    #[inline(always)]
+    fn rows_mut(&mut self, b: usize) -> [&mut [f64]; 4] {
+        let row = b * self.width..(b + 1) * self.width;
+        [
+            &mut self.plus_re[row.clone()],
+            &mut self.plus_im[row.clone()],
+            &mut self.rev_re[row.clone()],
+            &mut self.rev_im[row],
+        ]
+    }
+
     /// [`OperandPlanes::stage`]'s body, compiled once per tier.
     #[inline(always)]
     fn write_rows<'a>(
@@ -558,29 +615,14 @@ impl OperandPlanes {
         let k = plan.len();
         // `K` is a power of two (the FFT plan requires one).
         let mask = k - 1;
-        let width = k + half + MAX_CHUNK;
-        let n = blocks.len();
-        (self.width, self.blocks) = (width, n);
-        for plane in [
-            &mut self.plus_re,
-            &mut self.plus_im,
-            &mut self.rev_re,
-            &mut self.rev_im,
-        ] {
-            plane.resize(n * width, 0.0);
-        }
+        self.shape(k, half, blocks.len());
         for (b, (block, start)) in blocks.enumerate() {
             assert!(
                 block.len() >= k,
                 "block spectrum shorter ({}) than fft_len ({k})",
                 block.len()
             );
-            let row = b * width..(b + 1) * width;
-            let (pr, pi) = (
-                &mut self.plus_re[row.clone()],
-                &mut self.plus_im[row.clone()],
-            );
-            let (rr, ri) = (&mut self.rev_re[row.clone()], &mut self.rev_im[row]);
+            let [pr, pi, rr, ri] = self.rows_mut(b);
             let direct = block[..k].iter().zip(&mut pr[..k]).zip(&mut pi[..k]);
             let step = start & mask;
             if step == 0 {
@@ -597,20 +639,43 @@ impl OperandPlanes {
                     (*re, *im) = (x.re, x.im);
                 }
             }
-            // `rev[t] = plus[(K − t) mod K]`: bin 0 stays, the rest reverse.
-            for (plus, rev) in [(&*pr, &mut *rr), (&*pi, &mut *ri)] {
-                rev[0] = plus[0];
-                for (r, p) in rev[1..k].iter_mut().zip(plus[1..k].iter().rev()) {
-                    *r = *p;
+            complete_rows([pr, pi, rr, ri], k);
+        }
+    }
+
+    /// [`ScfEngine::stage_spectra_into`]'s body, compiled once per tier,
+    /// over planes already shaped for one block per start: each block
+    /// `signal[start..start + K]` is transformed straight into
+    /// its direct rows ([`FftPlan::spectrum_to_planes`], through `tier`),
+    /// re-phased there by its start with `rotate_block_phase`'s
+    /// expression and table entries, then completed like a staged
+    /// spectrum. So the rows hold the bits
+    /// [`OperandPlanes::write_rows`] stages from
+    /// [`block_spectrum_into`]'s spectra at the same starts.
+    #[inline(always)]
+    fn transform_rows(
+        &mut self,
+        tier: VectorTier,
+        (plan, window): Transform<'_>,
+        signal: &[Cplx],
+        starts: impl Iterator<Item = usize>,
+    ) {
+        let k = plan.len();
+        let mask = k - 1;
+        for (b, start) in starts.enumerate() {
+            let [pr, pi, rr, ri] = self.rows_mut(b);
+            let (re, im) = (&mut pr[..k], &mut pi[..k]);
+            plan.spectrum_to_planes(tier, &signal[start..start + k], window, re, im);
+            let step = start & mask;
+            if step != 0 {
+                let roots = plan.phase_roots();
+                for (t, (re, im)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+                    let mut x = Cplx::new(*re, *im);
+                    x *= roots[(t * step) & mask];
+                    (*re, *im) = (x.re, x.im);
                 }
             }
-            // The wrap `plane[t] = plane[t mod K]`, a period at a time: the
-            // padding past `K` may be longer than `K`.
-            for plane in [pr, pi, rr, ri] {
-                for at in (k..width).step_by(k) {
-                    plane.copy_within(..k.min(width - at), at);
-                }
-            }
+            complete_rows([pr, pi, rr, ri], k);
         }
     }
 
@@ -627,13 +692,39 @@ impl OperandPlanes {
     }
 }
 
+/// Completes a block's rows once its `K` direct bins are in place: the
+/// reversed copy `rev[t] = plus[(K − t) mod K]` (bin 0 stays, the rest
+/// reverse), then the wrap `plane[t] = plane[t mod K]` of all four rows, a
+/// period at a time (the padding past `K` may be longer than `K`).
+#[inline(always)]
+fn complete_rows([pr, pi, rr, ri]: [&mut [f64]; 4], k: usize) {
+    for (plus, rev) in [(&*pr, &mut *rr), (&*pi, &mut *ri)] {
+        rev[0] = plus[0];
+        for (r, p) in rev[1..k].iter_mut().zip(plus[1..k].iter().rev()) {
+            *r = *p;
+        }
+    }
+    let width = pr.len();
+    for plane in [pr, pi, rr, ri] {
+        for at in (k..width).step_by(k) {
+            plane.copy_within(..k.min(width - at), at);
+        }
+    }
+}
+
 /// Reusable per-thread staging of the accumulation kernel: the operand
-/// planes and, sized only by passes that write a matrix, one row-band of
-/// accumulators (re/im split like the operands) and one output row.
+/// planes of passes over caller spectra and the band buffers.
 /// Thread-local because [`ScfEngine`] is shared across sweep workers.
 #[derive(Default)]
 struct ScfScratch {
     operands: OperandPlanes,
+    band: BandScratch,
+}
+
+/// Sized only by passes that write a matrix: one row-band of accumulators
+/// (re/im split like the operands) and one output row.
+#[derive(Default)]
+struct BandScratch {
     acc_re: Vec<f64>,
     acc_im: Vec<f64>,
     row_buf: Vec<Cplx>,
@@ -864,6 +955,27 @@ impl<'b, I: ExactSizeIterator<Item = PhasedSpectrum<'b>>> TierKernel for Staging
     fn run<const L: usize>(self) {
         let Staging(planes, plan, half, blocks) = self;
         planes.write_rows(plan, half, blocks);
+    }
+}
+
+/// [`OperandPlanes::transform_rows`]'s arguments, as a tier kernel (the
+/// chunk width `L` is unused).
+struct Transforming<'a, I>(
+    &'a mut OperandPlanes,
+    VectorTier,
+    Transform<'a>,
+    &'a [Cplx],
+    I,
+);
+
+/// A transform of the staging: the FFT plan and the window coefficients.
+type Transform<'a> = (&'a FftPlan, &'a [f64]);
+
+impl<I: Iterator<Item = usize>> TierKernel for Transforming<'_, I> {
+    #[inline(always)]
+    fn run<const L: usize>(self) {
+        let Transforming(planes, tier, transform, signal, starts) = self;
+        planes.transform_rows(tier, transform, signal, starts);
     }
 }
 
@@ -1270,32 +1382,138 @@ impl ScfEngine {
     }
 
     /// The batch integration behind the three spectra entry points, through
-    /// vector tier `tier`: one init pass finalising `matrix` and/or folding
-    /// `profile`.
+    /// vector tier `tier`: `spectra` staged into this thread's planes, then
+    /// [`ScfEngine::integrate`].
     fn integrate_spectra(
         &self,
         tier: VectorTier,
         spectra: &[Vec<Cplx>],
-        mut matrix: Option<&mut ScfMatrix>,
-        mut profile: Option<&mut Vec<f64>>,
+        matrix: Option<&mut ScfMatrix>,
+        profile: Option<&mut Vec<f64>>,
     ) {
-        let _span = accumulate_ns().start_timer();
-        let m = self.params.max_offset;
-        let p = self.params.grid_size();
-        let half = m + 1;
-        // Per-scale latency on top of the aggregate histogram, so wideband
-        // grids are visible separately (resolved once per engine, and only
-        // once telemetry is on).
-        let _grid_span = cfd_telemetry::enabled().then(|| {
+        let _spans = self.accumulate_spans();
+        SCF_SCRATCH.with(|scratch| {
+            let ScfScratch { operands, band } = &mut *scratch.borrow_mut();
+            let blocks = spectra.iter().map(|spectrum| (spectrum.as_slice(), 0));
+            operands.stage(tier, &self.plan, self.params.max_offset + 1, blocks);
+            self.integrate(tier, operands, band, matrix, profile);
+        });
+    }
+
+    /// Computes the block spectra `X_{n,v}` of eq. 2 straight into
+    /// `planes`, staged for this engine's grid: every block is transformed
+    /// by the FFT's split-plane store into its direct rows, re-phased there
+    /// by its start, then reversed and wrapped. There is no interleaved
+    /// spectrum in between — the paper's reshuffle rides on the
+    /// transform's last pass. The planes hold exactly the bits
+    /// [`ScfEngine::compute_spectra_into`] computes
+    /// ([`OperandPlanes::spectra_into`] copies them back out), so every
+    /// pass over them ([`ScfEngine::integrate_planes_into`]) gives the
+    /// bits of the matching `*_from_spectra_into` entry point.
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::InsufficientSamples`] if the signal is too short.
+    pub fn stage_spectra_into(
+        &self,
+        signal: &[Cplx],
+        planes: &mut OperandPlanes,
+    ) -> Result<(), DspError> {
+        self.stage_spectra_on(vector_tier(), signal, planes)
+    }
+
+    /// [`ScfEngine::stage_spectra_into`] through vector tier `tier`.
+    fn stage_spectra_on(
+        &self,
+        tier: VectorTier,
+        signal: &[Cplx],
+        planes: &mut OperandPlanes,
+    ) -> Result<(), DspError> {
+        if signal.len() < self.params.samples_needed() {
+            return Err(DspError::InsufficientSamples {
+                needed: self.params.samples_needed(),
+                available: signal.len(),
+            });
+        }
+        let _span = spectra_ns().start_timer();
+        let (k, stride, n) = (
+            self.params.fft_len,
+            self.params.block_stride,
+            self.params.num_blocks,
+        );
+        planes.shape(k, self.params.max_offset + 1, n);
+        let transform = (&self.plan, &self.window_coeffs[..]);
+        let starts = (0..n).map(|n| n * stride);
+        run_on_tier(tier, Transforming(planes, tier, transform, signal, starts));
+        Ok(())
+    }
+
+    /// The batch integration of spectra staged by
+    /// [`ScfEngine::stage_spectra_into`]: the DSCF `matrix` (as
+    /// [`ScfEngine::dscf_from_spectra_into`] would write it), its cyclic
+    /// `profile` (as [`ScfEngine::cyclic_profile_from_spectra_into`]), or
+    /// both from one pass (as
+    /// [`ScfEngine::dscf_and_profile_from_spectra_into`]) — bit for bit,
+    /// because the planes hold the values those entry points stage. The
+    /// planes are only read, so one staging serves any number of passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` were staged for another grid.
+    pub fn integrate_planes_into(
+        &self,
+        planes: &OperandPlanes,
+        matrix: Option<&mut ScfMatrix>,
+        profile: Option<&mut Vec<f64>>,
+    ) {
+        let k = self.params.fft_len;
+        assert!(
+            (planes.len, planes.width) == (k, k + self.params.max_offset + 1 + MAX_CHUNK),
+            "operand planes staged for another grid than K = {k}, M = {}",
+            self.params.max_offset
+        );
+        let _spans = self.accumulate_spans();
+        let tier = vector_tier();
+        SCF_SCRATCH.with(|scratch| {
+            let band = &mut scratch.borrow_mut().band;
+            self.integrate(tier, planes, band, matrix, profile);
+        });
+    }
+
+    /// Starts the batch accumulation's timers: the aggregate
+    /// `dsp.scf.accumulate_ns` and, with telemetry on, this grid's own
+    /// `dsp.scf.accumulate_ns.g{P}` (resolved once per engine), so
+    /// wideband grids are visible separately.
+    fn accumulate_spans(&self) -> (cfd_telemetry::Timer, Option<cfd_telemetry::Timer>) {
+        let aggregate = accumulate_ns().start_timer();
+        let grid = cfd_telemetry::enabled().then(|| {
+            let p = self.params.grid_size();
             self.grid_accumulate_ns
                 .get_or_init(|| cfd_telemetry::histogram(&format!("dsp.scf.accumulate_ns.g{p}")))
                 .start_timer()
         });
+        (aggregate, grid)
+    }
+
+    /// The batch integration over staged `ops`, through vector tier `tier`:
+    /// one init pass finalising `matrix` and/or folding `profile`, with
+    /// `band` as the matrix's row-band scratch.
+    fn integrate(
+        &self,
+        tier: VectorTier,
+        ops: &OperandPlanes,
+        band: &mut BandScratch,
+        mut matrix: Option<&mut ScfMatrix>,
+        mut profile: Option<&mut Vec<f64>>,
+    ) {
+        let m = self.params.max_offset;
+        let p = self.params.grid_size();
+        let half = m + 1;
         if let Some(out) = matrix.as_deref_mut() {
             if out.max_offset != m {
                 *out = ScfMatrix::zeros(m);
             }
-            if spectra.is_empty() {
+            if ops.blocks == 0 {
                 // The band finaliser writes every cell, so zeroing is only
                 // needed when there is nothing to accumulate.
                 out.values.fill(Cplx::ZERO);
@@ -1305,55 +1523,49 @@ impl ScfEngine {
             profile.clear();
             profile.resize(p, 0.0);
         }
-        if spectra.is_empty() {
+        if ops.blocks == 0 {
             return;
         }
-        let scale = 1.0 / spectra.len() as f64;
-        SCF_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let blocks = spectra.iter().map(|spectrum| (spectrum.as_slice(), 0));
-            scratch.operands.stage(tier, &self.plan, half, blocks);
-            let ops = &scratch.operands;
-            let mut best = profile.as_deref_mut().map(|profile| &mut profile[m..]);
-            let Some(out) = matrix else {
-                // Profile only: every chunk folds straight from registers
-                // and nothing is stored, so all rows are one pass.
-                let fold = best.map(|best| (scale, best));
-                self.rows_pass::<INIT_PASS, false>(tier, 0..p, ops, (&mut [], &mut []), fold);
-                return;
-            };
+        let scale = 1.0 / ops.blocks as f64;
+        let mut best = profile.as_deref_mut().map(|profile| &mut profile[m..]);
+        if let Some(out) = matrix {
             // Row bands: the accumulator slab covers only one band of rows
             // (~64 KiB across the re + im planes), is written once by the
             // row pass and finalised while still cache-hot, before the
             // next band reuses it — so the accumulator traffic never
             // round-trips through memory at any grid size.
             let band_rows = (4096 / half).clamp(4, 512).min(p);
-            for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
+            for plane in [&mut band.acc_re, &mut band.acc_im] {
                 plane.clear();
                 plane.resize(band_rows * half, 0.0);
             }
-            scratch.row_buf.clear();
-            scratch.row_buf.resize(p, Cplx::ZERO);
+            band.row_buf.clear();
+            band.row_buf.resize(p, Cplx::ZERO);
             for band_start in (0..p).step_by(band_rows) {
-                let band = band_start..(band_start + band_rows).min(p);
-                let len = band.len() * half;
-                let (acc_re, acc_im) = (&mut scratch.acc_re[..len], &mut scratch.acc_im[..len]);
+                let rows = band_start..(band_start + band_rows).min(p);
+                let len = rows.len() * half;
+                let (acc_re, acc_im) = (&mut band.acc_re[..len], &mut band.acc_im[..len]);
                 // No slab clearing: the init pass writes every cell.
                 let acc = (&mut *acc_re, &mut *acc_im);
                 let fold = best.as_deref_mut().map(|best| (scale, best));
-                self.rows_pass::<INIT_PASS, true>(tier, band.clone(), ops, acc, fold);
+                self.rows_pass::<INIT_PASS, true>(tier, rows.clone(), ops, acc, fold);
                 // Normalise and mirror the finished band: `out = acc/N` for
                 // `a ≥ 0`, conjugate for `a < 0`. Each row is assembled in
                 // an L1-hot staging buffer, then streamed into the (cold,
                 // write-once) output with wide non-temporal copies.
-                let rows = acc_re.chunks_exact(half).zip(acc_im.chunks_exact(half));
-                for (row, (ar, ai)) in band.zip(rows) {
-                    finalize_row_scalar(&mut scratch.row_buf, ar, ai, m, scale);
-                    copy_row_out(&mut out.values[row * p..(row + 1) * p], &scratch.row_buf);
+                let cells = acc_re.chunks_exact(half).zip(acc_im.chunks_exact(half));
+                for (row, (ar, ai)) in rows.zip(cells) {
+                    finalize_row_scalar(&mut band.row_buf, ar, ai, m, scale);
+                    copy_row_out(&mut out.values[row * p..(row + 1) * p], &band.row_buf);
                 }
             }
             finalize_fence();
-        });
+        } else {
+            // Profile only: every chunk folds straight from registers and
+            // nothing is stored, so all rows are one pass.
+            let fold = best.map(|best| (scale, best));
+            self.rows_pass::<INIT_PASS, false>(tier, 0..p, ops, (&mut [], &mut []), fold);
+        }
         if let Some(profile) = profile {
             finish_profile(profile, m);
         }
@@ -1704,7 +1916,7 @@ impl ScfEngine {
         }
         let scale = 1.0 / num_blocks as f64;
         SCF_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
+            let scratch = &mut scratch.borrow_mut().band;
             scratch.row_buf.clear();
             scratch.row_buf.resize(p, Cplx::ZERO);
             for row in 0..p {
@@ -2397,6 +2609,74 @@ mod tests {
                     };
                     for (pass, want) in expected {
                         assert_eq!(planes(pass), planes(&want), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The FFT's split-plane store stages the DSCF operands directly: on
+    /// every tier, for K = 8, 16, 64, 128 (the radix-2 tail) and 256,
+    /// Hann and rectangular windows, and block starts 0, K, 2K (stride
+    /// `K`) or rotated ones (stride `K + 3`), the planes an engine stages
+    /// from the samples equal [`block_spectrum_into`]'s spectra at the
+    /// same starts, staged, bit for bit — padding included, through one
+    /// pair of plane sets reused dirty from case to case. Copying the
+    /// spectra back out gives the spectra's bits.
+    #[test]
+    fn fft_plane_store_equals_spectrum_then_stage() {
+        use crate::tier::supported_tiers;
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cplx_bits = |spectra: &[Vec<Cplx>]| -> Vec<(u64, u64)> {
+            spectra
+                .iter()
+                .flatten()
+                .map(|x| (x.re.to_bits(), x.im.to_bits()))
+                .collect()
+        };
+        for tier in supported_tiers() {
+            let (mut planes, mut staged) = (OperandPlanes::default(), OperandPlanes::default());
+            let mut copied = Vec::new();
+            for k in [256, 8, 16, 64, 128] {
+                for window in [Window::Hann, Window::Rectangular] {
+                    for stride in [k, k + 3] {
+                        let params = ScfParams::new(k, k / 4 - 1, 3)
+                            .unwrap()
+                            .with_window(window)
+                            .with_stride(stride);
+                        let engine = ScfEngine::new(params.clone()).unwrap();
+                        let signal = awgn(params.samples_needed(), 1.0, (k + stride) as u64);
+                        engine.stage_spectra_on(tier, &signal, &mut planes).unwrap();
+                        let spectra: Vec<Vec<Cplx>> = (0..3)
+                            .map(|n| {
+                                let mut spectrum = Vec::new();
+                                let (plan, coeffs) = (&engine.plan, &engine.window_coeffs);
+                                block_spectrum_into(
+                                    &signal,
+                                    n * stride,
+                                    plan,
+                                    coeffs,
+                                    &mut spectrum,
+                                )
+                                .unwrap();
+                                spectrum
+                            })
+                            .collect();
+                        let blocks = spectra.iter().map(|spectrum| (spectrum.as_slice(), 0));
+                        staged.stage(tier, &engine.plan, params.max_offset + 1, blocks);
+                        let case = format!("{tier:?} K {k} {window:?} stride {stride}");
+                        let shape = |p: &OperandPlanes| (p.len, p.width, p.blocks);
+                        assert_eq!(shape(&planes), shape(&staged), "{case}");
+                        for (got, want) in [
+                            (&planes.plus_re, &staged.plus_re),
+                            (&planes.plus_im, &staged.plus_im),
+                            (&planes.rev_re, &staged.rev_re),
+                            (&planes.rev_im, &staged.rev_im),
+                        ] {
+                            assert_eq!(bits(got), bits(want), "{case}");
+                        }
+                        planes.spectra_into(&mut copied);
+                        assert_eq!(cplx_bits(&copied), cplx_bits(&spectra), "{case}");
                     }
                 }
             }

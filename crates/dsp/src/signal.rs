@@ -11,8 +11,9 @@
 //! used by the examples, tests and benches:
 //!
 //! * [`complex_tone`], [`real_carrier`] — deterministic carriers,
-//! * [`SymbolModulation`] + [`modulated_signal`] — BPSK/QPSK/AM pulse-train
-//!   signals with a configurable symbol length,
+//! * [`SymbolModulation`] + [`modulated_signal`] / [`modulated_signal_into`]
+//!   — BPSK/QPSK/AM pulse-train signals with a configurable symbol length,
+//!   generated a symbol at a time,
 //! * [`GaussianNoise`], [`awgn`], [`awgn_into`] — complex additive white
 //!   Gaussian noise, and [`standard_normal`] for a single real draw,
 //! * [`SignalBuilder`] — composes signal plus noise at a prescribed SNR.
@@ -125,7 +126,8 @@ impl Default for ModulatedSignalSpec {
     }
 }
 
-/// Generates a modulated pulse-train signal per `spec`.
+/// Generates a modulated pulse-train signal per `spec`: allocates the
+/// result of [`modulated_signal_into`].
 ///
 /// # Errors
 ///
@@ -136,6 +138,36 @@ pub fn modulated_signal(
     spec: &ModulatedSignalSpec,
     seed: u64,
 ) -> Result<Vec<Cplx>, DspError> {
+    let mut out = Vec::with_capacity(len);
+    modulated_signal_into(&mut out, len, spec, seed)?;
+    Ok(out)
+}
+
+/// Writes `len` samples of the pulse train of `spec` into `out` (resized
+/// to `len`, its allocation reused).
+///
+/// The signal is generated a symbol at a time: symbol `i` is drawn from
+/// `StdRng::seed_from_u64(seed)` when its run of `samples_per_symbol`
+/// samples starts (the last run may end early at `len`), so the draws
+/// come in the order of a per-sample `t / samples_per_symbol` walk. Every
+/// sample is `symbol · carrier(t) · amplitude` with the carrier
+/// `cis(2π·f_c·t/fs)`. A zero carrier's phase is the same signed zero at
+/// every `t`, so a carrier-free spec evaluates one `cis` and one product
+/// per symbol and fills its run with it: the per-sample expression, bit
+/// for bit.
+///
+/// # Errors
+///
+/// Returns [`DspError::InvalidParameter`] if `samples_per_symbol` is zero or
+/// the amplitude/sample-rate are not positive finite numbers. The
+/// parameters are checked before anything is written, so `out` is
+/// unchanged on error.
+pub fn modulated_signal_into(
+    out: &mut Vec<Cplx>,
+    len: usize,
+    spec: &ModulatedSignalSpec,
+    seed: u64,
+) -> Result<(), DspError> {
     if spec.samples_per_symbol == 0 {
         return Err(DspError::InvalidParameter {
             name: "samples_per_symbol",
@@ -155,21 +187,24 @@ pub fn modulated_signal(
         });
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_symbols = len.div_ceil(spec.samples_per_symbol);
-    let symbols: Vec<Cplx> = (0..n_symbols)
-        .map(|_| spec.modulation.random_symbol(&mut rng))
-        .collect();
     let carrier =
         |t: usize| Cplx::cis(2.0 * PI * spec.carrier_frequency * t as f64 / spec.sample_rate);
-    // A zero carrier's phase is the same signed zero at every `t`, so one
-    // `cis` serves every sample with the per-sample bits.
     let baseband = (spec.carrier_frequency == 0.0).then(|| carrier(0));
-    Ok((0..len)
-        .map(|t| {
-            let symbol = symbols[t / spec.samples_per_symbol];
-            symbol * baseband.unwrap_or_else(|| carrier(t)) * spec.amplitude
-        })
-        .collect())
+    // Every sample is overwritten, so a reused buffer is only resized.
+    out.resize(len, Cplx::ZERO);
+    let runs = out.chunks_mut(spec.samples_per_symbol);
+    for (start, run) in (0..).step_by(spec.samples_per_symbol).zip(runs) {
+        let symbol = spec.modulation.random_symbol(&mut rng);
+        match baseband {
+            Some(baseband) => run.fill(symbol * baseband * spec.amplitude),
+            None => {
+                for (t, sample) in (start..).zip(run) {
+                    *sample = symbol * carrier(t) * spec.amplitude;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Generates complex additive white Gaussian noise with total (complex)
@@ -370,12 +405,23 @@ pub fn signal_power(signal: &[Cplx]) -> f64 {
 ///
 /// A zero-power signal is returned unchanged.
 pub fn normalise_power(signal: &[Cplx], target_power: f64) -> Vec<Cplx> {
+    let mut scaled = signal.to_vec();
+    normalise_power_in_place(&mut scaled, target_power);
+    scaled
+}
+
+/// [`normalise_power`] in place: every sample becomes `x · gain` with
+/// `gain = sqrt(target_power / power)`. A zero-power signal is left as it
+/// is.
+pub fn normalise_power_in_place(signal: &mut [Cplx], target_power: f64) {
     let p = signal_power(signal);
     if p == 0.0 {
-        return signal.to_vec();
+        return;
     }
     let gain = (target_power / p).sqrt();
-    signal.iter().map(|&x| x * gain).collect()
+    for x in signal.iter_mut() {
+        *x = *x * gain;
+    }
 }
 
 /// Composes a licensed-user signal plus AWGN at a prescribed SNR.
@@ -614,6 +660,64 @@ mod tests {
         }
     }
 
+    /// The symbol-rate walk against the per-sample definition it
+    /// replaced: every symbol drawn up front, then each sample
+    /// `symbols[t / samples_per_symbol] · carrier · amplitude` with the
+    /// zero carrier hoisted. Bit for bit, over every constellation, symbol
+    /// lengths that do and do not divide `len`, an empty signal, signed
+    /// zero and non-zero carriers, and a dirty, longer reused buffer.
+    #[test]
+    fn symbol_rate_synthesis_matches_the_per_sample_definition() {
+        let bits = |x: &[Cplx]| -> Vec<(u64, u64)> {
+            x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+        };
+        let per_sample = |len: usize, spec: &ModulatedSignalSpec, seed: u64| -> Vec<Cplx> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let symbols: Vec<Cplx> = (0..len.div_ceil(spec.samples_per_symbol))
+                .map(|_| spec.modulation.random_symbol(&mut rng))
+                .collect();
+            let carrier = |t: usize| {
+                Cplx::cis(2.0 * PI * spec.carrier_frequency * t as f64 / spec.sample_rate)
+            };
+            let baseband = (spec.carrier_frequency == 0.0).then(|| carrier(0));
+            (0..len)
+                .map(|t| {
+                    let symbol = symbols[t / spec.samples_per_symbol];
+                    symbol * baseband.unwrap_or_else(|| carrier(t)) * spec.amplitude
+                })
+                .collect()
+        };
+        let mut reused = vec![Cplx::new(f64::NAN, -7.0); 300];
+        for modulation in [
+            SymbolModulation::Bpsk,
+            SymbolModulation::Qpsk,
+            SymbolModulation::Ook,
+        ] {
+            for samples_per_symbol in [1, 3, 4, 8] {
+                for carrier_frequency in [0.0, -0.0, 0.13] {
+                    let spec = ModulatedSignalSpec {
+                        modulation,
+                        samples_per_symbol,
+                        carrier_frequency,
+                        amplitude: 0.5,
+                        ..Default::default()
+                    };
+                    // 0, a whole number of symbols for 1 and 3, and one
+                    // ending mid-symbol for 4 and 8 (and 3).
+                    for len in [0, 99, 250] {
+                        let case = format!("{modulation:?} sps {samples_per_symbol} f {carrier_frequency} len {len}");
+                        let want = per_sample(len, &spec, 17);
+                        let got = modulated_signal(len, &spec, 17).unwrap();
+                        assert_eq!(bits(&got), bits(&want), "{case}");
+                        modulated_signal_into(&mut reused, len, &spec, 17).unwrap();
+                        assert_eq!(bits(&reused), bits(&want), "reused buffer, {case}");
+                        reused.resize(300, Cplx::new(f64::NAN, -7.0));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn modulated_signal_rejects_bad_parameters() {
         let mut spec = ModulatedSignalSpec {
@@ -627,6 +731,9 @@ mod tests {
         spec.sample_rate = 1.0;
         spec.amplitude = f64::NAN;
         assert!(modulated_signal(16, &spec, 0).is_err());
+        let mut untouched = vec![Cplx::ONE; 3];
+        assert!(modulated_signal_into(&mut untouched, 16, &spec, 0).is_err());
+        assert_eq!(untouched, vec![Cplx::ONE; 3]);
     }
 
     #[test]

@@ -301,7 +301,10 @@ impl ChannelStage {
             } => {
                 let power = signal_power(&samples);
                 let noise = GaussianNoise::new(*noise_power, seed);
-                combine_awgn(&mut samples, power, (*snr_db, *noise_power), noise);
+                let gain = awgn_gain(power, (*snr_db, *noise_power));
+                for (s, w) in samples.iter_mut().zip(noise) {
+                    *s = *s * gain + w;
+                }
                 samples
             }
             ChannelStage::CarrierOffset { normalised, phase } => {
@@ -444,10 +447,11 @@ impl ChannelStage {
 }
 
 /// The [`ChannelStage::Awgn`] combine over stored `noise`, written into
-/// `out` — the per-SNR combine of a
-/// [`TrialDraw`](crate::scenario::TrialDraw). It copies the signal into
-/// `out` and runs [`combine_awgn`] there, the same combine the stage
-/// applies in place as it draws the noise.
+/// `out` in one pass: `out[t] = s[t]·gain + w[t]` — the per-SNR combine of
+/// a [`TrialDraw`](crate::scenario::TrialDraw). `out` is cleared first
+/// (its allocation reused) and gets one sample per noise sample. The
+/// expression and [`awgn_gain`] are the stage's own, so the bits are
+/// those of the stage's in-place combine.
 pub(crate) fn add_awgn(
     signal: impl Iterator<Item = Cplx>,
     power: f64,
@@ -455,30 +459,21 @@ pub(crate) fn add_awgn(
     noise: &[Cplx],
     out: &mut Vec<Cplx>,
 ) {
+    let gain = awgn_gain(power, awgn);
     out.clear();
-    out.extend(signal.take(noise.len()));
-    combine_awgn(out, power, awgn, noise.iter().copied());
+    out.extend(signal.zip(noise).map(|(s, &w)| s * gain + w));
 }
 
-/// The [`ChannelStage::Awgn`] combine `s·gain + w`, in place over
-/// `samples`: `gain` scales a signal of average power `power` to `snr_db`
-/// over the `noise_power` floor, and is 1 for a zero-power signal, which
-/// just receives the noise floor. The one implementation behind the stage
-/// and behind [`add_awgn`].
-fn combine_awgn(
-    samples: &mut [Cplx],
-    power: f64,
-    (snr_db, noise_power): (f64, f64),
-    noise: impl Iterator<Item = Cplx>,
-) {
-    let gain = if power > 0.0 {
+/// The gain of the [`ChannelStage::Awgn`] combine `s·gain + w`: it scales
+/// a signal of average power `power` to `snr_db` over the `noise_power`
+/// floor, and is 1 for a zero-power signal, which just receives the noise
+/// floor. The one gain behind the stage and [`add_awgn`].
+fn awgn_gain(power: f64, (snr_db, noise_power): (f64, f64)) -> f64 {
+    if power > 0.0 {
         let target = noise_power * 10f64.powf(snr_db / 10.0);
         (target / power).sqrt()
     } else {
         1.0
-    };
-    for (s, w) in samples.iter_mut().zip(noise) {
-        *s = *s * gain + w;
     }
 }
 

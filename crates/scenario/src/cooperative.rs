@@ -20,7 +20,7 @@
 //! delay cost static sweeps cannot see.
 
 use crate::error::ScenarioError;
-use crate::scenario::{Hypothesis, RadioScenario};
+use crate::scenario::{Hypothesis, RadioScenario, TrialDraw};
 use crate::service_traffic::{ActivityModel, SplitMix};
 use cfd_core::backend::{BackendRecipe, Observation};
 
@@ -130,7 +130,10 @@ impl CooperativeSweep {
     /// Slot `t` reuses the scenario's per-trial seeding with `t` as the
     /// trial index, so the observation stream is reproducible and shares
     /// channel randomness with a static sweep over the same scenario
-    /// (common random numbers).
+    /// (common random numbers). Each slot is drawn into one reused
+    /// [`TrialDraw`] and written straight into the backend's
+    /// [`Observation`]: the samples of [`RadioScenario::observe`], without
+    /// its per-slot allocations.
     ///
     /// # Errors
     ///
@@ -139,6 +142,7 @@ impl CooperativeSweep {
         let occupancy = self.occupancy();
         let mut backend = recipe.build()?;
         let mut observation = Observation::new();
+        let mut draw = TrialDraw::default();
         let mut verdicts = Vec::with_capacity(self.slots);
         for (slot, &active) in occupancy.iter().enumerate() {
             let hypothesis = if active {
@@ -146,8 +150,9 @@ impl CooperativeSweep {
             } else {
                 Hypothesis::Vacant
             };
-            let generated = self.scenario.observe(hypothesis, slot)?;
-            observation.set_samples(generated.samples);
+            self.scenario.draw_trial(hypothesis, slot, &mut draw)?;
+            observation
+                .load_with(|buffer| self.scenario.observe_drawn(&draw, hypothesis, buffer))?;
             let decision = backend.decide(&mut observation)?;
             verdicts.push(decision.is_signal());
         }

@@ -55,7 +55,6 @@ use crate::channel::mix_seed;
 use crate::error::ScenarioError;
 use crate::scenario::{Hypothesis, RadioScenario, TrialDraw};
 use cfd_core::backend::{BackendRecipe, Observation, SensingBackend};
-use cfd_dsp::complex::Cplx;
 use cfd_dsp::detector::feature_statistic_from_profile;
 use cfd_dsp::scf::{ScfEngine, ScfParams};
 use cfd_dsp::signal::awgn;
@@ -457,7 +456,6 @@ enum WorkerMessage {
 #[derive(Default)]
 struct Scratch {
     draw: TrialDraw,
-    samples: Vec<Cplx>,
     observation: Observation,
 }
 
@@ -632,8 +630,9 @@ fn sweep_over_recipes(
 /// is drawn once — its clean signal and its channel noise — and combined
 /// into the H0 observation and the H1 observation at every SNR point, in
 /// that order ([`RadioScenario::observe_drawn`], bit for bit what
-/// [`RadioScenario::observe`] returns). Each observation is loaded into
-/// the worker's reusable [`Observation`] and every backend decides on it,
+/// [`RadioScenario::observe`] returns). Each observation is written
+/// straight into the worker's reusable [`Observation`]
+/// ([`Observation::load_with`]) and every backend decides on it,
 /// so the block spectra (and the DSCF) are computed once per observation,
 /// not once per replica, into buffers the worker keeps across cells.
 /// Returns the positive-decision counts, row-major: row 0 is H0, row
@@ -653,15 +652,15 @@ fn evaluate_cell(
     let rows = scenarios_at.len() + 1;
     instruments.trials.add((rows * cell.trials) as u64);
     let mut positives = vec![0usize; rows * replicas.len()];
+    let Scratch { draw, observation } = scratch;
     for trial in cell.first_trial..cell.first_trial + cell.trials {
-        scenario.draw_trial(Hypothesis::Occupied, trial, &mut scratch.draw)?;
+        scenario.draw_trial(Hypothesis::Occupied, trial, draw)?;
         let sources = std::iter::once((scenario, Hypothesis::Vacant))
             .chain(scenarios_at.iter().map(|at| (at, Hypothesis::Occupied)));
         for ((source, hypothesis), row) in sources.zip(positives.chunks_mut(replicas.len())) {
-            source.observe_drawn(&scratch.draw, hypothesis, &mut scratch.samples)?;
-            scratch.observation.load(&scratch.samples);
+            observation.load_with(|buffer| source.observe_drawn(draw, hypothesis, buffer))?;
             for (positive, backend) in row.iter_mut().zip(replicas.iter_mut()) {
-                if backend.decide(&mut scratch.observation)?.is_signal() {
+                if backend.decide(observation)?.is_signal() {
                     *positive += 1;
                 }
             }

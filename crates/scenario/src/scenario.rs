@@ -55,7 +55,7 @@ pub struct ScenarioObservation {
 /// [`ChannelStage::Awgn`] stages. So neither the signal after the stages
 /// before the first `Awgn` stage nor that stage's noise depends on the SNR
 /// point, and the noise does not depend on the hypothesis either. The draw
-/// holds both; its noise buffer is reused from draw to draw.
+/// holds both; its signal and noise buffers are reused from draw to draw.
 ///
 /// # Examples
 ///
@@ -87,9 +87,12 @@ pub struct TrialDraw {
     awgn_stage: usize,
     /// That stage's noise floor.
     noise_power: f64,
-    /// The licensed-user signal after the pre-`Awgn` stages; `None` for a
-    /// vacant-only draw.
-    signal: Option<Prefixed>,
+    /// The licensed-user signal after the pre-`Awgn` stages; its buffer
+    /// is kept from draw to draw.
+    signal: Prefixed,
+    /// Whether `signal` holds this draw's signal (`false` for a
+    /// vacant-only draw).
+    occupied: bool,
     /// The vacant band after the pre-`Awgn` stages; `None` when there are
     /// none, so it is silent.
     vacant: Option<Prefixed>,
@@ -98,7 +101,7 @@ pub struct TrialDraw {
 }
 
 /// Samples after the pre-`Awgn` stages, with their average power.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Prefixed {
     samples: Vec<Cplx>,
     power: f64,
@@ -216,11 +219,11 @@ impl RadioScenario {
     }
 
     /// Draws trial `trial`'s SNR-independent randomness into `draw`,
-    /// reusing its noise buffer: the channel noise of the first
+    /// reusing its buffers: the channel noise of the first
     /// [`ChannelStage::Awgn`] stage and, for [`Hypothesis::Occupied`], the
-    /// licensed-user signal passed through the stages before it. A vacant
-    /// draw skips signal generation; an occupied draw serves both
-    /// hypotheses.
+    /// licensed-user signal ([`SignalModel::generate_into`]) passed
+    /// through the stages before it. A vacant draw skips signal
+    /// generation; an occupied draw serves both hypotheses.
     ///
     /// # Errors
     ///
@@ -236,21 +239,26 @@ impl RadioScenario {
         // H0 and H1 share channel randomness per trial; the signal seed is
         // salted separately so symbols and noise are independent.
         let channel_seed = mix_seed(self.seed, 0x0C0F_FEE0 ^ trial as u64);
+        let occupied = hypothesis == Hypothesis::Occupied;
+        if occupied {
+            let signal_seed = mix_seed(self.seed, 0x51C4_A1B0 ^ trial as u64);
+            // Writes nothing on error, so the draw is still unchanged.
+            self.signal.generate_into(
+                &mut draw.signal.samples,
+                self.observation_len,
+                signal_seed,
+            )?;
+        }
         let prefix = |samples| {
             Prefixed::new(
                 self.channel
                     .apply_stages(0..awgn_stage, samples, channel_seed),
             )
         };
-        draw.signal = match hypothesis {
-            Hypothesis::Occupied => {
-                let signal_seed = mix_seed(self.seed, 0x51C4_A1B0 ^ trial as u64);
-                Some(prefix(
-                    self.signal.generate(self.observation_len, signal_seed)?,
-                ))
-            }
-            Hypothesis::Vacant => None,
-        };
+        if occupied {
+            draw.signal = prefix(std::mem::take(&mut draw.signal.samples));
+        }
+        draw.occupied = occupied;
         draw.vacant = (awgn_stage > 0).then(|| prefix(vec![Cplx::ZERO; self.observation_len]));
         draw.noise.resize(self.observation_len, Cplx::ZERO);
         awgn_into(
@@ -268,8 +276,13 @@ impl RadioScenario {
     /// Writes the observation of a drawn trial under `hypothesis` into
     /// `out` (reusing its allocation): the first [`ChannelStage::Awgn`]
     /// stage's `s·gain + w` at this scenario's SNR — a vacant band's zero
-    /// signal has gain 1 — then the remaining stages. Bit for bit what
-    /// [`RadioScenario::observe`] returns for the same trial.
+    /// signal has gain 1 — written straight into `out` in one pass over
+    /// the drawn signal and noise, then the remaining stages. Bit for bit
+    /// what [`RadioScenario::observe`] returns for the same trial. A
+    /// reusable [`Observation`](cfd_core::backend::Observation) lends its
+    /// own buffer as `out` through
+    /// [`Observation::load_with`](cfd_core::backend::Observation::load_with),
+    /// so the observation is written once and never copied.
     ///
     /// `draw` must come from [`RadioScenario::draw_trial`] on this
     /// scenario or on one it is an [`RadioScenario::at_snr`] copy of
@@ -303,17 +316,13 @@ impl RadioScenario {
             });
         }
         let prefixed = match hypothesis {
-            Hypothesis::Occupied => {
-                Some(
-                    draw.signal
-                        .as_ref()
-                        .ok_or_else(|| ScenarioError::InvalidParameter {
-                            name: "hypothesis",
-                            message: "a vacant draw holds no signal; draw the trial as occupied"
-                                .into(),
-                        })?,
-                )
+            Hypothesis::Occupied if !draw.occupied => {
+                return Err(ScenarioError::InvalidParameter {
+                    name: "hypothesis",
+                    message: "a vacant draw holds no signal; draw the trial as occupied".into(),
+                })
             }
+            Hypothesis::Occupied => Some(&draw.signal),
             Hypothesis::Vacant => draw.vacant.as_ref(),
         };
         let awgn = (snr_db, noise_power);

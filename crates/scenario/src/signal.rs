@@ -17,7 +17,9 @@
 use crate::error::ScenarioError;
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::fft::ifft;
-use cfd_dsp::signal::{modulated_signal, normalise_power, ModulatedSignalSpec, SymbolModulation};
+use cfd_dsp::signal::{
+    modulated_signal_into, normalise_power_in_place, ModulatedSignalSpec, SymbolModulation,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -151,14 +153,40 @@ impl SignalModel {
 
     /// Generates `len` samples of the clean (noiseless) signal at unit
     /// average power. The same `seed` reproduces the same waveform.
+    /// Allocates the result of [`SignalModel::generate_into`].
     ///
     /// # Errors
     ///
     /// Propagates [`SignalModel::validate`] failures.
     pub fn generate(&self, len: usize, seed: u64) -> Result<Vec<Cplx>, ScenarioError> {
+        let mut samples = Vec::with_capacity(len);
+        self.generate_into(&mut samples, len, seed)?;
+        Ok(samples)
+    }
+
+    /// Writes [`SignalModel::generate`]'s `len` samples into `out`,
+    /// reusing its allocation: a linear model is synthesised a symbol at a
+    /// time ([`modulated_signal_into`]) and normalised to unit power in
+    /// place ([`normalise_power_in_place`]), so a trial loop that keeps
+    /// its buffer allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SignalModel::validate`] failures. The model is
+    /// validated before anything is written, so `out` is unchanged on
+    /// error.
+    pub fn generate_into(
+        &self,
+        out: &mut Vec<Cplx>,
+        len: usize,
+        seed: u64,
+    ) -> Result<(), ScenarioError> {
         self.validate()?;
         match self {
-            SignalModel::Vacant => Ok(vec![Cplx::ZERO; len]),
+            SignalModel::Vacant => {
+                out.clear();
+                out.resize(len, Cplx::ZERO);
+            }
             SignalModel::Linear {
                 modulation,
                 samples_per_symbol,
@@ -171,35 +199,36 @@ impl SignalModel {
                     sample_rate: 1.0,
                     amplitude: 1.0,
                 };
-                let clean = modulated_signal(len, &spec, seed)?;
-                Ok(normalise_power(&clean, 1.0))
+                modulated_signal_into(out, len, &spec, seed)?;
+                normalise_power_in_place(out, 1.0);
             }
             SignalModel::OfdmPilot {
                 subcarriers,
                 cyclic_prefix,
                 pilot_spacing,
             } => {
-                let clean =
-                    ofdm_pilot_signal(len, *subcarriers, *cyclic_prefix, *pilot_spacing, seed)?;
-                Ok(normalise_power(&clean, 1.0))
+                ofdm_pilot_signal(out, len, *subcarriers, *cyclic_prefix, *pilot_spacing, seed)?;
+                normalise_power_in_place(out, 1.0);
             }
         }
+        Ok(())
     }
 }
 
-/// Generates an OFDM-like signal: per OFDM symbol, QPSK data subcarriers
-/// with a fixed unit pilot on every `pilot_spacing`-th subcarrier, converted
-/// to time domain and extended with a cyclic prefix.
+/// Writes an OFDM-like signal of `len` samples into `samples`: per OFDM
+/// symbol, QPSK data subcarriers with a fixed unit pilot on every
+/// `pilot_spacing`-th subcarrier, converted to time domain and extended
+/// with a cyclic prefix.
 fn ofdm_pilot_signal(
+    samples: &mut Vec<Cplx>,
     len: usize,
     subcarriers: usize,
     cyclic_prefix: usize,
     pilot_spacing: usize,
     seed: u64,
-) -> Result<Vec<Cplx>, ScenarioError> {
+) -> Result<(), ScenarioError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let symbol_len = subcarriers + cyclic_prefix;
-    let mut samples = Vec::with_capacity(len + symbol_len);
+    samples.clear();
     while samples.len() < len {
         let freq: Vec<Cplx> = (0..subcarriers)
             .map(|k| {
@@ -218,7 +247,7 @@ fn ofdm_pilot_signal(
         samples.extend_from_slice(&time);
     }
     samples.truncate(len);
-    Ok(samples)
+    Ok(())
 }
 
 #[cfg(test)]
