@@ -3,12 +3,17 @@
 //! `¼K²` complex multiplications versus `½K·log2 K` for the FFT — 16× for
 //! K = 256), plus the `dscf_kernel` group comparing the eq.-3 golden model
 //! against the table-driven, symmetry-halved [`ScfEngine`] at the paper's
-//! 127×127 scale, the `fft_plan` and `block_spectrum` groups timing plan
-//! construction and one eq.-2 spectrum (window, FFT, rotation), and the
+//! 127×127 scale, the `fft_plan`, `setup` and `block_spectrum` groups
+//! timing plan construction, the set-up of engines, replicas and sensors
+//! that share cached plans, and one eq.-2 spectrum (window, FFT,
+//! rotation), and the
 //! `signal` group timing the ziggurat noise source and the symbol-rate
 //! pulse train that feed every seeded observation.
 
+use cfd_core::backend::BackendRecipe;
+use cfd_core::stream::{StreamingConfig, StreamingSensor};
 use cfd_dsp::complex::Cplx;
+use cfd_dsp::detector::CyclostationaryDetector;
 use cfd_dsp::fft::{block_spectrum_into, fft, FftPlan};
 use cfd_dsp::scf::{dscf_reference, OperandPlanes, ScfEngine, ScfMatrix, ScfParams};
 use cfd_dsp::signal::{awgn, awgn_into, modulated_signal_into, ModulatedSignalSpec};
@@ -363,9 +368,48 @@ fn bench_fft_plan(c: &mut Criterion) {
             plan.forward_in_place(&mut buf).unwrap();
         });
     });
-    // Plan construction: every `ScfEngine::new` builds one, so this row
-    // is part of each workload's set-up time.
+    // Plan construction: the first engine or planless call of a length
+    // on a thread builds one into the thread's cache; every later one
+    // shares it (the `setup` rows).
     group.bench_function("new_256", |b| b.iter(|| FftPlan::new(n).unwrap()));
+    group.finish();
+}
+
+/// Set-up of what the workloads build per channel, worker or member, on
+/// a thread whose plan and window caches are warm: an engine at the
+/// paper's block size, a CFD replica (what a sweep worker builds per
+/// roster entry) and a sensor at the service's streamed geometry (what a
+/// scheduler subscription builds, its backend clone included).
+///
+/// Shared-tables record (2-vCPU AVX-512 Xeon, shared host; medians of 3
+/// alternated runs of the parent's bench binary, which ran these rows
+/// against its own code, and this one):
+/// `scf_engine_new_256` 5 940 → 79 ns,
+/// `cfd_replica_build_256` 319 → 44 ns and
+/// `streaming_sensor_new_64x15x32` 2 068 → 129 ns. The parent's engine
+/// built its plan and window and its sensor zeroed two accumulators;
+/// `fft_plan/cached_plan_wrapper_256` (an `Arc` now, an `Rc` before)
+/// read 826 → 754 ns.
+fn bench_setup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("setup");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    let params = ScfParams::paper_256_with_blocks(8);
+    group.bench_function("scf_engine_new_256", |b| {
+        b.iter(|| ScfEngine::new(params.clone()).unwrap());
+    });
+    let detector = CyclostationaryDetector::new(params, 0.35, 1).unwrap();
+    group.bench_function("cfd_replica_build_256", |b| {
+        b.iter(|| BackendRecipe::build(&detector).unwrap());
+    });
+    let streamed = ScfParams::new(64, 15, 32).unwrap();
+    let config = StreamingConfig::new(streamed.clone());
+    let backend = CyclostationaryDetector::new(streamed, 0.35, 1).unwrap();
+    group.bench_function("streaming_sensor_new_64x15x32", |b| {
+        b.iter(|| StreamingSensor::new(config.clone(), backend.clone()).unwrap());
+    });
     group.finish();
 }
 
@@ -443,6 +487,7 @@ criterion_group!(
     bench_dscf_kernel,
     bench_soc_block,
     bench_fft_plan,
+    bench_setup,
     bench_block_spectrum,
     bench_signal
 );

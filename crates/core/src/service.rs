@@ -382,6 +382,7 @@ impl IngressQueue {
     fn make_room<'a>(
         &self,
         mut state: std::sync::MutexGuard<'a, QueueState>,
+        occupancy: &AtomicU64,
     ) -> std::sync::MutexGuard<'a, QueueState> {
         while state.items.len() >= self.capacity && !state.closed {
             let shed = match self.policy {
@@ -397,6 +398,7 @@ impl IngressQueue {
                         state.pool.push(samples);
                     }
                     self.drops.fetch_add(1, Ordering::Relaxed);
+                    occupancy.fetch_sub(1, Ordering::Relaxed);
                     instruments().drops.increment();
                 }
                 None => state = self.not_full.wait(state).expect("ingress queue poisoned"),
@@ -430,16 +432,17 @@ impl IngressQueue {
         make: impl FnOnce(&mut QueueState) -> IngressItem,
     ) -> bool {
         let state = self.state.lock().expect("ingress queue poisoned");
-        let mut state = self.make_room(state);
+        let mut state = self.make_room(state, occupancy);
         if state.closed {
             return false;
         }
         let item = make(&mut state);
         state.items.push_back(item);
+        // Counted under the lock, before a worker can drain the item, so
+        // the drain's subtraction never runs ahead of this addition.
+        let queued = occupancy.fetch_add(1, Ordering::Relaxed) + 1;
         drop(state);
-        instruments()
-            .queue_occupancy
-            .set(occupancy.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
+        instruments().queue_occupancy.set(queued as f64);
         self.not_empty.notify_one();
         true
     }
@@ -883,6 +886,12 @@ impl SensingScheduler {
             report.decisions += outcome.decisions;
             errors.extend(outcome.errors);
         }
+        // Producers and workers of different shards set the occupancy
+        // gauge in racing order; with every worker joined, publish the
+        // settled count.
+        instruments()
+            .queue_occupancy
+            .set(self.shared.occupancy.load(Ordering::Relaxed) as f64);
         report.drops = self
             .queues
             .iter()

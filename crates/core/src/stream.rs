@@ -295,10 +295,12 @@ pub struct StreamingSensor<B: SensingBackend> {
     /// next block's FFT target (swapped into the ring, never copied).
     spare: Vec<Cplx>,
     /// The rolling un-normalised window accumulation, in the
-    /// absolute-time frame.
+    /// absolute-time frame. Lazy: the first decision's adoption of
+    /// `frame_acc` (a `clone_from`) allocates it.
     acc: ScfAccumulator,
     /// Scratch accumulation in the decision window's phase frame (what
-    /// [`ScfEngine::finalize_accumulator`] consumes).
+    /// [`ScfEngine::finalize_accumulator`] consumes). Lazy: the exact
+    /// refresh that opens the first window allocates it.
     frame_acc: ScfAccumulator,
     /// Whether decision hops materialise the full finalised [`ScfMatrix`]
     /// for the backend, or install only the cyclic-domain profile (the
@@ -315,6 +317,13 @@ pub struct StreamingSensor<B: SensingBackend> {
 impl<B: SensingBackend> StreamingSensor<B> {
     /// Builds a sensor streaming into `backend`.
     ///
+    /// Construction is cheap: the engine shares this thread's cached FFT
+    /// plan and window for the geometry ([`ScfEngine::new`]), and no
+    /// buffer is allocated. The ring spectra fill block by block, and the
+    /// two accumulators are allocated by the first decision (its exact
+    /// refresh writes every cell), so a subscribed channel that never
+    /// fills a window holds no accumulator memory.
+    ///
     /// # Errors
     ///
     /// [`CfdError::InvalidParameter`] for a zero
@@ -328,8 +337,8 @@ impl<B: SensingBackend> StreamingSensor<B> {
             });
         }
         let engine = ScfEngine::new(config.params.clone())?;
-        let acc = engine.accumulator();
-        let frame_acc = engine.accumulator();
+        let acc = engine.lazy_accumulator();
+        let frame_acc = engine.lazy_accumulator();
         Ok(StreamingSensor {
             backend,
             engine,
@@ -476,9 +485,10 @@ impl<B: SensingBackend> StreamingSensor<B> {
     }
 
     /// [`StreamingSensor::reset`] for the idle/duty-cycle path: forgets the
-    /// stream but **keeps every buffer allocation** — the ring spectra and
-    /// the spare spectrum stay at capacity, so a parked channel costs no
-    /// steady-state allocation when its next activity burst re-warms it.
+    /// stream but **keeps every buffer allocation** — the ring spectra, the
+    /// spare spectrum and both accumulators (once the first window has
+    /// allocated them) stay at capacity, so a parked channel costs no
+    /// allocation when its next activity burst re-warms it.
     ///
     /// Keeping stale ring/accumulator *contents* is safe by the same slot
     /// discipline the hot path relies on: a slot's spectrum is fully

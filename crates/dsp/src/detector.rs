@@ -256,9 +256,11 @@ impl Detector for EnergyDetector {
 /// statistic does not depend on the absolute noise level — the property that
 /// makes CFD attractive when the noise floor is uncertain.
 ///
-/// The detector owns an [`ScfEngine`]: the FFT plan, window coefficients and
-/// DSCF index tables are built once at construction and reused by every
-/// decision (the engine is bit-identical to the eq.-3 golden model).
+/// The detector owns an [`ScfEngine`], whose FFT plan and window
+/// coefficients come from the thread's geometry caches: a detector, or a
+/// clone of one (a sweep worker's replica), shares them and copies no
+/// table, and every decision reuses them (the engine is bit-identical to
+/// the eq.-3 golden model).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CyclostationaryDetector {
     engine: ScfEngine,

@@ -11,8 +11,13 @@
 //!   radix-4 decimation-in-time FFT (one radix-2 tail pass when `log2 K`
 //!   is odd) on split re/im working buffers, its twiddles staged from one
 //!   table of roots of unity,
-//! * [`fft_in_place`] / [`ifft_in_place`] — thin wrappers over a
-//!   per-thread cache of plans,
+//! * [`cached_plan`] / [`cached_window`] — the per-thread cache of each
+//!   geometry's immutable tables: one plan per length and one set of
+//!   window coefficients per shape and length, handed out as [`Arc`]s, so
+//!   every [`ScfEngine`](crate::scf::ScfEngine) of a geometry, and every
+//!   clone of one, shares them instead of rebuilding them,
+//! * [`fft_in_place`] / [`ifft_in_place`] — thin wrappers over the cached
+//!   plans,
 //! * [`dft_naive`] — an O(K²) direct DFT used as the golden model in tests,
 //! * [`block_spectrum`] — the windowed, time-shifted spectrum
 //!   `X_{n,v}` of eq. 2 (and [`block_spectrum_with_plan`] /
@@ -49,8 +54,7 @@ use crate::window::Window;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::f64::consts::PI;
-use std::rc::Rc;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Cached handle to the `dsp.fft.forward_ns` stage histogram. The plan
 /// itself stays handle-free (it is `Clone + serde`-derived); a process-wide
@@ -818,27 +822,50 @@ impl FftPlan {
     }
 }
 
+/// Immutable tables shared by key.
+type Cache<K, V> = RefCell<HashMap<K, Arc<V>>>;
+
 thread_local! {
-    /// Per-thread cache of plans, keyed by transform length. Plans are
-    /// immutable once built, so sharing them via `Rc` is free; keeping the
-    /// cache thread-local avoids any locking on the hot path.
-    static PLAN_CACHE: RefCell<HashMap<usize, Rc<FftPlan>>> = RefCell::new(HashMap::new());
+    /// Per-thread caches of each geometry's immutable tables: plans keyed
+    /// by transform length, window coefficients by shape and length.
+    /// Thread-local, so a lookup takes no lock; `Arc`, so an engine built
+    /// from them can move to, and be cloned on, any thread.
+    static PLAN_CACHE: Cache<usize, FftPlan> = RefCell::new(HashMap::new());
+    static WINDOW_CACHE: Cache<(Window, usize), [f64]> = RefCell::new(HashMap::new());
 }
 
 /// Returns this thread's cached [`FftPlan`] for `len`, building (and
-/// caching) it on first use.
+/// caching) it on first use. This is the library's one source of plans:
+/// the planless wrappers ([`fft_in_place`], [`block_spectrum`], …) and
+/// every [`ScfEngine`](crate::scf::ScfEngine) take theirs from here, so
+/// all of them on one thread share one plan per length, and an engine's
+/// clone shares its engine's.
 ///
 /// # Errors
 ///
 /// Returns [`DspError::NotPowerOfTwo`] if `len` is not a power of two.
-pub fn cached_plan(len: usize) -> Result<Rc<FftPlan>, DspError> {
+pub fn cached_plan(len: usize) -> Result<Arc<FftPlan>, DspError> {
     PLAN_CACHE.with(|cache| {
         if let Some(plan) = cache.borrow().get(&len) {
-            return Ok(Rc::clone(plan));
+            return Ok(Arc::clone(plan));
         }
-        let plan = Rc::new(FftPlan::new(len)?);
-        cache.borrow_mut().insert(len, Rc::clone(&plan));
+        let plan = Arc::new(FftPlan::new(len)?);
+        cache.borrow_mut().insert(len, Arc::clone(&plan));
         Ok(plan)
+    })
+}
+
+/// Returns this thread's cached coefficients of `window` over `len`
+/// samples ([`Window::coefficients`]), computing (and caching) them on
+/// first use: the window counterpart of [`cached_plan`], shared the same
+/// way.
+pub fn cached_window(window: Window, len: usize) -> Arc<[f64]> {
+    WINDOW_CACHE.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        let coefficients = cache
+            .entry((window, len))
+            .or_insert_with(|| window.coefficients(len).into());
+        Arc::clone(coefficients)
     })
 }
 
@@ -939,8 +966,7 @@ pub fn block_spectrum(
     window: Window,
 ) -> Result<Vec<Cplx>, DspError> {
     let plan = cached_plan(block_len)?;
-    let coeffs = window.coefficients(block_len);
-    block_spectrum_with_plan(signal, start, &plan, &coeffs)
+    block_spectrum_with_plan(signal, start, &plan, &cached_window(window, block_len))
 }
 
 /// The allocation-conscious core of [`block_spectrum`]: the caller supplies
@@ -1217,7 +1243,7 @@ mod tests {
     fn cached_plan_is_shared_within_a_thread() {
         let a = cached_plan(64).unwrap();
         let b = cached_plan(64).unwrap();
-        assert!(Rc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &b));
         assert!(cached_plan(10).is_err());
     }
 

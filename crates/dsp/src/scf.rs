@@ -19,12 +19,12 @@
 
 use crate::complex::Cplx;
 use crate::error::DspError;
-use crate::fft::{block_spectrum, block_spectrum_into, FftPlan};
+use crate::fft::{block_spectrum, block_spectrum_into, cached_plan, cached_window, FftPlan};
 use crate::tier::{vector_tier, VectorTier};
 use crate::window::Window;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Cached handles to the DSCF stage histograms ([`ScfEngine`] is
 /// `Clone + serde`-derived, so the handles live at module scope rather
@@ -1122,6 +1122,13 @@ fn finalize_fence() {
 /// ([`ScfEngine::retire_block`]) — or do both and fold the profile in one
 /// pass ([`ScfEngine::slide_block`]) — and normalise + mirror into an
 /// [`ScfMatrix`] ([`ScfEngine::finalize_accumulator`]) in O(grid) per hop.
+///
+/// [`ScfEngine::accumulator`] allocates zeroed planes.
+/// [`ScfEngine::lazy_accumulator`] allocates none: its planes are sized by
+/// the first pass that overwrites them all, an exact window accumulation
+/// ([`ScfEngine::accumulate_window`]) or a `clone_from` of an allocated
+/// accumulator, so a streaming sensor that never fills a window holds no
+/// accumulator memory. Every other pass requires allocated planes.
 #[derive(Debug, PartialEq)]
 pub struct ScfAccumulator {
     max_offset: usize,
@@ -1160,6 +1167,13 @@ impl ScfAccumulator {
         }
     }
 
+    /// Allocates zeroed planes if there are none yet.
+    fn allocate(&mut self) {
+        if self.acc_re.is_empty() {
+            *self = ScfAccumulator::new(self.max_offset);
+        }
+    }
+
     /// The maximum absolute grid index `M` this accumulator was sized for.
     pub fn max_offset(&self) -> usize {
         self.max_offset
@@ -1184,7 +1198,11 @@ impl ScfAccumulator {
 /// depends only on the [`ScfParams`], once:
 ///
 /// * an [`FftPlan`] and the analysis-window coefficients, shared by every
-///   block of every observation ([`ScfEngine::compute_spectra`] routes
+///   block of every observation — and, taken from the thread's geometry
+///   caches ([`cached_plan`], [`cached_window`]), by every engine of the
+///   same `fft_len` and window built on that thread and by every clone,
+///   so building or cloning an engine copies no table
+///   ([`ScfEngine::compute_spectra`] routes
 ///   through [`block_spectrum_with_plan`](crate::fft::block_spectrum_with_plan), the same code path
 ///   [`block_spectrum`] uses, so engine spectra are bit-identical to the
 ///   golden model's);
@@ -1243,8 +1261,8 @@ impl ScfAccumulator {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ScfEngine {
     params: ScfParams,
-    plan: FftPlan,
-    window_coeffs: Vec<f64>,
+    plan: Arc<FftPlan>,
+    window_coeffs: Arc<[f64]>,
     /// This grid's `dsp.scf.accumulate_ns.g{P}` histogram, resolved on the
     /// first batch accumulation with telemetry enabled (clones share it).
     grid_accumulate_ns: OnceLock<cfd_telemetry::Histogram>,
@@ -1259,8 +1277,10 @@ impl PartialEq for ScfEngine {
 }
 
 impl ScfEngine {
-    /// Builds an engine for `params`, precomputing the FFT plan and the
-    /// window coefficients.
+    /// Builds an engine for `params`, taking the FFT plan and the window
+    /// coefficients from this thread's caches ([`cached_plan`],
+    /// [`cached_window`]): the first engine of a geometry builds them,
+    /// later ones share them.
     ///
     /// # Errors
     ///
@@ -1268,8 +1288,8 @@ impl ScfEngine {
     /// * [`DspError::NotPowerOfTwo`] if `fft_len` is not a power of two.
     pub fn new(params: ScfParams) -> Result<Self, DspError> {
         params.validate()?;
-        let plan = FftPlan::new(params.fft_len)?;
-        let window_coeffs = params.window.coefficients(params.fft_len);
+        let plan = cached_plan(params.fft_len)?;
+        let window_coeffs = cached_window(params.window, params.fft_len);
         Ok(ScfEngine {
             params,
             plan,
@@ -1442,7 +1462,7 @@ impl ScfEngine {
             self.params.num_blocks,
         );
         planes.shape(k, self.params.max_offset + 1, n);
-        let transform = (&self.plan, &self.window_coeffs[..]);
+        let transform = (&*self.plan, &self.window_coeffs[..]);
         let starts = (0..n).map(|n| n * stride);
         run_on_tier(tier, Transforming(planes, tier, transform, signal, starts));
         Ok(())
@@ -1724,6 +1744,17 @@ impl ScfEngine {
         ScfAccumulator::new(self.params.max_offset)
     }
 
+    /// An [`ScfAccumulator`] matching this engine's grid whose planes are
+    /// not allocated yet: [`ScfEngine::accumulate_window`] (or a
+    /// `clone_from` of an allocated accumulator) sizes them on first use.
+    pub fn lazy_accumulator(&self) -> ScfAccumulator {
+        ScfAccumulator {
+            max_offset: self.params.max_offset,
+            acc_re: Vec::new(),
+            acc_im: Vec::new(),
+        }
+    }
+
     /// Adds one block spectrum's contribution
     /// `X_{f+a}·conj(X_{f−a})` to `acc` — O(grid), independent of the
     /// window length: the one-block case of
@@ -1848,6 +1879,10 @@ impl ScfEngine {
             "accumulator grid (±{}) does not match the engine grid (±{})",
             acc.max_offset, self.params.max_offset
         );
+        assert!(
+            !acc.acc_re.is_empty(),
+            "accumulator planes are not allocated: open the window with accumulate_window first"
+        );
     }
 
     /// Overwrites `acc` with the full accumulation over `blocks` in one
@@ -1857,7 +1892,9 @@ impl ScfEngine {
     /// [`ScfEngine::finalize_accumulator`] with `num_blocks =
     /// blocks.len()`) to the batch [`ScfEngine::dscf_from_spectra_into`]
     /// over the same spectra. An empty `blocks` resets the accumulator.
-    /// `blocks` may be slices or owned spectra (`&[Vec<Cplx>]`).
+    /// `blocks` may be slices or owned spectra (`&[Vec<Cplx>]`). It
+    /// allocates the planes of a [lazy](ScfEngine::lazy_accumulator)
+    /// accumulator.
     ///
     /// # Panics
     ///
@@ -1882,6 +1919,7 @@ impl ScfEngine {
         blocks: impl ExactSizeIterator<Item = PhasedSpectrum<'a>>,
         acc: &mut ScfAccumulator,
     ) {
+        acc.allocate();
         if blocks.len() == 0 {
             self.check_grid(acc);
             acc.reset();
@@ -2982,6 +3020,63 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Engines of one geometry share its tables: equal `fft_len` and
+    /// window share the plan and the window allocation, as does a clone;
+    /// another length or window does not; an engine built on another
+    /// thread, from that thread's caches, gives the same bits.
+    #[test]
+    fn engines_share_geometry_tables() {
+        let hann = |fft_len, max_offset| {
+            ScfParams::new(fft_len, max_offset, 4)
+                .unwrap()
+                .with_window(Window::Hann)
+        };
+        let params = hann(64, 15);
+        let a = ScfEngine::new(params.clone()).unwrap();
+        let b = ScfEngine::new(hann(64, 7)).unwrap();
+        let shares = |x: &ScfEngine, y: &ScfEngine| {
+            (
+                Arc::ptr_eq(&x.plan, &y.plan),
+                Arc::ptr_eq(&x.window_coeffs, &y.window_coeffs),
+            )
+        };
+        assert_eq!(shares(&a, &b), (true, true));
+        assert_eq!(shares(&a, &a.clone()), (true, true));
+        let longer = ScfEngine::new(hann(128, 15)).unwrap();
+        assert_eq!(shares(&a, &longer), (false, false));
+        let rectangular = ScfEngine::new(ScfParams::new(64, 15, 4).unwrap()).unwrap();
+        assert_eq!(shares(&a, &rectangular), (true, false));
+
+        let signal = awgn(params.samples_needed(), 1.0, 29);
+        let run = |engine: &ScfEngine| {
+            let spectra = engine.compute_spectra(&signal).unwrap();
+            let mut profile = Vec::new();
+            engine.cyclic_profile_from_spectra_into(&spectra, &mut profile);
+            let spectra: Vec<u64> = spectra
+                .iter()
+                .flatten()
+                .flat_map(|v| [v.re, v.im])
+                .map(f64::to_bits)
+                .collect();
+            (
+                spectra,
+                profile.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
+            )
+        };
+        let here = run(&a);
+        let there = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let engine = ScfEngine::new(params.clone()).unwrap();
+                    assert!(!Arc::ptr_eq(&engine.plan, &a.plan));
+                    run(&engine)
+                })
+                .join()
+                .unwrap()
+        });
+        assert_eq!(here, there);
     }
 
     /// The accumulator's `clone_from` copies into the existing planes.
