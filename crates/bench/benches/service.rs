@@ -43,6 +43,14 @@ const CHANNEL_COUNTS: [usize; 3] = [64, 1024, 4096];
 /// and a small pool (adds multi-core scaling where cores exist).
 const WORKER_COUNTS: [usize; 2] = [1, 4];
 
+/// Dense-slot, prefetch and contiguous-ring record (2-vCPU AVX-512 Xeon,
+/// shared host whose run-to-run spread is about ±15%, medians of 3
+/// alternated runs of the parent's bench binary and this one), in ms per
+/// service lifetime: `scheduler_64ch_1w` 12.08 → 11.29,
+/// `scheduler_64ch_4w` 10.35 → 9.58, `scheduler_1024ch_1w` 193.8 → 199.1
+/// (runs 193.8/222.1/193.3 against 203.8/185.1/199.1: within the
+/// spread), `scheduler_1024ch_4w` 160.7 → 144.4, `scheduler_4096ch_1w`
+/// 802 → 712 and `scheduler_4096ch_4w` 667 → 590.
 fn bench_service_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_throughput");
     group

@@ -137,6 +137,14 @@ fn bench_retire_strategies(c: &mut Criterion) {
     group.finish();
 }
 
+/// Contiguous-ring record (2-vCPU AVX-512 Xeon, shared host, medians of 3
+/// alternated runs of the parent's bench binary and this one): with the
+/// spectrum ring one `(W+1)·K` slab, block `i` transformed straight into
+/// slot `i mod (W+1)` and the outgoing block read from the next slot,
+/// `service_geometry_1024ch` went 4 256 → 3 724 ns per hop (runs
+/// 4 741/3 801/4 256 against 4 044/3 724/3 630). This row drives the
+/// sensors serially, so it sees the slab but not the scheduler's
+/// next-hop prefetch.
 fn bench_service_geometry(c: &mut Criterion) {
     const CHANNELS: usize = 1024;
     let mut group = c.benchmark_group("streaming_service");

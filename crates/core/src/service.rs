@@ -40,6 +40,18 @@
 //!   that cold reload once per batch instead of once per hop, which is
 //!   where the scheduler's throughput win over per-decision recompute
 //!   comes from. The batch drain also amortises lock/condvar traffic.
+//! * A channel is addressed by a **dense slot**: its index in its shard,
+//!   assigned at [`spawn`](ServiceBuilder::spawn). Queued items carry the
+//!   slot, the worker keeps its channels in a table indexed by it (an
+//!   empty entry for a channel whose recipe failed to build) and the
+//!   coalescing sort is keyed on it, so a hop finds its state without a
+//!   hash lookup. While one hop runs, the worker **prefetches** what the
+//!   next item of the batch reads first: its samples, the ring spectrum
+//!   its slide retires and, when it starts another channel's run, that
+//!   channel's accumulator and tape tail
+//!   (`StreamingSensor::prefetch_next_hop`) — software prefetching in
+//!   the sense of Mowry, Lam & Gupta (ASPLOS 1992), with the batch as
+//!   the look-ahead.
 //!
 //! Because hops of one channel are processed in arrival order by one
 //! pinned worker — the coalescing sort is stable, so reordering only
@@ -313,27 +325,26 @@ pub fn shard_for(channel: ChannelId, workers: usize) -> usize {
     (x % workers as u64) as usize
 }
 
-/// One queued ingress message for a worker shard.
+/// One queued ingress message for a worker shard, addressed to a channel
+/// by its shard-local slot: the index of the channel's state in the
+/// worker's dense channel table, assigned at spawn.
 enum IngressItem {
     /// `samples` is a recycled buffer owned by the queue's pool.
-    Hop {
-        channel: ChannelId,
-        samples: Vec<Cplx>,
-    },
+    Hop { slot: usize, samples: Vec<Cplx> },
     /// Park the channel (idle/duty-cycle path). Never shed by
     /// [`Backpressure::DropOldest`].
-    Park { channel: ChannelId },
+    Park { slot: usize },
 }
 
 impl IngressItem {
-    /// The subscribed channel this item belongs to — the worker's
-    /// coalescing sort key. Sorting a drained batch by channel is safe
-    /// precisely because only the *per-channel* order of items is
+    /// The slot of the subscribed channel this item belongs to — the
+    /// worker's coalescing sort key. Sorting a drained batch by channel is
+    /// safe precisely because only the *per-channel* order of items is
     /// observable: each channel's decisions depend on its own hop/park
     /// sequence alone, and a stable sort preserves that sequence.
-    fn channel(&self) -> ChannelId {
+    fn slot(&self) -> usize {
         match self {
-            IngressItem::Hop { channel, .. } | IngressItem::Park { channel } => *channel,
+            IngressItem::Hop { slot, .. } | IngressItem::Park { slot } => *slot,
         }
     }
 }
@@ -407,20 +418,20 @@ impl IngressQueue {
         state
     }
 
-    fn push_hop(&self, channel: ChannelId, samples: &[Cplx], occupancy: &AtomicU64) -> bool {
+    fn push_hop(&self, slot: usize, samples: &[Cplx], occupancy: &AtomicU64) -> bool {
         self.enqueue(occupancy, |state| {
             let mut buffer = state.pool.pop().unwrap_or_default();
             buffer.clear();
             buffer.extend_from_slice(samples);
             IngressItem::Hop {
-                channel,
+                slot,
                 samples: buffer,
             }
         })
     }
 
-    fn push_park(&self, channel: ChannelId, occupancy: &AtomicU64) -> bool {
-        self.enqueue(occupancy, |_| IngressItem::Park { channel })
+    fn push_park(&self, slot: usize, occupancy: &AtomicU64) -> bool {
+        self.enqueue(occupancy, |_| IngressItem::Park { slot })
     }
 
     /// Makes room under the backpressure policy, then queues the item
@@ -542,6 +553,11 @@ struct SharedCounters {
     parked: AtomicU64,
 }
 
+/// A worker's dense channel table, indexed by shard-local slot: the
+/// channel's id and state, or `None` for a channel whose recipe failed to
+/// build (its hops and parks are skipped).
+type ChannelTable = Vec<Option<(ChannelId, ChannelState)>>;
+
 fn worker_loop(
     queue: &IngressQueue,
     subscriptions: Vec<ChannelSubscription>,
@@ -553,9 +569,9 @@ fn worker_loop(
         errors: Vec::new(),
     };
     // Build this shard's replicas in-thread, like the sweep engine's
-    // workers: recipes are shared, backend state is not.
-    let mut channels: HashMap<ChannelId, ChannelState> =
-        HashMap::with_capacity(subscriptions.len());
+    // workers: recipes are shared, backend state is not. A subscription's
+    // position in the shard is its slot.
+    let mut channels: ChannelTable = Vec::with_capacity(subscriptions.len());
     for subscription in subscriptions {
         let id = subscription.id;
         match subscription
@@ -563,19 +579,20 @@ fn worker_loop(
             .build()
             .and_then(|backend| StreamingSensor::new(subscription.config, backend))
         {
-            Ok(sensor) => {
-                channels.insert(
-                    id,
-                    ChannelState {
-                        sensor,
-                        sink: subscription.sink,
-                        out: Vec::new(),
-                        parked: false,
-                        failed: false,
-                    },
-                );
+            Ok(sensor) => channels.push(Some((
+                id,
+                ChannelState {
+                    sensor,
+                    sink: subscription.sink,
+                    out: Vec::new(),
+                    parked: false,
+                    failed: false,
+                },
+            ))),
+            Err(error) => {
+                outcome.errors.push((id, error));
+                channels.push(None);
             }
-            Err(error) => outcome.errors.push((id, error)),
         }
     }
     // Reused batch scratch: the drained items and the processed hop
@@ -600,13 +617,19 @@ fn worker_loop(
         // instead of once per hop. With thousands of subscriptions the
         // per-hop work is memory-bound on that state; coalescing is where
         // the many-channel throughput comes from.
-        batch.sort_by_key(IngressItem::channel);
-        for item in batch.drain(..) {
+        batch.sort_by_key(IngressItem::slot);
+        let mut items = batch.drain(..).peekable();
+        while let Some(item) = items.next() {
+            // Start the next item's cold loads now, so they land while
+            // this hop slides.
+            if let Some(next) = items.peek() {
+                prefetch_next(&channels, &item, next);
+            }
             match item {
-                IngressItem::Hop { channel, samples } => {
+                IngressItem::Hop { slot, samples } => {
                     outcome.hops += 1;
                     instruments().hops.increment();
-                    if let Some(state) = channels.get_mut(&channel) {
+                    if let Some((channel, state)) = &mut channels[slot] {
                         if !state.failed {
                             let timer = instruments().hop_ns.start_timer();
                             if state.parked {
@@ -619,14 +642,14 @@ fn worker_loop(
                             match state.sensor.push_into(&samples, &mut state.out) {
                                 Ok(()) => {
                                     for decision in &state.out {
-                                        state.sink.on_decision(channel, decision);
+                                        state.sink.on_decision(*channel, decision);
                                     }
                                     outcome.decisions += state.out.len() as u64;
                                     instruments().decisions.add(state.out.len() as u64);
                                 }
                                 Err(error) => {
                                     state.failed = true;
-                                    outcome.errors.push((channel, error));
+                                    outcome.errors.push((*channel, error));
                                 }
                             }
                             drop(timer);
@@ -634,8 +657,8 @@ fn worker_loop(
                     }
                     spent.push(samples);
                 }
-                IngressItem::Park { channel } => {
-                    if let Some(state) = channels.get_mut(&channel) {
+                IngressItem::Park { slot } => {
+                    if let Some((_, state)) = &mut channels[slot] {
                         if !state.parked {
                             state.sensor.park();
                             state.parked = true;
@@ -650,6 +673,29 @@ fn worker_loop(
         queue.recycle_all(&mut spent);
     }
     Ok(outcome)
+}
+
+/// Prefetches what the hop `next` reads first while `current` runs: its
+/// ingress samples and, through [`StreamingSensor::prefetch_next_hop`],
+/// the ring spectrum its first block retires — plus its channel's
+/// accumulator and tape tail when `next` starts another channel's run.
+fn prefetch_next(channels: &ChannelTable, current: &IngressItem, next: &IngressItem) {
+    let IngressItem::Hop { slot, samples } = next else {
+        return;
+    };
+    crate::stream::prefetch(samples.as_ptr(), samples.len());
+    if let Some((_, state)) = &channels[*slot] {
+        let pending = match current {
+            IngressItem::Hop {
+                slot: current,
+                samples,
+            } if current == slot => samples.len(),
+            _ => 0,
+        };
+        state
+            .sensor
+            .prefetch_next_hop(pending, current.slot() != *slot);
+    }
 }
 
 /// Aggregate outcome of a scheduler's lifetime, returned by
@@ -707,7 +753,8 @@ impl ServiceBuilder {
                 message: "the bounded ingress queue needs at least one slot".into(),
             });
         }
-        let mut shards: HashMap<ChannelId, usize> = HashMap::with_capacity(subscriptions.len());
+        let mut shards: HashMap<ChannelId, (usize, usize)> =
+            HashMap::with_capacity(subscriptions.len());
         let mut sharded: Vec<Vec<ChannelSubscription>> = Vec::new();
         sharded.resize_with(config.workers, Vec::new);
         for subscription in subscriptions {
@@ -722,7 +769,8 @@ impl ServiceBuilder {
                 });
             }
             let shard = shard_for(subscription.id, config.workers);
-            if shards.insert(subscription.id, shard).is_some() {
+            let slot = sharded[shard].len();
+            if shards.insert(subscription.id, (shard, slot)).is_some() {
                 return Err(CfdError::InvalidParameter {
                     name: "channel",
                     message: format!("channel {} subscribed twice", subscription.id),
@@ -767,7 +815,9 @@ impl ServiceBuilder {
 pub struct SensingScheduler {
     config: ServiceConfig,
     queues: Vec<Arc<IngressQueue>>,
-    shards: HashMap<ChannelId, usize>,
+    /// Each subscribed channel's worker shard and its slot in that
+    /// worker's channel table.
+    shards: HashMap<ChannelId, (usize, usize)>,
     handles: Vec<thread::JoinHandle<Result<WorkerOutcome, CfdError>>>,
     shared: Arc<SharedCounters>,
     pushed: AtomicU64,
@@ -795,7 +845,7 @@ impl SensingScheduler {
     /// The worker shard `channel` is pinned to (`None` if not
     /// subscribed). Equals [`shard_for`]`(channel, workers)`.
     pub fn shard_of(&self, channel: ChannelId) -> Option<usize> {
-        self.shards.get(&channel).copied()
+        self.shards.get(&channel).map(|&(shard, _)| shard)
     }
 
     /// Hops pushed so far (processed, queued or shed).
@@ -823,8 +873,8 @@ impl SensingScheduler {
     /// panicking backend), also for a producer that was blocked on the
     /// full queue when it stopped. The hop is then not counted as pushed.
     pub fn push(&self, channel: ChannelId, samples: &[Cplx]) -> Result<(), CfdError> {
-        let shard = self.subscribed_shard(channel)?;
-        if !self.queues[shard].push_hop(channel, samples, &self.shared.occupancy) {
+        let (shard, slot) = self.subscribed_slot(channel)?;
+        if !self.queues[shard].push_hop(slot, samples, &self.shared.occupancy) {
             return Err(CfdError::WorkerStopped { shard });
         }
         self.pushed.fetch_add(1, Ordering::Relaxed);
@@ -841,19 +891,23 @@ impl SensingScheduler {
     /// [`CfdError::InvalidParameter`] when `channel` was never subscribed;
     /// [`CfdError::WorkerStopped`] when its worker has stopped.
     pub fn park(&self, channel: ChannelId) -> Result<(), CfdError> {
-        let shard = self.subscribed_shard(channel)?;
-        if !self.queues[shard].push_park(channel, &self.shared.occupancy) {
+        let (shard, slot) = self.subscribed_slot(channel)?;
+        if !self.queues[shard].push_park(slot, &self.shared.occupancy) {
             return Err(CfdError::WorkerStopped { shard });
         }
         Ok(())
     }
 
-    /// `channel`'s shard, or the structured error for an unsubscribed one.
-    fn subscribed_shard(&self, channel: ChannelId) -> Result<usize, CfdError> {
-        self.shard_of(channel).ok_or(CfdError::InvalidParameter {
-            name: "channel",
-            message: format!("channel {channel} is not subscribed"),
-        })
+    /// `channel`'s shard and slot, or the structured error for an
+    /// unsubscribed one.
+    fn subscribed_slot(&self, channel: ChannelId) -> Result<(usize, usize), CfdError> {
+        self.shards
+            .get(&channel)
+            .copied()
+            .ok_or_else(|| CfdError::InvalidParameter {
+                name: "channel",
+                message: format!("channel {channel} is not subscribed"),
+            })
     }
 
     /// Closes the ingress, drains every queued hop and joins the workers.

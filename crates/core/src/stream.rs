@@ -12,13 +12,15 @@
 //!
 //! is a plain sum of per-block contribution terms — so a sliding window
 //! only ever changes by one block per hop. [`StreamingSensor`] exploits
-//! that: it keeps a ring of the window's raw block spectra. Retained
+//! that: it keeps a ring of the window's raw block spectra, one contiguous
+//! slab of `W + 1` spectrum slots for a window of `W` blocks. Retained
 //! blocks are never re-FFT'd, re-accumulated or copied; an incremental hop
 //! does this much work:
 //!
-//! 1. **one** FFT for the incoming block, into a spare spectrum that is
-//!    swapped into its ring slot (the slot's old spectrum, the outgoing
-//!    block's, becomes the spare);
+//! 1. **one** FFT for the incoming block `i`, written straight into slot
+//!    `i mod (W+1)`. The outgoing block `i − W` still sits in the next
+//!    slot, `(i+1) mod (W+1)`, so consecutive hops retire adjacent memory
+//!    and no spectrum is ever swapped or copied;
 //! 2. **one** O(grid) pass over the half-grid accumulator,
 //!    [`ScfEngine::slide_block`], which stages both raw spectra with
 //!    their eq.-2 phase applied on the way in, retires the outgoing
@@ -286,14 +288,14 @@ pub struct StreamingSensor<B: SensingBackend> {
     engine: ScfEngine,
     config: StreamingConfig,
     tape: SampleTape,
-    /// Block `i`'s **raw** (unrotated) spectrum lives in
-    /// `ring[i % num_blocks]`; the eq.-2 phase is applied per use, while
-    /// the DSCF pass stages it, since the right frame depends on the hop.
-    ring: Vec<Vec<Cplx>>,
-    /// The spectrum the newest block displaced from its ring slot: the
-    /// outgoing block's raw spectrum during an incremental hop, and the
-    /// next block's FFT target (swapped into the ring, never copied).
-    spare: Vec<Cplx>,
+    /// One slab of `num_blocks + 1` spectrum slots of `fft_len` values:
+    /// block `i`'s **raw** (unrotated) spectrum lives in slot
+    /// `i % (num_blocks + 1)`, so the window's blocks plus the one an
+    /// incremental hop retires fit without a swap. The eq.-2 phase is
+    /// applied per use, while the DSCF pass stages it, since the right
+    /// frame depends on the hop. Reserved whole by the first block and
+    /// filled slot by slot.
+    ring: Vec<Cplx>,
     /// The rolling un-normalised window accumulation, in the
     /// absolute-time frame. Lazy: the first decision's adoption of
     /// `frame_acc` (a `clone_from`) allocates it.
@@ -345,7 +347,6 @@ impl<B: SensingBackend> StreamingSensor<B> {
             config,
             tape: SampleTape::default(),
             ring: Vec::new(),
-            spare: Vec::new(),
             acc,
             frame_acc,
             materialize: true,
@@ -474,7 +475,6 @@ impl<B: SensingBackend> StreamingSensor<B> {
     pub fn reset(&mut self) {
         self.tape.clear();
         self.ring.clear();
-        self.spare.clear();
         self.acc.reset();
         self.frame_acc.reset();
         self.materialize = true;
@@ -485,19 +485,21 @@ impl<B: SensingBackend> StreamingSensor<B> {
     }
 
     /// [`StreamingSensor::reset`] for the idle/duty-cycle path: forgets the
-    /// stream but **keeps every buffer allocation** — the ring spectra, the
-    /// spare spectrum and both accumulators (once the first window has
-    /// allocated them) stay at capacity, so a parked channel costs no
-    /// allocation when its next activity burst re-warms it.
+    /// stream but **keeps every buffer allocation** — the spectrum ring and
+    /// both accumulators (once the first window has allocated them) stay
+    /// at capacity, so a parked channel costs no allocation when its next
+    /// activity burst re-warms it.
     ///
     /// Keeping stale ring/accumulator *contents* is safe by the same slot
-    /// discipline the hot path relies on: a slot's spectrum is fully
-    /// overwritten before any read ([`ScfEngine::block_spectrum_into`]
-    /// writes every bin of the spare spectrum before it is swapped into
-    /// the slot), and the first decision after a warm-up is always an
-    /// exact refresh that re-sums the whole ring from literal zero
-    /// ([`ScfEngine::accumulate_phased_window`]) before adopting it into
-    /// the rolling accumulator.
+    /// discipline the hot path relies on: the re-warm's block `i` lands in
+    /// slot `i mod (W+1)` again, and
+    /// [`ScfEngine::block_spectrum_into_slice`] writes every bin of a slot
+    /// before any pass reads it. The first decision after a warm-up is
+    /// always an exact refresh that reads only slots `0..W`, all written
+    /// since the park, and re-sums them from literal zero
+    /// ([`ScfEngine::accumulate_phased_window`]) before adopting the sum
+    /// into the rolling accumulator; the first incremental hop after it
+    /// writes slot `W` and retires block 0 from slot 0.
     pub fn park(&mut self) {
         self.tape.clear();
         self.materialize = true;
@@ -505,6 +507,38 @@ impl<B: SensingBackend> StreamingSensor<B> {
         self.decisions = 0;
         self.incremental_hops = 0;
         self.exact_refreshes = 0;
+    }
+
+    /// Prefetches the cold data this sensor's next hop reads first, for a
+    /// caller that knows that hop is coming while it still runs another
+    /// one (the scheduler's worker, one item ahead in its drained batch).
+    /// `pending` samples will reach the sensor before that hop's own: the
+    /// hop running now, when it belongs to this sensor too.
+    ///
+    /// Always fetches the outgoing spectrum the hop's first block retires.
+    /// With `cold` — the hop is the first of a run on this sensor, whose
+    /// state another channel's hops have likely evicted — it also fetches
+    /// the rolling accumulator's planes and the tape region the hop's
+    /// samples are appended to. Only a hint: the hop's result is the same
+    /// whether it runs or not.
+    pub(crate) fn prefetch_next_hop(&self, pending: usize, cold: bool) {
+        let params = self.engine.params();
+        let (k, hop, window) = (params.fft_len, params.block_stride, params.num_blocks);
+        // The first block the next hop can complete, and the slot of the
+        // block that block's slide retires.
+        let end = self.tape.end() + pending as u64;
+        let block = (end + hop as u64).saturating_sub(k as u64) / hop as u64;
+        let at = ((block + 1) % (window as u64 + 1)) as usize * k;
+        if block >= window as u64 && at < self.ring.len() {
+            prefetch(self.ring[at..].as_ptr(), k);
+        }
+        if cold {
+            let (re, im) = self.acc.planes();
+            prefetch(re.as_ptr(), re.len());
+            prefetch(im.as_ptr(), im.len());
+            let buffer = self.tape.observation.buffer();
+            prefetch(buffer.as_ptr().wrapping_add(buffer.len() + pending), hop);
+        }
     }
 
     /// Processes the completed block `self.next_block`: FFT into the ring,
@@ -517,7 +551,8 @@ impl<B: SensingBackend> StreamingSensor<B> {
         let k = self.engine.params().fft_len;
         let needed = self.engine.params().samples_needed();
         let i = self.next_block as usize;
-        let slot = i % window;
+        let slots = window + 1;
+        let slot = i % slots;
         let decision_hop = i + 1 >= window;
         let timer = decision_hop.then(|| instruments().decide_ns.start_timer());
         // An exact refresh every R-th decision (the first — pure warm-up
@@ -532,18 +567,20 @@ impl<B: SensingBackend> StreamingSensor<B> {
         };
 
         // 1. One FFT for the incoming block — raw (`start = 0`), re-phased
-        //    per use by the pass that stages it — into the spare spectrum,
-        //    which then swaps with the block's ring slot. The slot's old
-        //    spectrum, the outgoing block's on an incremental hop, stays
-        //    in `spare` for this hop's slide.
-        if self.ring.len() <= slot {
-            self.ring.push(Vec::with_capacity(k));
+        //    per use by the pass that stages it — straight into its ring
+        //    slot. The outgoing block's spectrum, on an incremental hop,
+        //    stays in the next slot for this hop's slide.
+        if self.ring.len() < (slot + 1) * k {
+            self.ring.reserve_exact(slots * k - self.ring.len());
+            self.ring.resize((slot + 1) * k, Cplx::ZERO);
         }
         let block_samples = self.tape.slice(self.next_block * hop, k);
-        self.engine
-            .block_spectrum_into(block_samples, 0, &mut self.spare)?;
-        std::mem::swap(&mut self.ring[slot], &mut self.spare);
-        instruments().ring_occupancy.set(self.ring.len() as f64);
+        self.engine.block_spectrum_into_slice(
+            block_samples,
+            0,
+            &mut self.ring[slot * k..(slot + 1) * k],
+        )?;
+        instruments().ring_occupancy.set((i + 1).min(window) as f64);
         if !decision_hop {
             return Ok(None);
         }
@@ -559,9 +596,12 @@ impl<B: SensingBackend> StreamingSensor<B> {
         //    same pass).
         if refresh {
             let refresh_timer = instruments().refresh_ns.start_timer();
-            let oldest = (slot + 1) % window;
+            let oldest = d as usize % slots;
             let ring = &self.ring;
-            let blocks = (0..window).map(|j| (ring[(oldest + j) % window].as_slice(), j * stride));
+            let blocks = (0..window).map(|j| {
+                let at = (oldest + j) % slots * k;
+                (&ring[at..at + k], j * stride)
+            });
             self.engine
                 .accumulate_phased_window(blocks, &mut self.frame_acc);
             drop(refresh_timer);
@@ -595,8 +635,12 @@ impl<B: SensingBackend> StreamingSensor<B> {
                 // add used (same raw bits, same table rotation), so the
                 // subtraction cancels that contribution exactly.
                 let outgoing_block = self.next_block - window as u64;
-                let outgoing = (self.spare.as_slice(), abs_phase(outgoing_block));
-                let incoming = (self.ring[slot].as_slice(), abs_phase(self.next_block));
+                let out_at = (slot + 1) % slots * k;
+                let outgoing = (&self.ring[out_at..out_at + k], abs_phase(outgoing_block));
+                let incoming = (
+                    &self.ring[slot * k..(slot + 1) * k],
+                    abs_phase(self.next_block),
+                );
                 engine.slide_block(outgoing, incoming, &mut self.acc, window, profile);
             }
             Ok::<_, CfdError>(())
@@ -651,6 +695,28 @@ fn first_non_finite(samples: &[Cplx]) -> Option<usize> {
         return None;
     }
     samples.iter().position(|sample| !sample.is_finite())
+}
+
+/// Hints the CPU to pull the `len` values from `data` on into every cache
+/// level: one `_mm_prefetch` per 64-byte line on x86_64, nothing
+/// elsewhere. A prefetch reads nothing into the program and never faults,
+/// so `data` need not point into a live allocation.
+#[inline(always)]
+pub(crate) fn prefetch<T>(data: *const T, len: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = data.cast::<i8>();
+        let misalign = start as usize % 64;
+        let first_line = start.wrapping_sub(misalign);
+        for offset in (0..misalign + len * std::mem::size_of::<T>()).step_by(64) {
+            // SAFETY: `_mm_prefetch` has no preconditions: it is a hint that
+            // dereferences nothing, and SSE is in the x86_64 baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first_line.wrapping_add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (data, len);
 }
 
 impl<B: SensingBackend> fmt::Debug for StreamingSensor<B> {

@@ -21,8 +21,9 @@
 //! * [`dft_naive`] — an O(K²) direct DFT used as the golden model in tests,
 //! * [`block_spectrum`] — the windowed, time-shifted spectrum
 //!   `X_{n,v}` of eq. 2 (and [`block_spectrum_with_plan`] /
-//!   [`block_spectrum_into`], its allocation-conscious cores, which fold
-//!   the window into the FFT's first pass),
+//!   [`block_spectrum_into`], its allocation-conscious forms, which run
+//!   the one body [`block_spectrum_into_slice`] and fold the window into
+//!   the FFT's first pass),
 //! * complexity helpers ([`fft_complex_multiplications`],
 //!   [`dscf_complex_multiplications`]) reproducing the Section 2 cost
 //!   comparison ("16× as many multiplications for a 256-point spectrum").
@@ -994,12 +995,8 @@ pub fn block_spectrum_with_plan(
 
 /// [`block_spectrum_with_plan`] writing into a caller-owned buffer, so hot
 /// loops (a sweep worker re-evaluating the same block layout every trial)
-/// reuse the spectrum allocation instead of reallocating per block.
-///
-/// The window multiply (`x[k]·w[k]`) runs in the FFT's bit-reversed
-/// first-pass loads — the same per-element operation as a separate window
-/// pass, so the spectrum has the bits of window, then FFT — and
-/// [`FftPlan::rotate_block_phase`] applies the eq.-2 rotation after it.
+/// reuse the spectrum allocation instead of reallocating per block: sizes
+/// `out` to the plan length and runs [`block_spectrum_into_slice`].
 ///
 /// # Errors
 ///
@@ -1011,6 +1008,34 @@ pub fn block_spectrum_into(
     window_coeffs: &[f64],
     out: &mut Vec<Cplx>,
 ) -> Result<(), DspError> {
+    if out.len() != plan.len() {
+        out.clear();
+        out.resize(plan.len(), Cplx::ZERO);
+    }
+    block_spectrum_into_slice(signal, start, plan, window_coeffs, out)
+}
+
+/// The one block-spectrum body: [`block_spectrum_with_plan`] writing every
+/// bin of a caller-owned slice of exactly `plan.len()` values, such as one
+/// slot of a streaming sensor's contiguous spectrum ring.
+///
+/// The window multiply (`x[k]·w[k]`) runs in the FFT's bit-reversed
+/// first-pass loads — the same per-element operation as a separate window
+/// pass, so the spectrum has the bits of window, then FFT — and
+/// [`FftPlan::rotate_block_phase`] applies the eq.-2 rotation after it.
+///
+/// # Errors
+///
+/// Same contract as [`block_spectrum_with_plan`], plus
+/// [`DspError::InvalidParameter`] if `out` does not hold exactly
+/// `plan.len()` values.
+pub fn block_spectrum_into_slice(
+    signal: &[Cplx],
+    start: usize,
+    plan: &FftPlan,
+    window_coeffs: &[f64],
+    out: &mut [Cplx],
+) -> Result<(), DspError> {
     let block_len = plan.len();
     if window_coeffs.len() != block_len {
         return Err(DspError::InvalidParameter {
@@ -1021,15 +1046,20 @@ pub fn block_spectrum_into(
             ),
         });
     }
+    if out.len() != block_len {
+        return Err(DspError::InvalidParameter {
+            name: "out",
+            message: format!(
+                "spectrum buffer holds {} values, plan length is {block_len}",
+                out.len()
+            ),
+        });
+    }
     if start + block_len > signal.len() {
         return Err(DspError::InsufficientSamples {
             needed: start + block_len,
             available: signal.len(),
         });
-    }
-    if out.len() != block_len {
-        out.clear();
-        out.resize(block_len, Cplx::ZERO);
     }
     let _span = forward_ns().start_timer();
     plan.run(Run::Spectrum {
@@ -1274,6 +1304,18 @@ mod tests {
         assert!(matches!(
             block_spectrum_with_plan(&signal, 0, &plan, &coeffs),
             Err(DspError::InvalidParameter { .. })
+        ));
+    }
+
+    #[test]
+    fn block_spectrum_into_slice_rejects_a_mismatched_buffer() {
+        let plan = FftPlan::new(16).unwrap();
+        let signal = vec![Cplx::ONE; 32];
+        let coeffs = Window::Rectangular.coefficients(16);
+        let mut short = vec![Cplx::ZERO; 15];
+        assert!(matches!(
+            block_spectrum_into_slice(&signal, 0, &plan, &coeffs, &mut short),
+            Err(DspError::InvalidParameter { name: "out", .. })
         ));
     }
 

@@ -19,7 +19,10 @@
 
 use crate::complex::Cplx;
 use crate::error::DspError;
-use crate::fft::{block_spectrum, block_spectrum_into, cached_plan, cached_window, FftPlan};
+use crate::fft::{
+    block_spectrum, block_spectrum_into, block_spectrum_into_slice, cached_plan, cached_window,
+    FftPlan,
+};
 use crate::tier::{vector_tier, VectorTier};
 use crate::window::Window;
 use std::cell::RefCell;
@@ -1179,6 +1182,12 @@ impl ScfAccumulator {
         self.max_offset
     }
 
+    /// The split `(re, im)` planes, `(2M+1)·(M+1)` values each, or empty
+    /// before a lazy accumulator's first full pass.
+    pub fn planes(&self) -> (&[f64], &[f64]) {
+        (&self.acc_re, &self.acc_im)
+    }
+
     /// Zeroes both planes (allocation kept).
     pub fn reset(&mut self) {
         self.acc_re.fill(0.0);
@@ -1671,6 +1680,26 @@ impl ScfEngine {
     ) -> Result<(), DspError> {
         let _span = spectra_ns().start_timer();
         block_spectrum_into(signal, start, &self.plan, &self.window_coeffs, out)
+    }
+
+    /// [`ScfEngine::block_spectrum_into`] writing every bin of a slice of
+    /// exactly `fft_len` values — one slot of a streaming sensor's
+    /// contiguous spectrum ring. Both run the one block-spectrum body,
+    /// [`block_spectrum_into_slice`].
+    ///
+    /// # Errors
+    ///
+    /// [`DspError::InsufficientSamples`] if the signal ends before
+    /// `start + fft_len`, [`DspError::InvalidParameter`] if `out` does not
+    /// hold exactly `fft_len` values.
+    pub fn block_spectrum_into_slice(
+        &self,
+        signal: &[Cplx],
+        start: usize,
+        out: &mut [Cplx],
+    ) -> Result<(), DspError> {
+        let _span = spectra_ns().start_timer();
+        block_spectrum_into_slice(signal, start, &self.plan, &self.window_coeffs, out)
     }
 
     /// Re-bases a window accumulation between phase frames: multiplies

@@ -17,6 +17,10 @@
 //!   global `service.drops` telemetry counter advances by exactly
 //!   `report.drops` (this is the only test in this binary that sheds, so
 //!   the delta is race-free under parallel libtest threads);
+//! * **dense channel slots** — a channel whose recipe fails to build
+//!   leaves its slot empty: hops and parks addressed to it are skipped,
+//!   every other channel stays identical to serial driving, and the build
+//!   error surfaces at `join` under the channel's own id;
 //! * **shard stability** — [`shard_for`] is pinned to literal values (the
 //!   SplitMix64 finaliser is stable across runs, platforms and
 //!   subscription order) and [`SensingScheduler::shard_of`] agrees;
@@ -25,7 +29,7 @@
 //!   [`CfdError::WorkerStopped`] within a bounded time, and `join`
 //!   re-raises the panic.
 
-use cfd_core::backend::{Decision, Observation, SensingBackend};
+use cfd_core::backend::{BackendRecipe, Decision, Observation, SensingBackend};
 use cfd_core::error::CfdError;
 use cfd_core::service::{
     shard_for, Backpressure, ChannelSubscription, DecisionLog, SensingScheduler, ServiceConfig,
@@ -208,6 +212,114 @@ fn block_backpressure_never_drops_a_hop() {
     let scheduled: Vec<Vec<Decision>> = logs.iter().map(DecisionLog::take).collect();
     let serial = drive_serially(&events, channels, &params, 64);
     assert_bitwise_identical(&scheduled, &serial);
+}
+
+/// A recipe whose every build fails, naming the channel it was meant for.
+struct RefusingRecipe {
+    channel: u64,
+}
+
+impl BackendRecipe for RefusingRecipe {
+    fn label(&self) -> String {
+        "refusing".into()
+    }
+
+    fn build(&self) -> Result<Box<dyn SensingBackend + Send>, CfdError> {
+        Err(CfdError::InvalidParameter {
+            name: "recipe",
+            message: format!("channel {} refuses to build", self.channel),
+        })
+    }
+}
+
+/// A backend that builds but fails every decision.
+#[derive(Debug, Clone)]
+struct FailingBackend;
+
+impl SensingBackend for FailingBackend {
+    fn label(&self) -> String {
+        "failing".into()
+    }
+
+    fn decide(&mut self, _observation: &mut Observation) -> Result<Decision, CfdError> {
+        Err(CfdError::InvalidParameter {
+            name: "decision",
+            message: "this backend always fails".into(),
+        })
+    }
+}
+
+/// A channel whose recipe fails to build leaves an empty slot in its
+/// worker's channel table; every other channel keeps its own slot. Over
+/// two shards, with channel ids unlike any slot index and subscribed out
+/// of order, bursty traffic still decides bit-identically to serial
+/// driving on every healthy channel. Hops and parks addressed to the
+/// failed channel are accepted and skipped, and its build error is the one
+/// `join` reports: errors come back in channel-id order, and the other
+/// failing channel, whose backend errs at decide time, has a larger id.
+#[test]
+fn a_failed_build_keeps_every_other_channel_on_its_slot() {
+    let params = ScfParams::new(32, 7, 3).unwrap();
+    let refresh = 2;
+    let ids: [u64; 8] = [41, 7, 1003, 12, 58, 3, 999, 20];
+    // Indices into `ids`: channel 12 fails to build, channel 1003 decides
+    // with a failing backend.
+    let (unbuilt, failing) = (3, 2);
+    let events = ServiceTraffic::new("bpsk-awgn", ids.len(), 10, 32)
+        .unwrap()
+        .with_seed(33)
+        .at_snr(3.0)
+        .with_activity(ActivityModel::bursty(0.8, 0.4).unwrap())
+        .synthesize()
+        .unwrap();
+    let detector = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+    let logs: Vec<DecisionLog> = ids.iter().map(|_| DecisionLog::new()).collect();
+    let mut builder = SensingScheduler::builder(ServiceConfig::new(2).with_queue_capacity(4));
+    for (index, (&id, log)) in ids.iter().zip(&logs).enumerate() {
+        let config = StreamingConfig::new(params.clone()).with_refresh_interval(refresh);
+        let subscription = if index == unbuilt {
+            ChannelSubscription::new(id, config, RefusingRecipe { channel: id }, log.clone())
+        } else if index == failing {
+            ChannelSubscription::new(id, config, FailingBackend, log.clone())
+        } else {
+            ChannelSubscription::new(id, config, detector.clone(), log.clone())
+        };
+        builder = builder.subscribe(subscription);
+    }
+    let scheduler = builder.spawn().unwrap();
+    let unbuilt_id = ids[unbuilt];
+    let extra = cfd_dsp::signal::awgn(32, 1.0, 3);
+    for (n, event) in events.iter().enumerate() {
+        match event {
+            TrafficEvent::Hop {
+                channel, samples, ..
+            } => scheduler.push(ids[*channel as usize], samples).unwrap(),
+            TrafficEvent::Park { channel } => scheduler.park(ids[*channel as usize]).unwrap(),
+        }
+        // More control traffic for the unbuilt channel, interleaved.
+        if n % 7 == 0 {
+            scheduler.park(unbuilt_id).unwrap();
+            scheduler.push(unbuilt_id, &extra).unwrap();
+        }
+    }
+    assert_eq!(
+        scheduler.join(),
+        Err(CfdError::InvalidParameter {
+            name: "recipe",
+            message: "channel 12 refuses to build".into(),
+        })
+    );
+    let scheduled: Vec<Vec<Decision>> = logs.iter().map(DecisionLog::take).collect();
+    assert!(scheduled[unbuilt].is_empty() && scheduled[failing].is_empty());
+    let serial = drive_serially(&events, ids.len(), &params, refresh);
+    let healthy = |decisions: &[Vec<Decision>]| -> Vec<Vec<Decision>> {
+        (0..ids.len())
+            .filter(|&index| index != unbuilt && index != failing)
+            .map(|index| decisions[index].clone())
+            .collect()
+    };
+    assert!(serial.iter().map(Vec::len).sum::<usize>() > 0);
+    assert_bitwise_identical(&healthy(&scheduled), &healthy(&serial));
 }
 
 /// A correct but deliberately slow backend, to hold the worker busy while

@@ -432,3 +432,56 @@ fn window_view_survives_ragged_pushes() {
         }
     }
 }
+
+/// The spectrum ring is one slab of `W + 1` slots, and a park keeps its
+/// stale contents, so a re-warm must never read a slot it has not yet
+/// rewritten. For every park phase `j` in `0..=W+1` blocks, after a first
+/// burst that has filled every slot, a sensor parked mid-stream and
+/// re-warmed decides bit-identically to a fresh sensor fed the same
+/// post-park stream — at the back-to-back hop and an overlapping one, and
+/// with refresh intervals of 1, 3 and one longer than the window.
+#[test]
+fn park_at_every_ring_phase_matches_a_fresh_sensor() {
+    let window = 4;
+    for hop in [32, 24] {
+        let params = ScfParams::new(32, 7, window).unwrap().with_stride(hop);
+        let detector = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+        // The samples of the first `blocks` blocks of a stream.
+        let samples_for = |blocks: usize| match blocks {
+            0 => 0,
+            b => (b - 1) * hop + params.fft_len,
+        };
+        for refresh in [1, 3, window + 2] {
+            let config = StreamingConfig::new(params.clone()).with_refresh_interval(refresh);
+            // Past the first window, through two refresh cycles and more
+            // than one wrap of the ring.
+            let after = awgn(samples_for(window + 2 * refresh + window + 3), 1.0, 91);
+            let mut fresh = StreamingSensor::new(config.clone(), detector.clone()).unwrap();
+            let expected = fresh.push(&after).unwrap();
+            assert_eq!(expected.len(), 2 * refresh + window + 4);
+            for j in 0..=window + 1 {
+                let mut parked = StreamingSensor::new(config.clone(), detector.clone()).unwrap();
+                parked
+                    .push(&awgn(samples_for(3 * (window + 1)), 1.0, 89))
+                    .unwrap();
+                parked.park();
+                // `j` blocks into the new stream, plus a partial block.
+                parked
+                    .push(&awgn(samples_for(j) + hop / 2, 1.0, 90 + j as u64))
+                    .unwrap();
+                assert_eq!(parked.blocks_ingested(), j as u64);
+                parked.park();
+                let got = parked.push(&after).unwrap();
+                assert_eq!(got.len(), expected.len(), "hop {hop}, R {refresh}, j {j}");
+                for (d, (g, e)) in got.iter().zip(&expected).enumerate() {
+                    assert_eq!(
+                        g.statistic.to_bits(),
+                        e.statistic.to_bits(),
+                        "hop {hop}, R {refresh}, park after {j} blocks: decision {d}"
+                    );
+                    assert_eq!(g.verdict, e.verdict);
+                }
+            }
+        }
+    }
+}

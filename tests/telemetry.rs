@@ -258,7 +258,6 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         Some(4.0),
         "the ring holds a full window after warm-up"
     );
-
     cfd_telemetry::set_enabled(true);
     run_stream();
     let after = cfd_telemetry::registry().snapshot();
@@ -279,6 +278,29 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
     assert_eq!(
         stream_counter(&after, "exact_refreshes") - stream_counter(&mid, "exact_refreshes"),
         3
+    );
+    // A park keeps the ring's slots allocated, but the window restarts:
+    // one block into the re-warm, the ring holds one block of it.
+    let mut rewarmed = StreamingSensor::new(
+        StreamingConfig::new(stream_params.clone()),
+        CyclostationaryDetector::new(stream_params.clone(), 0.35, 1).unwrap(),
+    )
+    .unwrap();
+    rewarmed
+        .push(&cfd_dsp::signal::awgn(
+            stream_params.samples_needed(),
+            1.0,
+            29,
+        ))
+        .unwrap();
+    rewarmed.park();
+    rewarmed.push(&cfd_dsp::signal::awgn(32, 1.0, 31)).unwrap();
+    assert_eq!(
+        cfd_telemetry::registry()
+            .snapshot()
+            .gauge("stream.ring_occupancy"),
+        Some(1.0),
+        "a re-warm counts the blocks of its own window"
     );
 
     // --- 8. Service instruments (PR 9): a SensingScheduler counts hops,
